@@ -19,6 +19,8 @@
 //     plans (MigrationOptions::swap_backfill) plus the two-pass rehome keep
 //     every rank's owned-row count flat, so churn adds no store high-water.
 // --json emits one row per policy for bench/record_bench.sh.
+#include <cstring>
+
 #include "dist_util.h"
 #include "drift_rmat.h"
 
@@ -44,6 +46,7 @@ struct PolicyMetrics {
   std::size_t moves = 0;
   std::size_t migrations = 0;  // nonempty migration supersteps
   double busy_imbalance = 1.0;
+  EmbeddingStore final_embeddings;  // leader gather after the last batch
 };
 
 }  // namespace
@@ -138,6 +141,7 @@ int main(int argc, char** argv) {
     }
     m.final_rank_memory_bytes = engine->memory_bytes();
     m.busy_imbalance = signal.imbalance(parts);
+    m.final_embeddings = engine->gather_embeddings();
     return m;
   };
 
@@ -154,6 +158,16 @@ int main(int argc, char** argv) {
   };
   const PolicyMetrics st = run_best(false);
   const PolicyMetrics mg = run_best(true);
+  // Migration moves ownership, never values: both policies must gather the
+  // same bits.
+  for (std::size_t l = 0; l <= st.final_embeddings.num_layers(); ++l) {
+    const Matrix& a = st.final_embeddings.layer(l);
+    const Matrix& b = mg.final_embeddings.layer(l);
+    RIPPLE_CHECK_MSG(std::memcmp(a.data(), b.data(),
+                                 a.size() * sizeof(float)) == 0,
+                     "migrated embeddings diverged from static at layer "
+                         << l);
+  }
 
   if (json) {
     for (const auto* m : {&st, &mg}) {

@@ -22,7 +22,7 @@ ctest --test-dir build -LE unit --output-on-failure -j "$(nproc)"
 # payloads, tcp bit-identical to sim), the --mode=async conformance
 # axis (hop-stamped row frames + the Safra token ring over real sockets,
 # bit-identical to BSP and to sim; see docs/async.md), and the migration
-# conformance pass (migrate_row supersteps after every batch over real
+# conformance pass (migration supersteps after every batch over real
 # sockets: re-homed ownership, gathered embeddings and per-batch counter
 # sums all bit-identical to sim; see docs/repartition.md). The fault tier
 # rides the same env gate: RIPPLE_TRANSPORT=tcp un-skips the forked
@@ -31,6 +31,12 @@ ctest --test-dir build -LE unit --output-on-failure -j "$(nproc)"
 # sockets, bit-identical to a never-failed run (docs/fault_tolerance.md).
 RIPPLE_TRANSPORT=tcp ctest --test-dir build -L dist --output-on-failure \
   -j "$(nproc)"
+# Owned-row shipping smoke through real binaries: each run RIPPLE_CHECKs
+# bit-exactness at bench scale through migrate, checkpoint, restore and
+# the leader gather (a few seconds each).
+./build/bench_recovery --quick --mode=bsp >/dev/null
+./build/bench_recovery --quick --mode=async >/dev/null
+./build/bench_drift_scenario --quick >/dev/null
 
 # ThreadSanitizer pass over the unit tier: the work-stealing scheduler's
 # Chase-Lev deque (common/scheduler.h) is lock-free, so races there would be

@@ -10,7 +10,6 @@
 
 #include "common/check.h"
 #include "dist/transport_error.h"
-#include "gnn/model.h"
 
 namespace ripple {
 namespace {
@@ -33,8 +32,9 @@ struct Crc32Table {
                        "checkpoint " + path + ": " + what);
 }
 
-// Bounded little reader over the in-memory file image; every length it
-// trusts has already been covered by the CRC.
+// Bounded little reader over the in-memory file image. The CRC covers every
+// length it reads, but a crafted file can carry a valid CRC, so lengths are
+// still bounded against the bytes actually present.
 struct Reader {
   const std::string& path;
   const std::vector<std::uint8_t>& buf;
@@ -42,6 +42,16 @@ struct Reader {
 
   void need(std::size_t n, const char* what) {
     if (buf.size() - pos < n) corrupt(path, std::string("truncated ") + what);
+  }
+  // need() for `count` elements of `size` bytes, bounded by division: a
+  // file-supplied count near 2^64 must not wrap count * size past the
+  // check. Returns the byte count.
+  std::size_t need_array(std::uint64_t count, std::size_t size,
+                         const char* what) {
+    if (size != 0 && count > (buf.size() - pos) / size) {
+      corrupt(path, std::string("truncated ") + what);
+    }
+    return count * size;
   }
   template <typename T>
   T scalar(const char* what) {
@@ -166,18 +176,19 @@ CheckpointData read_checkpoint_file(const std::string& path) {
   if (part_of_len != meta.num_vertices) {
     corrupt(path, "part_of table length disagrees with num_vertices");
   }
-  r.need(part_of_len * 4, "part_of table");
+  const std::size_t part_of_bytes =
+      r.need_array(part_of_len, sizeof(std::uint32_t), "part_of table");
   meta.part_of.resize(part_of_len);
-  std::memcpy(meta.part_of.data(), buf.data() + r.pos, part_of_len * 4);
-  r.pos += part_of_len * 4;
+  std::memcpy(meta.part_of.data(), buf.data() + r.pos, part_of_bytes);
+  r.pos += part_of_bytes;
   const auto num_owned = r.scalar<std::uint64_t>("owned vertex count");
-  r.need(num_owned * 4, "owned vertex ids");
+  const std::size_t owned_bytes =
+      r.need_array(num_owned, sizeof(VertexId), "owned vertex ids");
   data.vertices.resize(num_owned);
-  std::memcpy(data.vertices.data(), buf.data() + r.pos, num_owned * 4);
-  r.pos += num_owned * 4;
-  const std::size_t row_bytes =
-      num_owned * std::size_t{meta.row_width} * sizeof(float);
-  r.need(row_bytes, "state rows");
+  std::memcpy(data.vertices.data(), buf.data() + r.pos, owned_bytes);
+  r.pos += owned_bytes;
+  const std::size_t row_bytes = r.need_array(
+      num_owned, std::size_t{meta.row_width} * sizeof(float), "state rows");
   data.rows.resize(num_owned * std::size_t{meta.row_width});
   std::memcpy(data.rows.data(), buf.data() + r.pos, row_bytes);
   r.pos += row_bytes;
@@ -238,27 +249,6 @@ std::optional<std::uint64_t> latest_checkpoint_cursor(const std::string& dir,
     if (complete) return it->first;
   }
   return std::nullopt;
-}
-
-std::size_t ripple_checkpoint_row_width(const ModelConfig& config) {
-  // Mirrors the migration state frame: H^0..H^L then the per-hop aggregate
-  // caches (dist_ripple.cpp migrate()).
-  std::size_t width = 0;
-  for (std::size_t l = 0; l <= config.num_layers; ++l) {
-    width += config.embedding_dim(l);
-  }
-  for (std::size_t l = 0; l < config.num_layers; ++l) {
-    width += config.layer_in_dim(l);
-  }
-  return width;
-}
-
-std::size_t rc_checkpoint_row_width(const ModelConfig& config) {
-  std::size_t width = 0;
-  for (std::size_t l = 0; l <= config.num_layers; ++l) {
-    width += config.embedding_dim(l);
-  }
-  return width;
 }
 
 }  // namespace ripple

@@ -1,7 +1,7 @@
 // Deterministic per-rank checkpoint files (docs/fault_tolerance.md).
 //
 // Every K batches each rank snapshots its OWNED vertex state — the same
-// per-vertex row a migration frame ships (docs/repartition.md): committed
+// owned-row layout a migration ships (docs/repartition.md): committed
 // H^0..H^L rows plus, for the ripple engine, the aggregate-cache rows —
 // together with the partition assignment + version and the stream cursor
 // (batches applied so far). Because the whole distributed stack is
@@ -34,8 +34,6 @@
 #include "graph/types.h"
 
 namespace ripple {
-
-struct ModelConfig;
 
 inline constexpr std::uint64_t kCheckpointMagic = 0x31544b5043'4c5052ULL;
 inline constexpr std::uint32_t kCheckpointFormatVersion = 1;
@@ -80,10 +78,5 @@ CheckpointData read_checkpoint_file(const std::string& path);
 // recovery then falls back to the previous complete one.
 std::optional<std::uint64_t> latest_checkpoint_cursor(const std::string& dir,
                                                       std::size_t num_parts);
-
-// Per-vertex checkpoint row widths — the exact migration-frame layouts.
-// ripple: H^0..H^L rows plus the per-hop aggregate-cache rows; rc: H only.
-std::size_t ripple_checkpoint_row_width(const ModelConfig& config);
-std::size_t rc_checkpoint_row_width(const ModelConfig& config);
 
 }  // namespace ripple

@@ -23,12 +23,15 @@
 // tests/dist/test_transport.cpp.
 #pragma once
 
+#include <algorithm>
 #include <functional>
 #include <memory>
 #include <span>
 #include <string>
 
+#include "common/check.h"
 #include "common/scheduler.h"
+#include "dist/termination.h"
 #include "dist/transport.h"
 #include "gnn/model.h"
 #include "graph/dynamic_graph.h"
@@ -129,6 +132,30 @@ struct DistBatchResult {
   }
 };
 
+// Per-(dst, src) FIFO cursors over the hosted inboxes of the superstep that
+// just ended. A sim inbox interleaves sources in send order while a tcp
+// inbox groups frames by source rank; every (src -> dst) subsequence is the
+// same on both, so schedule-driven installs consume through these cursors,
+// never by inbox position. Any disagreement between the schedule and what
+// arrived (wrong sender, wrong width, a missing or an unclaimed frame) is
+// wire damage: TransportError{kCorrupt}.
+class InboxCursors {
+ public:
+  explicit InboxCursors(const Transport& transport);
+
+  // The next frame `dst` holds from `src`; it must come from `sender` and
+  // carry exactly `width` floats.
+  std::span<const float> pop(std::size_t dst, std::size_t src,
+                             VertexId sender, std::size_t width);
+  // Every frame of every hosted inbox must have been popped.
+  void expect_drained() const;
+
+ private:
+  const Transport& transport_;
+  std::vector<std::vector<std::vector<std::uint32_t>>> fifo_;  // [dst][src]
+  std::vector<std::vector<std::size_t>> next_;                 // [dst][src]
+};
+
 class DistEngineBase {
  public:
   virtual ~DistEngineBase() = default;
@@ -141,37 +168,38 @@ class DistEngineBase {
 
   // Collects every partition's owned rows at the leader (H^0..H^L union).
   // This is a COLLECTIVE: every rank of a real transport must call it at
-  // the same point (it runs a superstep of owned-row collection frames).
-  // The leader's returned store holds the full table; a non-leader rank's
-  // store holds only its own owned rows (zeros elsewhere). Rows travel via
+  // the same point (it runs one owned-row exchange superstep). The leader's
+  // returned store holds the full table; a non-leader rank's store holds
+  // only its own owned rows (zeros elsewhere). Rows travel via
   // Transport::send_exact — never wire-rounded, so leader assembly is
-  // bit-exact at any --wire-precision. The gather's wire cost is charged to
-  // the transport's cumulative counters but to no batch — it is a
-  // diagnostic/serving operation outside the streaming loop.
-  virtual EmbeddingStore gather_embeddings() = 0;
+  // bit-exact at any --wire-precision — and the leader installs them in the
+  // schedule it derives from the replicated row map. The gather's wire cost
+  // is charged to the transport's cumulative counters but to no batch — it
+  // is a diagnostic/serving operation outside the streaming loop.
+  EmbeddingStore gather_embeddings();
 
   // Executes an ownership-change plan as one migration superstep between
   // batches (docs/repartition.md). This is a COLLECTIVE: every rank of a
   // real transport must call it at the same point with the SAME plan (each
   // replica normalizes it against its partition copy, so all ranks derive
-  // identical shipping schedules). Old owners ship each moving vertex's full
-  // committed state over FrameType::migrate_row frames (send_migrate: exact
-  // f32 width, staged through the barrier); after the barrier every endpoint
-  // re-homes its row map, installs the received rows, patches its halo, and
-  // bumps its replicated assignment — so the next batch routes against the
-  // new owners with bit-identical embeddings to a never-migrated run.
-  // Returns the number of moves actually executed (after normalization
-  // drops no-ops). Wire cost is charged to the transport's cumulative
-  // counters but to no batch, like gather_embeddings().
-  virtual std::size_t migrate(MigrationPlan plan) = 0;
+  // identical shipping schedules). Old owners ship each moving vertex's
+  // owned row (the engine's layout, exact f32 via send_exact); after the
+  // barrier every endpoint re-homes its row map, installs the received
+  // rows, patches its halo (ripple), and bumps its replicated assignment —
+  // so the next batch routes against the new owners with bit-identical
+  // embeddings to a never-migrated run. Returns the number of moves
+  // actually executed (after normalization drops no-ops). Wire cost is
+  // charged to the transport's cumulative counters but to no batch, like
+  // gather_embeddings().
+  std::size_t migrate(MigrationPlan plan);
 
-  // Snapshots every HOSTED partition's owned state to per-rank checkpoint
+  // Snapshots every HOSTED partition's owned rows to per-rank checkpoint
   // files in `dir` (dist/checkpoint.h): one file per hosted partition,
   // CRC-checksummed and atomically renamed. `stream_cursor` is the number
   // of batches applied so far and names the files. LOCAL — no wire traffic,
   // callable at any between-batches point. Returns seconds spent writing.
-  virtual double write_checkpoint(const std::string& dir,
-                                  std::uint64_t stream_cursor) = 0;
+  double write_checkpoint(const std::string& dir,
+                          std::uint64_t stream_cursor);
 
   // Restores a freshly constructed engine from the checkpoint at
   // `stream_cursor`. Precondition: this engine was built over the graph
@@ -179,17 +207,22 @@ class DistEngineBase {
   // structure) with any right-shaped feature matrix, and over a Partition
   // equal to the checkpointed assignment — every restored bit comes from
   // the files, not the constructor bootstrap. This is a COLLECTIVE: it runs
-  // one halo-refill superstep (ripple engine) so every rank must call it at
-  // the same point. After it returns, replaying the stream suffix produces
-  // embeddings BIT-identical to a run that never failed
+  // exactly one halo-refill superstep (empty for rc) so every rank must
+  // call it at the same point. After it returns, replaying the stream
+  // suffix produces embeddings BIT-identical to a run that never failed
   // (tests/dist/test_checkpoint.cpp). Throws TransportError{kCorrupt} on a
-  // damaged file.
-  virtual void restore_checkpoint(const std::string& dir,
-                                  std::uint64_t stream_cursor) = 0;
+  // damaged file and on one that is not this engine's, rank's and cursor's
+  // snapshot of this topology and assignment.
+  void restore_checkpoint(const std::string& dir,
+                          std::uint64_t stream_cursor);
 
-  virtual const Partition& partition() const = 0;
-  virtual const DynamicGraph& graph() const = 0;
-  virtual const GnnModel& model() const = 0;
+  const Partition& partition() const { return partition_; }
+  const DynamicGraph& graph() const { return graph_; }
+  const GnnModel& model() const { return model_; }
+
+  // Floats per vertex of the engine's owned-row layout: the row a migration
+  // ships and a checkpoint file stores.
+  std::size_t owned_row_width();
 
   // Resident bytes of ONE rank's row state: owned embedding rows, aggregate
   // caches, this rank's mailbox shards, halo cache, and the row map. On a
@@ -199,7 +232,103 @@ class DistEngineBase {
   // excluded (it is shared infrastructure, not row state; see
   // src/dist/README.md).
   virtual std::size_t memory_bytes() const = 0;
+
+ protected:
+  // One row of an owned-row exchange superstep: `src` ships v's row, built
+  // from the first `slots` matrices of its owned layout, to `dst`.
+  struct RowShipment {
+    std::uint32_t src = 0;
+    std::uint32_t dst = 0;
+    VertexId v = kInvalidVertex;
+    std::uint32_t slots = 0;
+  };
+  // The halo rows a migration or restore exchange carries for the ripple
+  // engine: `rows` join the exchange schedule after the owned rows, `local`
+  // runs after the barrier but before the re-home (edits that read the old
+  // row slots), and `install` receives each of `rows` at its destination.
+  struct HaloPatch {
+    std::vector<RowShipment> rows;
+    std::function<void()> local;
+    std::function<void(const RowShipment&, std::span<const float>)> install;
+  };
+
+  // `key` is the factory key written into checkpoint files. Checks the
+  // inputs, builds the row map, the stealing scheduler and the per-partition
+  // termination detectors; the engine allocates its hosted rows and then
+  // calls scatter_owned().
+  DistEngineBase(const char* key, const GnnModel& model,
+                 DynamicGraph snapshot, const Matrix& features,
+                 Partition partition, ThreadPool* pool,
+                 std::unique_ptr<Transport> transport,
+                 SchedulerMode scheduler, ExecMode mode);
+
+  // The per-vertex owned-row layout, declared once per engine: the hosted
+  // partition's row matrices (local-row indexed) in wire order. Row width,
+  // pack/unpack, the post-rehome resize and the bootstrap scatter all
+  // derive from it.
+  virtual std::vector<Matrix*> owned_layout(std::size_t part) = 0;
+  // Halo maintenance riding migrate() (`plan` normalized, nothing moved
+  // yet) or restore_checkpoint() (`plan` null, owned rows installed).
+  virtual HaloPatch halo_patch(const MigrationPlan* plan) {
+    (void)plan;
+    return {};
+  }
+
+  std::uint32_t owner(VertexId v) const { return partition_.part_of(v); }
+  bool hosts(std::size_t part) const { return transport_->hosts(part); }
+  std::uint32_t local(VertexId v) const { return row_map_.local_of(v); }
+
+  // Copies each hosted partition's owned rows out of full bootstrap tables
+  // given in layout order.
+  void scatter_owned(const std::vector<const Matrix*>& full);
+  // Appends the first `slots` layout rows of v (owned by hosted `part`).
+  void pack_row(std::size_t part, VertexId v, std::size_t slots,
+                std::vector<float>& out);
+  // One owned-row exchange superstep over send_exact. Every endpoint passes
+  // the SAME schedule, derived from replicated state: hosted sources send
+  // in schedule order, the barrier completes, `before_install` runs, and
+  // each hosted destination receives schedule[i] as install(i, row)
+  // through per-(dst, src) FIFO cursors.
+  void ship_rows(
+      const std::vector<RowShipment>& schedule,
+      const std::function<void()>& before_install,
+      const std::function<void(std::size_t, std::span<const float>)>&
+          install);
+
+  GnnModel model_;
+  DynamicGraph graph_;  // replicated topology (one shared copy in-process)
+  Partition partition_;
+  LocalRowMap row_map_;  // stable global->local owned-row addressing
+  std::unique_ptr<Transport> transport_;  // engine code sees only the iface
+  ThreadPool* pool_;
+  // Work-stealing runtime for the apply phases (null = static
+  // per-partition chunks): a hot partition's sub-tasks spread over idle
+  // workers, and its modeled endpoint shrinks to the W-worker makespan
+  // bound (dist/bsp.h).
+  std::unique_ptr<WorkStealingScheduler> stealer_;
+  ExecMode mode_ = ExecMode::kBsp;
+  std::uint64_t batches_applied_ = 0;  // restore fast-forwards it
+  std::vector<TerminationDetector> detectors_;  // one per partition (hosted)
+
+ private:
+  std::vector<std::size_t> layout_widths();
+
+  const char* key_;
 };
+
+// Splits `row` into consecutive segments, copying segment i into the span
+// row_of(i) returns — the one inverse of DistEngineBase::pack_row.
+template <typename RowOf>
+void split_row(std::span<const float> row, std::size_t count,
+               const RowOf& row_of) {
+  std::size_t off = 0;
+  for (std::size_t i = 0; i < count; ++i) {
+    const std::span<float> out = row_of(i);
+    std::copy(row.begin() + off, row.begin() + off + out.size(), out.begin());
+    off += out.size();
+  }
+  RIPPLE_CHECK(off == row.size());
+}
 
 // Factory keys used by the dist benches: "ripple" (incremental,
 // delta-shipping) and "rc" (full recompute, halo-pulling). `scheduler`
@@ -237,17 +366,5 @@ std::unique_ptr<DistEngineBase> make_dist_engine(
 void finish_epoch_timing(const Transport& transport,
                          const std::vector<double>& busy_sec, double wall_sec,
                          DistBatchResult& result);
-
-// Shared gather_embeddings() implementation: every hosted non-leader
-// partition ships its owned rows (H^0..H^L concatenated per vertex) to the
-// leader over send_exact; the returned store holds the hosted partitions'
-// rows plus — at the endpoint hosting the leader — everything received.
-// `owned_row(part, layer, v)` must return the hosted partition's committed
-// row of v (v is a global id, owned by `part`).
-EmbeddingStore gather_owned_store(
-    Transport& transport, const LocalRowMap& rows, const ModelConfig& config,
-    std::size_t num_vertices,
-    const std::function<std::span<const float>(
-        std::size_t part, std::size_t layer, VertexId v)>& owned_row);
 
 }  // namespace ripple

@@ -6,7 +6,6 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "dist/bsp.h"
-#include "dist/checkpoint.h"
 #include "infer/affected.h"
 #include "infer/layerwise.h"
 #include "stream/update.h"
@@ -21,24 +20,12 @@ DistRecomputeEngine::DistRecomputeEngine(const GnnModel& model,
                                          std::unique_ptr<Transport> transport,
                                          SchedulerMode scheduler,
                                          ExecMode mode)
-    : model_(model), graph_(std::move(snapshot)),
-      partition_(std::move(partition)),
-      row_map_(partition_, graph_.num_vertices()),
-      transport_(std::move(transport)), pool_(pool), mode_(mode) {
-  if (pool_ != nullptr && scheduler == SchedulerMode::kSteal) {
-    stealer_ = std::make_unique<WorkStealingScheduler>(pool_);
-  }
-  RIPPLE_CHECK(features.rows() == graph_.num_vertices());
-  RIPPLE_CHECK_MSG(partition_.num_vertices() <= graph_.num_vertices(),
-                   "partition covers more vertices than the snapshot");
+    : DistEngineBase("rc", model, std::move(snapshot), features,
+                     std::move(partition), pool, std::move(transport),
+                     scheduler, mode) {
   const std::size_t num_parts = partition_.num_parts();
-  const std::size_t num_layers = model_.num_layers();
   x_scratch_.resize(num_parts);
   pull_index_.resize(num_parts);
-  detectors_.reserve(num_parts);
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    detectors_.emplace_back(p, num_parts);
-  }
   async_.resize(num_parts);
 
   // Transient full bootstrap over the replicated topology, then scatter
@@ -49,16 +36,23 @@ DistRecomputeEngine::DistRecomputeEngine(const GnnModel& model,
   layerwise_full_inference(model_, graph_, full, pool_);
   states_.resize(num_parts);
   for (std::size_t p = 0; p < num_parts; ++p) {
-    if (!hosts(p)) continue;
-    EmbeddingStore& st = states_[p];
-    st = EmbeddingStore(model_.config(), row_map_.part_size(p));
-    const std::vector<VertexId>& owned = row_map_.owned(p);
-    for (std::size_t i = 0; i < owned.size(); ++i) {
-      for (std::size_t l = 0; l <= num_layers; ++l) {
-        vec_copy(full.layer(l).row(owned[i]), st.layer(l).row(i));
-      }
+    if (hosts(p)) {
+      states_[p] = EmbeddingStore(model_.config(), row_map_.part_size(p));
     }
   }
+  std::vector<const Matrix*> full_layout;
+  for (std::size_t l = 0; l <= model_.num_layers(); ++l) {
+    full_layout.push_back(&full.layer(l));
+  }
+  scatter_owned(full_layout);
+}
+
+std::vector<Matrix*> DistRecomputeEngine::owned_layout(std::size_t part) {
+  std::vector<Matrix*> layout;
+  for (std::size_t l = 0; l <= model_.num_layers(); ++l) {
+    layout.push_back(&states_[part].layer(l));
+  }
+  return layout;
 }
 
 DistBatchResult DistRecomputeEngine::apply_batch(UpdateBatch batch) {
@@ -81,6 +75,7 @@ DistBatchResult DistRecomputeEngine::apply_batch(UpdateBatch batch) {
   const BspTiming timing = bsp_timing_of(*transport_);
   result.comm_measured = transport_->measures_time();
   if (stealer_ != nullptr) stealer_->reset_stats();
+  ++batches_applied_;
   result.barrier_wait_sec.assign(num_parts, 0.0);
   result.idle_sec.assign(num_parts, 0.0);
   // Modeled runs attribute each compute phase's per-partition barrier stall
@@ -117,7 +112,7 @@ DistBatchResult DistRecomputeEngine::apply_batch(UpdateBatch batch) {
         const std::uint32_t pu = owner(update.u);
         if (hosts(pu)) {
           vec_copy(update.new_features,
-                   states_[pu].features().row(row_map_.local_of(update.u)));
+                   states_[pu].features().row(local(update.u)));
         }
         break;
       }
@@ -162,7 +157,7 @@ DistBatchResult DistRecomputeEngine::apply_batch(UpdateBatch batch) {
         if (!pulled_.insert(key).second) continue;
         if (!hosts(pu)) continue;
         transport_->send(pu, p, nb.vertex,
-                         states_[pu].layer(l).row(row_map_.local_of(nb.vertex)));
+                         states_[pu].layer(l).row(local(nb.vertex)));
       }
     }
     result.comm_sec += transport_->end_superstep();
@@ -199,7 +194,7 @@ DistBatchResult DistRecomputeEngine::apply_batch(UpdateBatch batch) {
       const auto& pulls = pull_index_[p];
       const auto row_of = [&](VertexId u) -> const float* {
         if (owner(u) == p) {
-          return st.layer(l).row(row_map_.local_of(u)).data();
+          return st.layer(l).row(local(u)).data();
         }
         const auto it = pulls.find(u);
         RIPPLE_CHECK_MSG(it != pulls.end(),
@@ -209,7 +204,7 @@ DistBatchResult DistRecomputeEngine::apply_batch(UpdateBatch batch) {
       aggregate_neighbors_resolved(model_.config().aggregator,
                                    graph_.in_neighbors(v), row_of,
                                    std::span<float>(x_scratch));
-      const std::uint32_t r = row_map_.local_of(v);
+      const std::uint32_t r = local(v);
       model_.layer(l).update_row(st.layer(l).row(r), x_scratch,
                                  st.layer(l + 1).row(r));
       model_.apply_activation_row(l, st.layer(l + 1).row(r));
@@ -334,7 +329,7 @@ void DistRecomputeEngine::init_epoch_deps(
             if (l == 0 || !is_affected(l - 1, u)) {
               transport_->send_row(
                   pu, p, u, static_cast<std::uint32_t>(l),
-                  states_[pu].layer(l).row(row_map_.local_of(u)));
+                  states_[pu].layer(l).row(local(u)));
               detectors_[pu].on_send();
             } else {
               async_[pu].sends_after[l - 1][u].push_back(
@@ -394,7 +389,7 @@ void DistRecomputeEngine::recompute_cell(std::size_t p, std::size_t l,
   const auto& pulls = async_[p].pulls[l];
   const auto row_of = [&](VertexId u) -> const float* {
     if (owner(u) == p) {
-      return st.layer(l).row(row_map_.local_of(u)).data();
+      return st.layer(l).row(local(u)).data();
     }
     const auto it = pulls.find(u);
     RIPPLE_CHECK_MSG(it != pulls.end(),
@@ -404,7 +399,7 @@ void DistRecomputeEngine::recompute_cell(std::size_t p, std::size_t l,
   aggregate_neighbors_resolved(model_.config().aggregator,
                                graph_.in_neighbors(v), row_of,
                                std::span<float>(x_scratch));
-  const std::uint32_t r = row_map_.local_of(v);
+  const std::uint32_t r = local(v);
   model_.layer(l).update_row(st.layer(l).row(r), x_scratch,
                              st.layer(l + 1).row(r));
   model_.apply_activation_row(l, st.layer(l + 1).row(r));
@@ -419,7 +414,7 @@ void DistRecomputeEngine::finish_cells(std::size_t q, std::size_t l,
     // Deferred pulls of v's freshly committed layer-(l+1) row, one frame
     // per waiting partition, hop-tagged for the consumer's pull table.
     if (auto it = as.sends_after[l].find(v); it != as.sends_after[l].end()) {
-      const auto row = states_[q].layer(l + 1).row(row_map_.local_of(v));
+      const auto row = states_[q].layer(l + 1).row(local(v));
       for (const std::uint32_t dst : it->second) {
         transport_->send_row(q, dst, v, static_cast<std::uint32_t>(l + 1),
                              row);
@@ -559,195 +554,6 @@ void DistRecomputeEngine::run_async_epoch(
   }
   result.token_messages = transport_->token_messages() - tokens_before;
   finish_epoch_timing(*transport_, busy, epoch_watch.elapsed_sec(), result);
-}
-
-std::size_t DistRecomputeEngine::migrate(MigrationPlan plan) {
-  plan.normalize(partition_);
-  if (plan.empty()) return 0;
-  const std::size_t num_parts = partition_.num_parts();
-  const std::size_t num_layers = model_.num_layers();
-  for (const MigrationPlan::Move& move : plan.moves) {
-    RIPPLE_CHECK_MSG(move.vertex < graph_.num_vertices(),
-                     "migration of vertex " << move.vertex
-                                            << " beyond the snapshot");
-  }
-  std::size_t width = 0;
-  for (std::size_t l = 0; l <= num_layers; ++l) {
-    width += model_.config().embedding_dim(l);
-  }
-
-  // ---- migration superstep: RC ships only the committed H^0..H^L rows.
-  // Pull plans are re-derived per hop from the (updated) assignment, so
-  // there is no halo or aggregate state to patch.
-  transport_->begin_superstep();
-  std::vector<float> frame;
-  for (const MigrationPlan::Move& move : plan.moves) {
-    if (!hosts(move.from)) continue;
-    const EmbeddingStore& st = states_[move.from];
-    const std::uint32_t r = row_map_.local_of(move.vertex);
-    frame.clear();
-    for (std::size_t l = 0; l <= num_layers; ++l) {
-      const auto row = st.layer(l).row(r);
-      frame.insert(frame.end(), row.begin(), row.end());
-    }
-    RIPPLE_CHECK(frame.size() == width);
-    transport_->send_migrate(move.from, move.to, move.vertex, frame);
-  }
-  transport_->end_superstep();
-
-  // Re-home the row map, grow each hosted store to the new part size (flat
-  // rows stay in place — extend()'s stability contract), then install the
-  // received rows through per-source FIFO cursors in plan order.
-  row_map_.rehome(plan);
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    if (!hosts(p)) continue;
-    EmbeddingStore& st = states_[p];
-    const std::size_t rows = row_map_.part_size(p);
-    for (std::size_t l = 0; l <= num_layers; ++l) {
-      st.layer(l).resize_no_fill(rows, st.layer(l).cols());
-    }
-  }
-  std::vector<std::vector<std::vector<std::uint32_t>>> fifo(num_parts);
-  std::vector<std::vector<std::size_t>> next(num_parts);
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    if (!hosts(p)) continue;
-    fifo[p].resize(num_parts);
-    next[p].assign(num_parts, 0);
-    const Transport::Inbox& inbox = transport_->inbox(p);
-    for (std::size_t i = 0; i < inbox.messages.size(); ++i) {
-      fifo[p][inbox.messages[i].src_part].push_back(
-          static_cast<std::uint32_t>(i));
-    }
-  }
-  for (const MigrationPlan::Move& move : plan.moves) {
-    if (!hosts(move.to)) continue;
-    EmbeddingStore& st = states_[move.to];
-    auto& queue = fifo[move.to][move.from];
-    std::size_t& cursor = next[move.to][move.from];
-    RIPPLE_CHECK_MSG(cursor < queue.size(),
-                     "migration underflow: partition "
-                         << move.to << " expected another frame from "
-                         << move.from);
-    const Transport::Message& m =
-        transport_->inbox(move.to).messages[queue[cursor++]];
-    RIPPLE_CHECK(m.sender == move.vertex);
-    const auto payload = transport_->inbox(move.to).payload_of(m);
-    RIPPLE_CHECK(payload.size() == width);
-    const std::uint32_t r = row_map_.local_of(move.vertex);
-    std::size_t off = 0;
-    for (std::size_t l = 0; l <= num_layers; ++l) {
-      auto out = st.layer(l).row(r);
-      vec_copy(payload.subspan(off, out.size()), out);
-      off += out.size();
-    }
-    RIPPLE_CHECK(off == payload.size());
-  }
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    if (!hosts(p)) continue;
-    for (std::size_t src = 0; src < num_parts; ++src) {
-      RIPPLE_CHECK_MSG(next[p][src] == fifo[p][src].size(),
-                       "migration leftovers: partition "
-                           << p << " holds unconsumed frames from " << src);
-    }
-  }
-
-  partition_.apply(plan);
-  return plan.size();
-}
-
-double DistRecomputeEngine::write_checkpoint(const std::string& dir,
-                                             std::uint64_t stream_cursor) {
-  StopWatch watch;
-  const std::size_t num_layers = model_.num_layers();
-  const std::size_t width = rc_checkpoint_row_width(model_.config());
-  CheckpointMeta base;
-  base.engine_key = "rc";
-  base.stream_cursor = stream_cursor;
-  base.num_parts = static_cast<std::uint32_t>(partition_.num_parts());
-  base.partition_version = partition_.version();
-  base.num_vertices = graph_.num_vertices();
-  base.row_width = static_cast<std::uint32_t>(width);
-  base.part_of.resize(graph_.num_vertices());
-  for (VertexId v = 0; v < base.part_of.size(); ++v) {
-    base.part_of[v] = owner(v);
-  }
-  for (std::size_t p = 0; p < partition_.num_parts(); ++p) {
-    if (!hosts(p)) continue;
-    CheckpointData data;
-    data.meta = base;
-    data.meta.rank = static_cast<std::uint32_t>(p);
-    for (const VertexId v : row_map_.owned(p)) {
-      if (v != kInvalidVertex) data.vertices.push_back(v);
-    }
-    std::sort(data.vertices.begin(), data.vertices.end());
-    data.rows.reserve(data.vertices.size() * width);
-    for (const VertexId v : data.vertices) {
-      const std::uint32_t r = row_map_.local_of(v);
-      for (std::size_t l = 0; l <= num_layers; ++l) {
-        const auto row = states_[p].layer(l).row(r);
-        data.rows.insert(data.rows.end(), row.begin(), row.end());
-      }
-    }
-    write_checkpoint_file(dir, data);
-  }
-  return watch.elapsed_sec();
-}
-
-void DistRecomputeEngine::restore_checkpoint(const std::string& dir,
-                                             std::uint64_t stream_cursor) {
-  const std::size_t num_parts = partition_.num_parts();
-  const std::size_t num_layers = model_.num_layers();
-  const std::size_t width = rc_checkpoint_row_width(model_.config());
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    if (!hosts(p)) continue;
-    const CheckpointData data =
-        read_checkpoint_file(checkpoint_path(dir, stream_cursor, p));
-    RIPPLE_CHECK_MSG(data.meta.engine_key == "rc",
-                     "checkpoint engine key mismatch: expected rc, file "
-                     "holds " << data.meta.engine_key);
-    RIPPLE_CHECK(data.meta.num_parts == num_parts);
-    RIPPLE_CHECK_MSG(data.meta.num_vertices == graph_.num_vertices(),
-                     "checkpoint vertex count disagrees with the topology "
-                     "this engine was rebuilt over");
-    RIPPLE_CHECK(data.meta.row_width == width);
-    for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
-      RIPPLE_CHECK_MSG(data.meta.part_of[v] == owner(v),
-                       "checkpoint partition assignment disagrees at vertex "
-                           << v);
-    }
-    std::size_t live = 0;
-    for (const VertexId v : row_map_.owned(p)) live += v != kInvalidVertex;
-    RIPPLE_CHECK_MSG(data.vertices.size() == live,
-                     "checkpoint owned-row count mismatch for partition "
-                         << p);
-    const float* row = data.rows.data();
-    for (const VertexId v : data.vertices) {
-      const std::uint32_t r = row_map_.local_of(v);
-      std::size_t off = 0;
-      for (std::size_t l = 0; l <= num_layers; ++l) {
-        auto out = states_[p].layer(l).row(r);
-        vec_copy(std::span<const float>(row + off, out.size()), out);
-        off += out.size();
-      }
-      RIPPLE_CHECK(off == width);
-      row += width;
-    }
-  }
-  // RC pulls halos fresh each hop, so installs alone restore the state; an
-  // empty alignment superstep keeps every rank's barrier index in lockstep
-  // with the ripple engine's refill superstep (mixed clusters don't exist,
-  // but a uniform collective shape keeps the tcp protocol regular).
-  transport_->begin_superstep();
-  transport_->end_superstep();
-}
-
-EmbeddingStore DistRecomputeEngine::gather_embeddings() {
-  return gather_owned_store(
-      *transport_, row_map_, model_.config(), graph_.num_vertices(),
-      [this](std::size_t p, std::size_t l, VertexId v) {
-        return std::span<const float>(
-            states_[p].layer(l).row(row_map_.local_of(v)));
-      });
 }
 
 std::size_t DistRecomputeEngine::memory_bytes() const {

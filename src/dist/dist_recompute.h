@@ -36,7 +36,6 @@
 
 #include "dist/async_worklist.h"
 #include "dist/dist_engine.h"
-#include "dist/termination.h"
 
 namespace ripple {
 
@@ -50,31 +49,14 @@ class DistRecomputeEngine : public DistEngineBase {
 
   const char* name() const override { return "dist-RC"; }
   DistBatchResult apply_batch(UpdateBatch batch) override;
-  EmbeddingStore gather_embeddings() override;
-  // Migration superstep (docs/repartition.md): RC keeps no halo cache or
-  // aggregate rows, so a move ships only the vertex's committed H^0..H^L
-  // rows; the per-hop pull plans of later batches re-derive themselves from
-  // the updated assignment.
-  std::size_t migrate(MigrationPlan plan) override;
-  // Per hosted partition: one checkpoint file of the owned H^0..H^L rows
-  // (dist/checkpoint.h). RC keeps no halo cache or aggregate rows, so the
-  // snapshot — like its migration frame — is the committed H union alone.
-  double write_checkpoint(const std::string& dir,
-                          std::uint64_t stream_cursor) override;
-  // Install-only restore: later batches re-derive their pull plans from the
-  // replicated topology, so no refill superstep is needed. Still a
-  // COLLECTIVE on a real transport (runs an empty alignment superstep so
-  // every rank leaves restore at the same barrier index).
-  void restore_checkpoint(const std::string& dir,
-                          std::uint64_t stream_cursor) override;
-  const Partition& partition() const override { return partition_; }
-  const DynamicGraph& graph() const override { return graph_; }
-  const GnnModel& model() const override { return model_; }
   std::size_t memory_bytes() const override;
 
  private:
-  std::uint32_t owner(VertexId v) const { return partition_.part_of(v); }
-  bool hosts(std::size_t part) const { return transport_->hosts(part); }
+  // Owned-row layout: the committed H^0..H^L rows alone. RC keeps no halo
+  // cache or aggregate rows — its per-hop pull plans re-derive themselves
+  // from the replicated topology and assignment — so its halo hook is the
+  // empty default.
+  std::vector<Matrix*> owned_layout(std::size_t part) override;
 
   // ---- async epoch (--mode=async) ----
   // Everything one hosted partition tracks across one barrier-free epoch.
@@ -103,20 +85,9 @@ class DistRecomputeEngine : public DistEngineBase {
   void finish_cells(std::size_t q, std::size_t l,
                     const std::vector<VertexId>& wave);
 
-  GnnModel model_;
-  DynamicGraph graph_;  // replicated topology (one shared copy in-process)
-  Partition partition_;
-  LocalRowMap row_map_;  // stable global→local owned-row addressing
   // Per partition, the owned H^0..H^L rows (local-row indexed); non-hosted
   // slots stay default-constructed and empty.
   std::vector<EmbeddingStore> states_;
-  std::unique_ptr<Transport> transport_;  // engine code sees only the iface
-  ThreadPool* pool_;
-  // Work-stealing runtime for the recompute phase (null = static
-  // per-partition chunks): a hot partition's owned affected vertices run
-  // as degree-costed blocks stolen by idle workers; its endpoint is the
-  // W-worker makespan bound (dist/bsp.h).
-  std::unique_ptr<WorkStealingScheduler> stealer_;
 
   // Per-partition scratch: the aggregation buffer.
   std::vector<std::vector<float>> x_scratch_;
@@ -131,9 +102,7 @@ class DistRecomputeEngine : public DistEngineBase {
   std::vector<std::unordered_map<VertexId, const float*>> pull_index_;
 
   // ---- async epoch state (per batch; idle in BSP mode) ----
-  ExecMode mode_ = ExecMode::kBsp;
-  std::vector<TerminationDetector> detectors_;  // one per partition (hosted)
-  std::vector<AsyncPartState> async_;           // per partition; hosted only
+  std::vector<AsyncPartState> async_;  // per partition; hosted only
   // Per-vertex affected-hop bitmask (bit l set ⇔ v ∈ affected[l]),
   // identical on every rank; a flat array because it is probed per edge on
   // the arrival/credit hot path.

@@ -5,7 +5,6 @@
 #include "common/thread_pool.h"
 #include "common/timer.h"
 #include "dist/bsp.h"
-#include "dist/checkpoint.h"
 #include "stream/update_apply.h"
 
 namespace ripple {
@@ -23,19 +22,12 @@ DistRippleEngine::DistRippleEngine(const GnnModel& model,
                                    ThreadPool* pool,
                                    std::unique_ptr<Transport> transport,
                                    SchedulerMode scheduler, ExecMode mode)
-    : model_(model), graph_(std::move(snapshot)),
-      partition_(std::move(partition)),
-      row_map_(partition_, graph_.num_vertices()),
-      transport_(std::move(transport)), pool_(pool), mode_(mode) {
-  if (pool_ != nullptr && scheduler == SchedulerMode::kSteal) {
-    stealer_ = std::make_unique<WorkStealingScheduler>(pool_);
-  }
+    : DistEngineBase("ripple", model, std::move(snapshot), features,
+                     std::move(partition), pool, std::move(transport),
+                     scheduler, mode) {
   RIPPLE_CHECK_MSG(is_linear(model_.config().aggregator),
                    "Ripple requires a linear aggregation function; got "
                        << aggregator_name(model_.config().aggregator));
-  RIPPLE_CHECK(features.rows() == graph_.num_vertices());
-  RIPPLE_CHECK_MSG(partition_.num_vertices() <= graph_.num_vertices(),
-                   "partition covers more vertices than the snapshot");
   const std::size_t num_parts = partition_.num_parts();
   const std::size_t num_layers = model_.num_layers();
   const ModelConfig& config = model_.config();
@@ -48,7 +40,6 @@ DistRippleEngine::DistRippleEngine(const GnnModel& model,
   full.features() = features;
   std::vector<Matrix> full_cache;
   bootstrap_with_caches(model_, graph_, full, full_cache, pool_);
-  const HaloIndex halo_index = build_halo_index(graph_, partition_);
 
   std::vector<std::size_t> halo_widths(num_layers);
   for (std::size_t l = 0; l < num_layers; ++l) {
@@ -67,21 +58,21 @@ DistRippleEngine::DistRippleEngine(const GnnModel& model,
       st.boxes.emplace_back(config.layer_in_dim(l), kShardsPerPart);
     }
     st.halo = HaloCache(halo_widths);
-    const std::vector<VertexId>& owned = row_map_.owned(p);
-    for (std::size_t i = 0; i < owned.size(); ++i) {
-      const VertexId v = owned[i];
-      for (std::size_t l = 0; l <= num_layers; ++l) {
-        vec_copy(full.layer(l).row(v), st.store.layer(l).row(i));
-      }
-      for (std::size_t l = 0; l < num_layers; ++l) {
-        vec_copy(full_cache[l].row(v), st.agg_cache[l].row(i));
-      }
-    }
-    // Bootstrap halo: every remote vertex with an edge into p's owned set.
+  }
+  std::vector<const Matrix*> full_layout;
+  for (std::size_t l = 0; l <= num_layers; ++l) {
+    full_layout.push_back(&full.layer(l));
+  }
+  for (const Matrix& cache : full_cache) full_layout.push_back(&cache);
+  scatter_owned(full_layout);
+  // Bootstrap halo: every remote vertex with an edge into p's owned set.
+  const HaloIndex halo_index = build_halo_index(graph_, partition_);
+  for (std::size_t p = 0; p < num_parts; ++p) {
+    if (!hosts(p)) continue;
     for (const VertexId u : halo_index.halo_in[p]) {
-      st.halo.ensure(u);
+      states_[p].halo.ensure(u);
       for (std::size_t l = 0; l < num_layers; ++l) {
-        vec_copy(full.layer(l).row(u), st.halo.row(u, l));
+        vec_copy(full.layer(l).row(u), states_[p].halo.row(u, l));
       }
     }
   }
@@ -94,11 +85,25 @@ DistRippleEngine::DistRippleEngine(const GnnModel& model,
   inbox_delta_.resize(num_parts);
   merge_.resize(num_parts);
   remote_mask_.resize(num_parts);
-  detectors_.reserve(num_parts);
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    detectors_.emplace_back(p, num_parts);
-  }
   async_.resize(num_parts);
+}
+
+std::vector<Matrix*> DistRippleEngine::owned_layout(std::size_t part) {
+  RankState& st = states_[part];
+  std::vector<Matrix*> layout;
+  for (std::size_t l = 0; l <= model_.num_layers(); ++l) {
+    layout.push_back(&st.store.layer(l));
+  }
+  for (Matrix& cache : st.agg_cache) layout.push_back(&cache);
+  return layout;
+}
+
+void DistRippleEngine::fill_halo(std::size_t part, VertexId u,
+                                 std::span<const float> row) {
+  HaloCache& halo = states_[part].halo;
+  halo.ensure(u);
+  split_row(row, model_.num_layers(),
+            [&](std::size_t l) { return halo.row(u, l); });
 }
 
 float DistRippleEngine::edge_alpha(EdgeWeight weight) const {
@@ -134,12 +139,8 @@ void DistRippleEngine::record_edge_op(VertexId u, VertexId v,
     if (op.fill_expected && hosts(pu)) {
       // One message carrying the owner's H^0..H^{L-1} rows concatenated —
       // row_wire_bytes-shaped, like every other row transfer.
-      const RankState& st = states_[pu];
       wire_frame_.clear();
-      for (std::size_t l = 0; l < model_.num_layers(); ++l) {
-        const auto row = st.store.layer(l).row(local(u));
-        wire_frame_.insert(wire_frame_.end(), row.begin(), row.end());
-      }
+      pack_row(pu, u, model_.num_layers(), wire_frame_);
       transport_->send(pu, pv, u, wire_frame_);
     }
   } else if (pu != pv) {
@@ -203,32 +204,13 @@ void DistRippleEngine::replay_uops() {
   const std::size_t num_parts = partition_.num_parts();
   const std::size_t num_layers = model_.num_layers();
   const std::size_t feat_dim = model_.config().feat_dim;
-  // Per hosted partition: FIFO cursors over the inbox, one queue per source
-  // partition. A sim inbox interleaves sources in walk order while a tcp
-  // inbox groups messages by source rank; each (source → destination)
-  // subsequence is identical on both, so consumption goes through these
-  // queues — never by inbox position.
-  std::vector<std::vector<std::vector<std::uint32_t>>> fifo(num_parts);
-  std::vector<std::vector<std::size_t>> next(num_parts);
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    if (!hosts(p)) continue;
-    fifo[p].resize(num_parts);
-    next[p].assign(num_parts, 0);
-    const Transport::Inbox& inbox = transport_->inbox(p);
-    for (std::size_t i = 0; i < inbox.messages.size(); ++i) {
-      fifo[p][inbox.messages[i].src_part].push_back(
-          static_cast<std::uint32_t>(i));
-    }
+  std::size_t fill_width = 0;
+  for (std::size_t l = 0; l < num_layers; ++l) {
+    fill_width += model_.config().embedding_dim(l);
   }
-  const auto pop_msg = [&](std::size_t dst,
-                           std::size_t src) -> const Transport::Message& {
-    auto& queue = fifo[dst][src];
-    std::size_t& cursor = next[dst][src];
-    RIPPLE_CHECK_MSG(cursor < queue.size(),
-                     "superstep U underflow: partition "
-                         << dst << " expected another message from " << src);
-    return transport_->inbox(dst).messages[queue[cursor++]];
-  };
+  // Every frame is claimed by exactly one replayed op, in walk order per
+  // (source, destination) pair (dist_engine.h InboxCursors).
+  InboxCursors cursors(*transport_);
 
   for (const UOp& op : uops_) {
     if (op.kind == UpdateKind::vertex_feature) {
@@ -255,18 +237,7 @@ void DistRippleEngine::replay_uops() {
           }
         }
         if (!owns_sink) continue;
-        const Transport::Message& m = pop_msg(q, pu);
-        RIPPLE_CHECK(m.sender == op.u);
-        const auto payload = transport_->inbox(q).payload_of(m);
-        // Wire-input width validation: typed kCorrupt (frame damage, not a
-        // bug) BEFORE any subspan is taken from the payload.
-        if (payload.size() != 2 * feat_dim) {
-          throw TransportError(TransportErrorKind::kCorrupt,
-                               "feature frame width mismatch: expected " +
-                                   std::to_string(2 * feat_dim) +
-                                   " floats, got " +
-                                   std::to_string(payload.size()));
-        }
+        const auto payload = cursors.pop(q, pu, op.u, 2 * feat_dim);
         const auto x_new = payload.subspan(0, feat_dim);
         const auto x_old = payload.subspan(feat_dim, feat_dim);
         for (const auto& [sink, alpha] : op.sinks) {
@@ -285,29 +256,7 @@ void DistRippleEngine::replay_uops() {
     if (!hosts(pv)) continue;
     RankState& st = states_[pv];
     if (pu != pv && op.fill_expected) {
-      const Transport::Message& m = pop_msg(pv, pu);
-      RIPPLE_CHECK(m.sender == op.u);
-      const auto payload = transport_->inbox(pv).payload_of(m);
-      // Wire-input width validation: typed kCorrupt (frame damage, not a
-      // bug) BEFORE any subspan is taken from the payload.
-      std::size_t fill_width = 0;
-      for (std::size_t l = 0; l < num_layers; ++l) {
-        fill_width += model_.config().embedding_dim(l);
-      }
-      if (payload.size() != fill_width) {
-        throw TransportError(TransportErrorKind::kCorrupt,
-                             "halo fill frame width mismatch: expected " +
-                                 std::to_string(fill_width) + " floats, got " +
-                                 std::to_string(payload.size()));
-      }
-      st.halo.ensure(op.u);
-      std::size_t off = 0;
-      for (std::size_t l = 0; l < num_layers; ++l) {
-        auto row = st.halo.row(op.u, l);
-        vec_copy(payload.subspan(off, row.size()), row);
-        off += row.size();
-      }
-      RIPPLE_CHECK(off == payload.size());
+      fill_halo(pv, op.u, cursors.pop(pv, pu, op.u, fill_width));
     }
     for (std::size_t l = 1; l <= num_layers; ++l) {
       std::span<const float> h_u;
@@ -331,15 +280,7 @@ void DistRippleEngine::replay_uops() {
     if (op.erase_after) st.halo.erase(op.u);
   }
 
-  // Every message must have been claimed by exactly one replayed op.
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    if (!hosts(p)) continue;
-    for (std::size_t src = 0; src < num_parts; ++src) {
-      RIPPLE_CHECK_MSG(next[p][src] == fifo[p][src].size(),
-                       "superstep U leftovers: partition "
-                           << p << " holds unconsumed messages from " << src);
-    }
-  }
+  cursors.expect_drained();
 }
 
 DistBatchResult DistRippleEngine::apply_batch(UpdateBatch batch) {
@@ -955,62 +896,70 @@ void DistRippleEngine::run_async_epoch(DistBatchResult& result) {
   finish_epoch_timing(*transport_, busy, epoch_watch.elapsed_sec(), result);
 }
 
-std::size_t DistRippleEngine::migrate(MigrationPlan plan) {
-  plan.normalize(partition_);
-  if (plan.empty()) return 0;
-  const std::size_t num_parts = partition_.num_parts();
-  const std::size_t num_layers = model_.num_layers();
-  const ModelConfig& config = model_.config();
+DistEngineBase::HaloPatch DistRippleEngine::halo_patch(
+    const MigrationPlan* plan) {
+  const auto slots = static_cast<std::uint32_t>(model_.num_layers());
+  HaloPatch patch;
+  if (plan == nullptr) {
+    // Restore refill: halo MEMBERSHIP is already exact — the constructor
+    // derived it from the same topology + assignment a never-failed run
+    // would hold — but the cached VALUES are constructor bootstrap. Every
+    // owner ships H^0..H^{L-1} of its boundary vertices to the partitions
+    // caching them (destination ascending, vertex ascending).
+    const HaloIndex halo = build_halo_index(graph_, partition_);
+    for (std::uint32_t p = 0; p < halo.halo_in.size(); ++p) {
+      for (const VertexId v : halo.halo_in[p]) {
+        patch.rows.push_back({owner(v), p, v, slots});
+      }
+    }
+    patch.install = [this](const RowShipment& s, std::span<const float> row) {
+      RIPPLE_CHECK_MSG(states_[s.dst].halo.contains(s.v),
+                       "restore halo fill for vertex "
+                           << s.v << " absent from the cache");
+      fill_halo(s.dst, s.v, row);
+    };
+    return patch;
+  }
 
   // Between-batches invariant: BSP clears every mailbox per hop and async
   // clears them at epoch end, so a correctly-placed migrate() never has
   // pending cells to ship. Assert instead of serializing them.
-  for (std::size_t p = 0; p < num_parts; ++p) {
+  for (std::size_t p = 0; p < partition_.num_parts(); ++p) {
     if (!hosts(p)) continue;
-    for (std::size_t l = 1; l <= num_layers; ++l) {
+    for (std::size_t l = 1; l <= model_.num_layers(); ++l) {
       RIPPLE_CHECK_MSG(mailbox(p, l).size() == 0,
                        "migrate() must run between batches; partition "
                            << p << " has pending hop-" << l << " cells");
     }
   }
-  for (const MigrationPlan::Move& move : plan.moves) {
-    RIPPLE_CHECK_MSG(move.vertex < graph_.num_vertices(),
-                     "migration of vertex " << move.vertex
-                                            << " beyond the snapshot");
-  }
-
-  // Ownership maps on both sides of the plan. Every endpoint derives the
-  // SAME decision lists from its replicated topology + plan, so senders and
-  // receivers agree on every frame without negotiation.
   std::unordered_map<VertexId, std::uint32_t> moved_to;
-  for (const MigrationPlan::Move& move : plan.moves) {
+  for (const MigrationPlan::Move& move : plan->moves) {
     moved_to.emplace(move.vertex, move.to);
   }
-  const auto owner_before = [&](VertexId v) { return partition_.part_of(v); };
   const auto owner_after = [&](VertexId v) -> std::uint32_t {
     const auto it = moved_to.find(v);
-    return it != moved_to.end() ? it->second : partition_.part_of(v);
+    return it != moved_to.end() ? it->second : owner(v);
   };
   // needed(r, u) under a map: u is remote to r and some edge u→w lands in
-  // r's owned set — exactly the PR-7 halo residency invariant, which the
-  // fill/erase protocol keeps EXACT between batches. The patch below
-  // therefore asserts presence on every erase and absence on every fill.
-  const auto needed = [&](std::uint32_t r, VertexId u,
-                          const auto& owner_of) {
+  // r's owned set — exactly the halo residency invariant, which the
+  // fill/erase protocol keeps EXACT between batches. The patch therefore
+  // asserts presence on every erase and absence on every fill.
+  const auto needed = [&](std::uint32_t r, VertexId u, const auto& owner_of) {
     if (owner_of(u) == r) return false;
     for (const Neighbor& nb : graph_.out_neighbors(u)) {
       if (owner_of(nb.vertex) == r) return true;
     }
     return false;
   };
+  const auto owner_before = [this](VertexId v) { return owner(v); };
 
   // Candidate (rank, vertex) pairs whose halo residency can change: a moved
   // vertex at any rank (its owner changed), and each in-neighbor of a moved
   // vertex at the move's two endpoints (one of its sink owners changed).
   // Every other pair keeps both conditions of needed() unchanged.
   std::vector<std::pair<std::uint32_t, VertexId>> cand;
-  for (const MigrationPlan::Move& move : plan.moves) {
-    for (std::uint32_t r = 0; r < num_parts; ++r) {
+  for (const MigrationPlan::Move& move : plan->moves) {
+    for (std::uint32_t r = 0; r < partition_.num_parts(); ++r) {
       cand.push_back({r, move.vertex});
     }
     for (const Neighbor& nb : graph_.in_neighbors(move.vertex)) {
@@ -1021,387 +970,51 @@ std::size_t DistRippleEngine::migrate(MigrationPlan plan) {
   std::sort(cand.begin(), cand.end());
   cand.erase(std::unique(cand.begin(), cand.end()), cand.end());
 
-  // Halo patch decisions, in canonical (rank, vertex) order. A fill comes
-  // from the vertex's OLD owner — the endpoint that still holds its
-  // committed rows; src == rank marks the self-copy case (the old owner
-  // itself needs a halo copy of the vertex it is shedding).
-  struct HaloFill {
-    VertexId u;
-    std::uint32_t rank;
-    std::uint32_t src;
-  };
-  std::vector<HaloFill> fills;
-  std::vector<std::pair<std::uint32_t, VertexId>> dels;
+  // Decisions in canonical (rank, vertex) order. A fill comes from the
+  // vertex's OLD owner — the endpoint that still holds its committed rows;
+  // when that is the rank itself (it sheds a vertex it still needs a halo
+  // copy of) the fill is a local self-copy instead of a shipped row.
+  std::vector<RowShipment> self_fills;
+  std::vector<std::pair<std::uint32_t, VertexId>> erases;
   for (const auto& [r, u] : cand) {
-    const bool before = needed(r, u, owner_before);
     const bool after = needed(r, u, owner_after);
-    if (before == after) continue;
-    if (after) {
-      fills.push_back({u, r, owner_before(u)});
+    if (needed(r, u, owner_before) == after) continue;
+    if (!after) {
+      erases.push_back({r, u});
+    } else if (owner(u) == r) {
+      self_fills.push_back({r, r, u, slots});
     } else {
-      dels.push_back({r, u});
+      patch.rows.push_back({owner(u), r, u, slots});
     }
   }
-
-  std::size_t state_width = 0;
-  for (std::size_t l = 0; l <= num_layers; ++l) {
-    state_width += config.embedding_dim(l);
-  }
-  for (std::size_t l = 0; l < num_layers; ++l) {
-    state_width += config.layer_in_dim(l);
-  }
-  std::size_t halo_width = 0;
-  for (std::size_t l = 0; l < num_layers; ++l) {
-    halo_width += config.embedding_dim(l);
-  }
-
-  // ---- migration superstep: old owners transmit, barrier, install ----
-  // Canonical send order: state frames in plan order, then halo fills in
-  // (rank, vertex) order. The install side replays the same lists through
-  // per-(dst, src) FIFO cursors, so sim's globally-interleaved inbox and
-  // tcp's sender-grouped inbox consume identically.
-  transport_->begin_superstep();
-  std::vector<float> frame;
-  for (const MigrationPlan::Move& move : plan.moves) {
-    if (!hosts(move.from)) continue;
-    const RankState& st = states_[move.from];
-    const std::uint32_t r = local(move.vertex);
-    frame.clear();
-    for (std::size_t l = 0; l <= num_layers; ++l) {
-      const auto row = st.store.layer(l).row(r);
-      frame.insert(frame.end(), row.begin(), row.end());
+  // Self-copies read the shedding owner's rows by OLD local id, which the
+  // re-home retires (and an inbound install may reuse the slot). Eager
+  // erases drop entries whose last cut edge the move dissolved (including
+  // the new owner's own cached copy of a vertex it now owns).
+  patch.local = [this, self_fills = std::move(self_fills),
+                 erases = std::move(erases)] {
+    std::vector<float> row;
+    for (const RowShipment& f : self_fills) {
+      if (!hosts(f.dst)) continue;
+      RIPPLE_CHECK_MSG(!states_[f.dst].halo.contains(f.v),
+                       "halo fill for already-cached vertex " << f.v);
+      row.clear();
+      pack_row(f.dst, f.v, f.slots, row);
+      fill_halo(f.dst, f.v, row);
     }
-    for (std::size_t l = 0; l < num_layers; ++l) {
-      const auto row = st.agg_cache[l].row(r);
-      frame.insert(frame.end(), row.begin(), row.end());
+    for (const auto& [r, u] : erases) {
+      if (!hosts(r)) continue;
+      RIPPLE_CHECK_MSG(states_[r].halo.contains(u),
+                       "halo erase for uncached vertex " << u);
+      states_[r].halo.erase(u);
     }
-    RIPPLE_CHECK(frame.size() == state_width);
-    transport_->send_migrate(move.from, move.to, move.vertex, frame);
-  }
-  for (const HaloFill& f : fills) {
-    if (f.src == f.rank || !hosts(f.src)) continue;
-    const RankState& st = states_[f.src];
-    const std::uint32_t r = local(f.u);
-    frame.clear();
-    for (std::size_t l = 0; l < num_layers; ++l) {
-      const auto row = st.store.layer(l).row(r);
-      frame.insert(frame.end(), row.begin(), row.end());
-    }
-    RIPPLE_CHECK(frame.size() == halo_width);
-    transport_->send_migrate(f.src, f.rank, f.u, frame);
-  }
-  transport_->end_superstep();
-
-  // Self-copy fills FIRST: they read the shedding owner's store rows by OLD
-  // local id, which the re-home below retires (and an inbound install may
-  // reuse the slot).
-  for (const HaloFill& f : fills) {
-    if (f.src != f.rank || !hosts(f.rank)) continue;
-    RankState& st = states_[f.rank];
-    RIPPLE_CHECK_MSG(!st.halo.contains(f.u),
-                     "halo fill for already-cached vertex " << f.u);
-    const std::uint32_t r = local(f.u);
-    st.halo.ensure(f.u);
-    for (std::size_t l = 0; l < num_layers; ++l) {
-      vec_copy(st.store.layer(l).row(r), st.halo.row(f.u, l));
-    }
-  }
-  // Eager erases: entries keyed on the old owner whose last cut edge the
-  // move dissolved (including the new owner's own cached copy of a vertex
-  // it now owns). Slots go to the cache's free list for reuse.
-  for (const auto& [r, u] : dels) {
-    if (!hosts(r)) continue;
-    RankState& st = states_[r];
-    RIPPLE_CHECK_MSG(st.halo.contains(u),
-                     "halo erase for uncached vertex " << u);
-    st.halo.erase(u);
-  }
-
-  // Re-home the row map (tombstone old slots, assign fresh ones at the new
-  // owners) and grow each hosted partition's matrices to the new part size.
-  // resize_no_fill with unchanged column count keeps every existing flat
-  // row in place — the same stability contract extend() relies on.
-  row_map_.rehome(plan);
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    if (!hosts(p)) continue;
-    RankState& st = states_[p];
-    const std::size_t rows = row_map_.part_size(p);
-    for (std::size_t l = 0; l <= num_layers; ++l) {
-      st.store.layer(l).resize_no_fill(rows, st.store.layer(l).cols());
-    }
-    for (std::size_t l = 0; l < num_layers; ++l) {
-      st.agg_cache[l].resize_no_fill(rows, st.agg_cache[l].cols());
-    }
-  }
-
-  // Install: consume the inbox through per-source FIFO cursors in the
-  // canonical decision order (state frames, then remote halo fills).
-  std::vector<std::vector<std::vector<std::uint32_t>>> fifo(num_parts);
-  std::vector<std::vector<std::size_t>> next(num_parts);
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    if (!hosts(p)) continue;
-    fifo[p].resize(num_parts);
-    next[p].assign(num_parts, 0);
-    const Transport::Inbox& inbox = transport_->inbox(p);
-    for (std::size_t i = 0; i < inbox.messages.size(); ++i) {
-      fifo[p][inbox.messages[i].src_part].push_back(
-          static_cast<std::uint32_t>(i));
-    }
-  }
-  const auto pop_msg = [&](std::size_t dst,
-                           std::size_t src) -> const Transport::Message& {
-    auto& queue = fifo[dst][src];
-    std::size_t& cursor = next[dst][src];
-    RIPPLE_CHECK_MSG(cursor < queue.size(),
-                     "migration underflow: partition "
-                         << dst << " expected another frame from " << src);
-    return transport_->inbox(dst).messages[queue[cursor++]];
   };
-
-  for (const MigrationPlan::Move& move : plan.moves) {
-    if (!hosts(move.to)) continue;
-    RankState& st = states_[move.to];
-    const Transport::Message& m = pop_msg(move.to, move.from);
-    RIPPLE_CHECK(m.sender == move.vertex);
-    const auto payload = transport_->inbox(move.to).payload_of(m);
-    RIPPLE_CHECK(payload.size() == state_width);
-    const std::uint32_t r = local(move.vertex);  // fresh post-rehome slot
-    std::size_t off = 0;
-    for (std::size_t l = 0; l <= num_layers; ++l) {
-      auto out = st.store.layer(l).row(r);
-      vec_copy(payload.subspan(off, out.size()), out);
-      off += out.size();
-    }
-    for (std::size_t l = 0; l < num_layers; ++l) {
-      auto out = st.agg_cache[l].row(r);
-      vec_copy(payload.subspan(off, out.size()), out);
-      off += out.size();
-    }
-    RIPPLE_CHECK(off == payload.size());
-  }
-  for (const HaloFill& f : fills) {
-    if (f.src == f.rank || !hosts(f.rank)) continue;
-    RankState& st = states_[f.rank];
-    const Transport::Message& m = pop_msg(f.rank, f.src);
-    RIPPLE_CHECK(m.sender == f.u);
-    const auto payload = transport_->inbox(f.rank).payload_of(m);
-    RIPPLE_CHECK(payload.size() == halo_width);
-    RIPPLE_CHECK_MSG(!st.halo.contains(f.u),
-                     "halo fill for already-cached vertex " << f.u);
-    st.halo.ensure(f.u);
-    std::size_t off = 0;
-    for (std::size_t l = 0; l < num_layers; ++l) {
-      auto row = st.halo.row(f.u, l);
-      vec_copy(payload.subspan(off, row.size()), row);
-      off += row.size();
-    }
-    RIPPLE_CHECK(off == payload.size());
-  }
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    if (!hosts(p)) continue;
-    for (std::size_t src = 0; src < num_parts; ++src) {
-      RIPPLE_CHECK_MSG(next[p][src] == fifo[p][src].size(),
-                       "migration leftovers: partition "
-                           << p << " holds unconsumed frames from " << src);
-    }
-  }
-
-  // Flip the replicated assignment LAST: everything above keyed off the old
-  // table, and the next batch routes against the new one.
-  partition_.apply(plan);
-  return plan.size();
-}
-
-double DistRippleEngine::write_checkpoint(const std::string& dir,
-                                          std::uint64_t stream_cursor) {
-  StopWatch watch;
-  const std::size_t num_layers = model_.num_layers();
-  const std::size_t width = ripple_checkpoint_row_width(model_.config());
-  CheckpointMeta base;
-  base.engine_key = "ripple";
-  base.stream_cursor = stream_cursor;
-  base.num_parts = static_cast<std::uint32_t>(partition_.num_parts());
-  base.partition_version = partition_.version();
-  base.num_vertices = graph_.num_vertices();
-  base.row_width = static_cast<std::uint32_t>(width);
-  base.part_of.resize(graph_.num_vertices());
-  for (VertexId v = 0; v < base.part_of.size(); ++v) {
-    base.part_of[v] = owner(v);
-  }
-  for (std::size_t p = 0; p < partition_.num_parts(); ++p) {
-    if (!hosts(p)) continue;
-    CheckpointData data;
-    data.meta = base;
-    data.meta.rank = static_cast<std::uint32_t>(p);
-    for (const VertexId v : row_map_.owned(p)) {
-      if (v != kInvalidVertex) data.vertices.push_back(v);
-    }
-    // Canonical ascending-id order: slot order depends on migration
-    // history, and the file must not (a restored replacement rank has no
-    // such history).
-    std::sort(data.vertices.begin(), data.vertices.end());
-    data.rows.reserve(data.vertices.size() * width);
-    const RankState& st = states_[p];
-    for (const VertexId v : data.vertices) {
-      const std::uint32_t r = local(v);
-      for (std::size_t l = 0; l <= num_layers; ++l) {
-        const auto row = st.store.layer(l).row(r);
-        data.rows.insert(data.rows.end(), row.begin(), row.end());
-      }
-      for (std::size_t l = 0; l < num_layers; ++l) {
-        const auto row = st.agg_cache[l].row(r);
-        data.rows.insert(data.rows.end(), row.begin(), row.end());
-      }
-    }
-    write_checkpoint_file(dir, data);
-  }
-  return watch.elapsed_sec();
-}
-
-void DistRippleEngine::restore_checkpoint(const std::string& dir,
-                                          std::uint64_t stream_cursor) {
-  const std::size_t num_parts = partition_.num_parts();
-  const std::size_t num_layers = model_.num_layers();
-  const ModelConfig& config = model_.config();
-  const std::size_t width = ripple_checkpoint_row_width(config);
-  std::size_t halo_width = 0;
-  for (std::size_t l = 0; l < num_layers; ++l) {
-    halo_width += config.embedding_dim(l);
-  }
-
-  // ---- install owned rows from this endpoint's hosted files ----
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    if (!hosts(p)) continue;
-    const CheckpointData data =
-        read_checkpoint_file(checkpoint_path(dir, stream_cursor, p));
-    RIPPLE_CHECK_MSG(data.meta.engine_key == "ripple",
-                     "checkpoint engine key mismatch: expected ripple, file "
-                     "holds " << data.meta.engine_key);
-    RIPPLE_CHECK(data.meta.num_parts == num_parts);
-    RIPPLE_CHECK_MSG(data.meta.num_vertices == graph_.num_vertices(),
-                     "checkpoint vertex count disagrees with the topology "
-                     "this engine was rebuilt over");
-    RIPPLE_CHECK(data.meta.row_width == width);
-    for (VertexId v = 0; v < graph_.num_vertices(); ++v) {
-      RIPPLE_CHECK_MSG(data.meta.part_of[v] == owner(v),
-                       "checkpoint partition assignment disagrees at vertex "
-                           << v);
-    }
-    std::size_t live = 0;
-    for (const VertexId v : row_map_.owned(p)) live += v != kInvalidVertex;
-    RIPPLE_CHECK_MSG(data.vertices.size() == live,
-                     "checkpoint owned-row count mismatch for partition "
-                         << p);
-    RankState& st = states_[p];
-    const float* row = data.rows.data();
-    for (const VertexId v : data.vertices) {
-      const std::uint32_t r = local(v);
-      std::size_t off = 0;
-      for (std::size_t l = 0; l <= num_layers; ++l) {
-        auto out = st.store.layer(l).row(r);
-        vec_copy(std::span<const float>(row + off, out.size()), out);
-        off += out.size();
-      }
-      for (std::size_t l = 0; l < num_layers; ++l) {
-        auto out = st.agg_cache[l].row(r);
-        vec_copy(std::span<const float>(row + off, out.size()), out);
-        off += out.size();
-      }
-      RIPPLE_CHECK(off == width);
-      row += width;
-    }
-  }
-  // Halo version stamps resume monotone: the next batch's write_throughs
-  // stamp (cursor+1)*(L+1)+l, above anything a never-failed run committed
-  // through batch `cursor`.
-  batches_applied_ = stream_cursor;
-
-  // ---- one halo-refill superstep ----
-  // Halo MEMBERSHIP is already exact — the constructor derived it from the
-  // same topology + assignment a never-failed run would hold — but the
-  // cached VALUES are constructor bootstrap, not the checkpointed
-  // embeddings. Every owner ships H^0..H^{L-1} of its boundary vertices to
-  // the partitions caching them; both sides derive the identical schedule
-  // (destination ascending, vertex ascending — build_halo_index's order)
-  // from replicated state, the same canonical-order + FIFO-cursor pattern
-  // the migration superstep uses.
-  const HaloIndex halo = build_halo_index(graph_, partition_);
-  transport_->begin_superstep();
-  std::vector<float> frame;
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    for (const VertexId v : halo.halo_in[p]) {
-      const std::uint32_t src = owner(v);
-      if (!hosts(src)) continue;
-      const RankState& st = states_[src];
-      const std::uint32_t r = local(v);
-      frame.clear();
-      for (std::size_t l = 0; l < num_layers; ++l) {
-        const auto row = st.store.layer(l).row(r);
-        frame.insert(frame.end(), row.begin(), row.end());
-      }
-      RIPPLE_CHECK(frame.size() == halo_width);
-      transport_->send_migrate(src, p, v, frame);
-    }
-  }
-  transport_->end_superstep();
-
-  std::vector<std::vector<std::vector<std::uint32_t>>> fifo(num_parts);
-  std::vector<std::vector<std::size_t>> next(num_parts);
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    if (!hosts(p)) continue;
-    fifo[p].resize(num_parts);
-    next[p].assign(num_parts, 0);
-    const Transport::Inbox& inbox = transport_->inbox(p);
-    for (std::size_t i = 0; i < inbox.messages.size(); ++i) {
-      fifo[p][inbox.messages[i].src_part].push_back(
-          static_cast<std::uint32_t>(i));
-    }
-  }
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    if (!hosts(p)) continue;
-    RankState& st = states_[p];
-    for (const VertexId v : halo.halo_in[p]) {
-      const std::size_t src = owner(v);
-      auto& queue = fifo[p][src];
-      std::size_t& cursor = next[p][src];
-      RIPPLE_CHECK_MSG(cursor < queue.size(),
-                       "restore underflow: partition "
-                           << p << " expected another halo row from " << src);
-      const Transport::Message& m =
-          transport_->inbox(p).messages[queue[cursor++]];
-      RIPPLE_CHECK(m.sender == v);
-      const auto payload = transport_->inbox(p).payload_of(m);
-      RIPPLE_CHECK(payload.size() == halo_width);
-      RIPPLE_CHECK_MSG(st.halo.contains(v),
-                       "restore halo fill for vertex " << v
-                           << " absent from the cache");
-      std::size_t off = 0;
-      for (std::size_t l = 0; l < num_layers; ++l) {
-        auto row = st.halo.row(v, l);
-        vec_copy(payload.subspan(off, row.size()), row);
-        off += row.size();
-      }
-      RIPPLE_CHECK(off == payload.size());
-    }
-  }
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    if (!hosts(p)) continue;
-    for (std::size_t src = 0; src < num_parts; ++src) {
-      RIPPLE_CHECK_MSG(next[p][src] == fifo[p][src].size(),
-                       "restore leftovers: partition "
-                           << p << " holds unconsumed halo rows from "
-                           << src);
-    }
-  }
-}
-
-EmbeddingStore DistRippleEngine::gather_embeddings() {
-  return gather_owned_store(
-      *transport_, row_map_, model_.config(), graph_.num_vertices(),
-      [this](std::size_t p, std::size_t l, VertexId v) {
-        return std::span<const float>(
-            states_[p].store.layer(l).row(local(v)));
-      });
+  patch.install = [this](const RowShipment& s, std::span<const float> row) {
+    RIPPLE_CHECK_MSG(!states_[s.dst].halo.contains(s.v),
+                     "halo fill for already-cached vertex " << s.v);
+    fill_halo(s.dst, s.v, row);
+  };
+  return patch;
 }
 
 std::size_t DistRippleEngine::memory_bytes() const {

@@ -77,7 +77,6 @@
 #include "dist/async_worklist.h"
 #include "dist/dist_engine.h"
 #include "dist/halo_cache.h"
-#include "dist/termination.h"
 
 namespace ripple {
 
@@ -91,28 +90,6 @@ class DistRippleEngine : public DistEngineBase {
 
   const char* name() const override { return "dist-Ripple"; }
   DistBatchResult apply_batch(UpdateBatch batch) override;
-  EmbeddingStore gather_embeddings() override;
-  // Migration superstep (docs/repartition.md): ships each moving vertex's
-  // H^0..H^L rows AND its aggregate-cache rows (one migrate_row frame), then
-  // re-homes the row map, patches every hosted halo incrementally (fills for
-  // newly-cut in-edges from the OLD owner's committed rows, eager erases for
-  // edges the move un-cuts), and bumps the replicated assignment. Mailboxes
-  // must be empty — the between-batches invariant — and the call asserts it.
-  std::size_t migrate(MigrationPlan plan) override;
-  // Per hosted partition: one checkpoint file of owned (H^0..H^L ∥ agg
-  // caches) rows — the migration state-frame layout (dist/checkpoint.h).
-  double write_checkpoint(const std::string& dir,
-                          std::uint64_t stream_cursor) override;
-  // Installs the checkpointed owned rows, then runs ONE halo-refill
-  // superstep — each owner ships H^0..H^{L-1} of its boundary vertices to
-  // the partitions whose halo holds them (the same canonical order and
-  // FIFO-cursor install the migration superstep uses) — and fast-forwards
-  // batches_applied_ to the cursor so halo version stamps resume monotone.
-  void restore_checkpoint(const std::string& dir,
-                          std::uint64_t stream_cursor) override;
-  const Partition& partition() const override { return partition_; }
-  const DynamicGraph& graph() const override { return graph_; }
-  const GnnModel& model() const override { return model_; }
   std::size_t memory_bytes() const override;
 
   // Boundary/halo structure over the CURRENT topology (diagnostics; the
@@ -165,9 +142,6 @@ class DistRippleEngine : public DistEngineBase {
   Mailbox& mailbox(std::size_t part, std::size_t l) {
     return states_[part].boxes[l - 1];
   }
-  std::uint32_t owner(VertexId v) const { return partition_.part_of(v); }
-  bool hosts(std::size_t part) const { return transport_->hosts(part); }
-  std::uint32_t local(VertexId v) const { return row_map_.local_of(v); }
   float edge_alpha(EdgeWeight weight) const;
 
   // Invokes fn(q) once per remote partition q that owns at least one
@@ -190,6 +164,16 @@ class DistRippleEngine : public DistEngineBase {
   void record_edge_op(VertexId u, VertexId v, EdgeWeight weight, bool is_add);
   void record_feature_op(const GraphUpdate& update);
   void replay_uops();  // pass 2: seed hosted mailboxes, maintain halos
+
+  // Owned-row layout: H^0..H^L, then the L aggregate-cache matrices.
+  std::vector<Matrix*> owned_layout(std::size_t part) override;
+  // Migration: fills for newly-cut in-edges from the OLD owner's committed
+  // rows and eager erases for edges the move un-cuts. Restore: refills
+  // every cached row from its restored owner.
+  HaloPatch halo_patch(const MigrationPlan* plan) override;
+  // Writes an H^0..H^{L-1} row into part's halo entry for u (inserted if
+  // absent) — every halo fill, refill and migration patch lands here.
+  void fill_halo(std::size_t part, VertexId u, std::span<const float> row);
 
   // ---- async epoch (--mode=async) ----
   // Everything one hosted partition tracks across one barrier-free epoch.
@@ -217,18 +201,7 @@ class DistRippleEngine : public DistEngineBase {
   void drain_wave_shard(std::size_t q, std::size_t l, std::size_t s);
   void finish_wave(std::size_t q, std::size_t l);
 
-  GnnModel model_;
-  DynamicGraph graph_;  // replicated topology (one shared copy in-process)
-  Partition partition_;
-  LocalRowMap row_map_;  // stable global→local owned-row addressing
-  std::vector<RankState> states_;         // per partition; hosted only
-  std::unique_ptr<Transport> transport_;  // engine code sees only the iface
-  ThreadPool* pool_;
-  // Work-stealing runtime for the apply phase (null = static per-partition
-  // chunks): a hot partition's mailbox-shard drains spread over idle
-  // workers, and its modeled endpoint shrinks from the serial shard sum to
-  // the W-worker makespan bound (dist/bsp.h).
-  std::unique_ptr<WorkStealingScheduler> stealer_;
+  std::vector<RankState> states_;  // per partition; hosted only
 
   // Per-partition hop state, reused across batches.
   std::vector<HopShardScratch> scratch_;        // one per (part, shard)
@@ -246,10 +219,7 @@ class DistRippleEngine : public DistEngineBase {
   std::vector<float> wire_frame_;               // send-side concat scratch
 
   // ---- async epoch state (per batch; idle in BSP mode) ----
-  ExecMode mode_ = ExecMode::kBsp;
-  std::uint64_t batches_applied_ = 0;  // drives epoch_version()
-  std::vector<TerminationDetector> detectors_;  // one per partition (hosted)
-  std::vector<AsyncPartState> async_;           // per partition; hosted only
+  std::vector<AsyncPartState> async_;  // per partition; hosted only
   // Global per-hop affected frontier F(l), identical on every rank, and the
   // derived per-owned-cell contributor lists (ascending sender, with edge
   // weights) for hosted partitions.

@@ -88,12 +88,6 @@ void FaultInjectTransport::send_exact(std::size_t src, std::size_t dst,
   inner_->send_exact(src, dst, sender, payload);
 }
 
-void FaultInjectTransport::send_migrate(std::size_t src, std::size_t dst,
-                                        VertexId sender,
-                                        std::span<const float> payload) {
-  inner_->send_migrate(src, dst, sender, payload);
-}
-
 bool FaultInjectTransport::hosts(std::size_t part) const {
   return inner_->hosts(part);
 }

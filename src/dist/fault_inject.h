@@ -95,8 +95,6 @@ class FaultInjectTransport final : public Transport {
                    std::size_t num_messages = 1) override;
   void send_exact(std::size_t src, std::size_t dst, VertexId sender,
                   std::span<const float> payload) override;
-  void send_migrate(std::size_t src, std::size_t dst, VertexId sender,
-                    std::span<const float> payload) override;
   bool hosts(std::size_t part) const override;
   double end_superstep() override;
   bool measures_time() const override;

@@ -345,22 +345,6 @@ void TcpTransport::send_exact(std::size_t src, std::size_t dst,
   maybe_flush(peer);
 }
 
-void TcpTransport::send_migrate(std::size_t src, std::size_t dst,
-                                VertexId sender,
-                                std::span<const float> payload) {
-  RIPPLE_CHECK_MSG(src != dst, "local traffic must not touch the wire");
-  RIPPLE_CHECK_MSG(src == rank_,
-                   "rank " << rank_ << " cannot transmit for partition "
-                           << src << " (owner routing)");
-  // Exact f32 bits and full-width accounting, like send_exact — migration
-  // moves the owner's committed state verbatim at any --wire-precision.
-  count_wire(payload.size() * sizeof(float), 1);
-  Peer& peer = peers_[dst];
-  wire::append_migrate_frame(peer.sendbuf, sender,
-                             static_cast<std::uint32_t>(src), payload);
-  maybe_flush(peer);
-}
-
 void TcpTransport::maybe_flush(Peer& peer) {
   if (peer.sendbuf.size() - peer.sent <= kFlushThreshold) return;
   if (!flush_some(peer)) {
@@ -396,7 +380,6 @@ void TcpTransport::dispatch(std::size_t peer_rank, wire::Frame&& frame) {
   Peer& peer = peers_[peer_rank];
   ++dispatched_frames_;
   switch (frame.type) {
-    case wire::FrameType::migrate_row:
     case wire::FrameType::payload:
     case wire::FrameType::payload_bf16: {
       RIPPLE_CHECK_MSG(frame.src_part == peer_rank,

@@ -100,11 +100,6 @@ class TcpTransport final : public Transport {
                    std::size_t num_messages = 1) override;
   void send_exact(std::size_t src, std::size_t dst, VertexId sender,
                   std::span<const float> payload) override;
-  // Migration superstep traffic: send_exact accounting (full f32 width,
-  // never wire-rounded) framed as FrameType::migrate_row, staged through
-  // the barrier exactly like payload frames.
-  void send_migrate(std::size_t src, std::size_t dst, VertexId sender,
-                    std::span<const float> payload) override;
   double end_superstep() override;
   bool measures_time() const override { return true; }
   bool hosts(std::size_t part) const override { return part == rank_; }

@@ -132,24 +132,12 @@ class Transport {
                            std::size_t num_messages = 1) = 0;
 
   // Payload send that is NEVER wire-rounded and is always counted at f32
-  // width, regardless of --wire-precision. Used for state collection
-  // (gather_embeddings), where the leader must reassemble the exact bits
-  // each owner holds — lossy rounding there would break the bit-exactness
-  // contract rather than model a cheaper wire.
+  // width, regardless of --wire-precision. Used for owned-row shipping
+  // (migration, restore halo refill, gather_embeddings), where the receiver
+  // must install the exact bits the owner holds — lossy rounding there would
+  // break the bit-exactness contract rather than model a cheaper wire.
   virtual void send_exact(std::size_t src, std::size_t dst, VertexId sender,
                           std::span<const float> payload) = 0;
-
-  // Migration superstep send (docs/repartition.md): a moving vertex's
-  // committed state or a halo refill row, shipped by the OLD owner during
-  // the migration superstep. send_exact semantics — never wire-rounded,
-  // counted at f32 width — but framed as FrameType::migrate_row on a
-  // networked backend so the migration traffic is distinguishable on the
-  // wire. The default forwards to send_exact, which is exactly right for
-  // SimTransport (inbox append + exact f32 accounting).
-  virtual void send_migrate(std::size_t src, std::size_t dst, VertexId sender,
-                            std::span<const float> payload) {
-    send_exact(src, dst, sender, payload);
-  }
 
   // Whether this endpoint hosts (owns the state of, and computes) the given
   // partition. SimTransport hosts every partition — the whole cluster lives

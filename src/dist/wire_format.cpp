@@ -116,17 +116,6 @@ void append_heartbeat_frame(std::vector<std::uint8_t>& out,
   put<std::uint32_t>(out, src_part);
 }
 
-void append_migrate_frame(std::vector<std::uint8_t>& out, VertexId sender,
-                          std::uint32_t src_part, std::span<const float> row) {
-  put_frame_header(out, FrameType::migrate_row,
-                   3 * sizeof(std::uint32_t) + row.size() * sizeof(float));
-  put<std::uint32_t>(out, sender);
-  put<std::uint32_t>(out, src_part);
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(row.size()));
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(row.data());
-  out.insert(out.end(), bytes, bytes + row.size() * sizeof(float));
-}
-
 void FrameDecoder::feed(std::span<const std::uint8_t> bytes) {
   // Compact the consumed prefix before growing, so long streams do not
   // accumulate dead bytes.
@@ -162,7 +151,6 @@ bool FrameDecoder::next(Frame& out) {
   out = Frame{};
   out.type = type;
   switch (type) {
-    case FrameType::migrate_row:
     case FrameType::payload: {
       need(3 * sizeof(std::uint32_t));
       out.sender = get<std::uint32_t>(buf_.data(), at);

@@ -30,16 +30,6 @@
 //              (dist/termination.h). Control traffic: counted separately
 //              from row traffic by the transport (token_messages), never
 //              in wire_bytes/wire_messages.
-//   migrate_row — payload fields, same layout as payload. Migration
-//              superstep frame (docs/repartition.md): the OLD owner ships a
-//              moving vertex's full committed state (H^0..H^L rows plus the
-//              aggregate-cache rows; mailboxes are asserted empty between
-//              batches) plus halo refill rows to the ranks that need them.
-//              Always f32 —
-//              migration moves the owner's exact bits, whatever
-//              --wire-precision says — and staged through the superstep
-//              barrier exactly like payload, so installs happen after every
-//              rank finished sending.
 //   row      — payload fields plus a leading u32 hop. Async epoch row: the
 //              hop index both routes the row to the right per-layer halo
 //              slot on the receiver and acts as the version stamp for the
@@ -70,12 +60,12 @@ enum class FrameType : std::uint8_t {
   payload_bf16 = 4,
   token = 5,
   row = 6,
-  migrate_row = 7,
+  // 7 is retired (a former migration frame type): do not reuse it.
   heartbeat = 8,
 };
 
 // Upper bound on a frame's wire-declared body length. The largest honest
-// frame is a migration state row (a few KB at realistic embedding widths),
+// frame is a migrated owned row (a few KB at realistic embedding widths),
 // so 16 MiB is orders of magnitude of headroom — while a corrupt or
 // malicious u32 length can claim up to 4 GiB, which the decoder would
 // otherwise buffer for before ever validating the body. Lengths above the
@@ -125,9 +115,6 @@ void append_token_frame(std::vector<std::uint8_t>& out, std::uint32_t src_part,
 void append_row_frame(std::vector<std::uint8_t>& out, VertexId sender,
                       std::uint32_t src_part, std::uint32_t hop,
                       std::span<const float> row);
-// Migration state frame: payload layout, always f32 (never wire-rounded).
-void append_migrate_frame(std::vector<std::uint8_t>& out, VertexId sender,
-                          std::uint32_t src_part, std::span<const float> row);
 // Liveness heartbeat — u32 src_part only. Sent by TcpTransport while idle
 // at a barrier so peers can distinguish "slow" from "dead"; the receiver
 // refreshes its peer-liveness clock on ANY bytes, so the frame itself is

@@ -11,11 +11,16 @@
 //     parts {1,2,4} x engines {ripple, rc} x modes {bsp, async} x kill
 //     seeds. Zero tolerance: this is what makes a checkpoint file plus the
 //     deterministic runtime a complete recovery story.
+//  3. Restore refuses a valid file that is not the one it asked for
+//     (another rank's, another cursor's, another engine's) and the file
+//     reader refuses length fields whose byte counts would overflow — both
+//     as TransportError{kCorrupt}.
 #include <gtest/gtest.h>
 
 #include <cstdlib>
 #include <fstream>
 #include <limits>
+#include <optional>
 
 #include "../test_util.h"
 #include "core/ripple_engine.h"
@@ -142,6 +147,51 @@ TEST(CheckpointFile, EveryFlippedByteIsRejected) {
   }
   dump(path, valid);
   EXPECT_NO_THROW(read_checkpoint_file(path));
+}
+
+TEST(CheckpointFile, HugeLengthFieldsAreCorruptNotLengthErrors) {
+  // A CRC-valid file whose u64 length fields claim 2^62+1 entries: the
+  // byte counts (length * 4) wrap past 2^64, so a multiplied bound check
+  // would pass and the table resize would throw std::length_error. Both
+  // tables must instead be rejected as typed corruption.
+  constexpr std::uint64_t kHuge = (std::uint64_t{1} << 62) + 1;
+  const std::string dir = make_temp_dir();
+  const std::string path = dir + "/crafted.bin";
+  for (const bool huge_owned : {false, true}) {
+    SCOPED_TRACE(huge_owned ? "owned id table" : "part_of table");
+    const std::uint64_t num_vertices = huge_owned ? 1 : kHuge;
+    std::vector<std::uint8_t> image;
+    const auto put = [&](const auto& value) {
+      const auto* p = reinterpret_cast<const std::uint8_t*>(&value);
+      image.insert(image.end(), p, p + sizeof(value));
+    };
+    put(kCheckpointMagic);
+    put(kCheckpointFormatVersion);
+    put(std::uint32_t{0});  // rank
+    put(std::uint32_t{1});  // num_parts
+    put(std::uint32_t{1});  // row_width
+    put(std::uint64_t{0});  // stream_cursor
+    put(std::uint64_t{0});  // partition_version
+    put(num_vertices);
+    put(std::uint32_t{6});
+    for (const char ch : std::string("ripple")) put(ch);
+    put(num_vertices);  // part_of length
+    if (huge_owned) {
+      put(std::uint32_t{0});  // part_of[0]
+      put(kHuge);             // owned vertex count
+    }
+    put(std::uint64_t{0});  // enough bytes for a wrapped 4-byte bound
+    put(crc32(image.data(), image.size()));
+    dump(path, image);
+    try {
+      (void)read_checkpoint_file(path);
+      ADD_FAILURE() << "crafted file was accepted";
+    } catch (const TransportError& e) {
+      EXPECT_EQ(e.kind(), TransportErrorKind::kCorrupt);
+    } catch (const std::exception& e) {
+      ADD_FAILURE() << "non-transport error: " << e.what();
+    }
+  }
 }
 
 TEST(CheckpointFile, LatestCursorRequiresACompleteRankSet) {
@@ -313,9 +363,65 @@ TEST(CheckpointRecovery, RowWidthsMatchTheMigrationLayout) {
   // ripple rows carry H^0..H^L plus the per-hop aggregate caches; rc rows
   // carry H only. workload gc_s feat=8 classes=4 hidden=12, 2 layers:
   // H widths 8+12+4, agg-cache widths = layer input dims 8+12.
+  auto c = make_rmat_case(77);
   const auto config = workload_config(Workload::gc_s, 8, 4, 2, 12);
-  EXPECT_EQ(rc_checkpoint_row_width(config), 8u + 12u + 4u);
-  EXPECT_EQ(ripple_checkpoint_row_width(config), (8u + 12u + 4u) + (8u + 12u));
+  const auto model = GnnModel::random(config, 79);
+  const Partition partition = ldg_partition(c.snapshot, 2);
+  EXPECT_EQ(make_dist_engine("rc", model, c.snapshot, c.features, partition)
+                ->owned_row_width(),
+            8u + 12u + 4u);
+  EXPECT_EQ(
+      make_dist_engine("ripple", model, c.snapshot, c.features, partition)
+          ->owned_row_width(),
+      (8u + 12u + 4u) + (8u + 12u));
+}
+
+TEST(CheckpointRecovery, RestoreRejectsAnotherRanksCursorsOrEnginesFile) {
+  // A balanced v % 2 assignment: rank 1's file has the same part_of table
+  // and the same owned-row count as rank 0's, so only the identity fields
+  // tell a swapped file apart — and installing it would silently hand
+  // rank 0 rank 1's rows.
+  auto c = make_rmat_case(77);
+  const auto config = workload_config(Workload::gc_s, 8, 4, 2, 12);
+  const auto model = GnnModel::random(config, 79);
+  std::vector<std::uint32_t> part_of(c.snapshot.num_vertices());
+  for (VertexId v = 0; v < part_of.size(); ++v) part_of[v] = v % 2;
+  const Partition partition(2, part_of);
+  const auto restore_error =
+      [&](const std::string& key,
+          const std::string& dir) -> std::optional<TransportErrorKind> {
+    auto engine =
+        make_dist_engine(key, model, c.snapshot, c.features, partition);
+    try {
+      engine->restore_checkpoint(dir, 0);
+    } catch (const TransportError& e) {
+      return e.kind();
+    }
+    return std::nullopt;
+  };
+  for (const std::string key : {"ripple", "rc"}) {
+    SCOPED_TRACE(key);
+    const std::string other_key = key == "rc" ? "ripple" : "rc";
+    const std::string dir = make_temp_dir();
+    make_dist_engine(key, model, c.snapshot, c.features, partition)
+        ->write_checkpoint(dir, 0);
+    make_dist_engine(key, model, c.snapshot, c.features, partition)
+        ->write_checkpoint(dir, 2);
+    make_dist_engine(other_key, model, c.snapshot, c.features, partition)
+        ->write_checkpoint(dir, 4);
+    EXPECT_FALSE(restore_error(key, dir).has_value());
+    const std::string rank0 = checkpoint_path(dir, 0, 0);
+    const std::vector<std::uint8_t> valid = slurp(rank0);
+    for (const std::string& impostor :
+         {checkpoint_path(dir, 0, 1), checkpoint_path(dir, 2, 0),
+          checkpoint_path(dir, 4, 0)}) {
+      SCOPED_TRACE(impostor);
+      dump(rank0, slurp(impostor));
+      EXPECT_EQ(restore_error(key, dir), TransportErrorKind::kCorrupt);
+    }
+    dump(rank0, valid);
+    EXPECT_FALSE(restore_error(key, dir).has_value());
+  }
 }
 
 }  // namespace

@@ -11,7 +11,10 @@
 //     kProtocol (spurious credit / stale stamp), truncated async row ->
 //     kCorrupt, truncated BSP payload -> kCorrupt on both the halo-fill
 //     and the delta-seed validation paths.
-//  4. FrameDecoder fuzz: random truncations and bit flips of a valid frame
+//  4. Owned-row installs check every frame against the shipping schedule:
+//     a wrong sender, a wrong width, a missing frame and an unclaimed frame
+//     each raise TransportError{kCorrupt}.
+//  5. FrameDecoder fuzz: random truncations and bit flips of a valid frame
 //     stream either decode or raise TransportError{kCorrupt} — never any
 //     other failure — and a wire-declared length beyond kMaxFrameBytes is
 //     rejected the moment the header is visible.
@@ -21,6 +24,7 @@
 #include <functional>
 #include <optional>
 #include <random>
+#include <tuple>
 
 #include "../test_util.h"
 #include "core/ripple_engine.h"
@@ -242,6 +246,56 @@ TEST(FaultInject, CorruptBspPayloadRaisesCorrupt) {
   }
 }
 
+// ---- owned-row install cursors: schedule vs what arrived ----
+
+// Runs one sim superstep of `sends` (src, dst, sender, width) and then pops
+// the schedule (dst, src, sender, width) through InboxCursors, checking
+// that nothing is left over.
+std::optional<TransportErrorKind> install_kind(
+    const std::vector<std::tuple<std::size_t, std::size_t, VertexId,
+                                 std::size_t>>& sends,
+    const std::vector<std::tuple<std::size_t, std::size_t, VertexId,
+                                 std::size_t>>& schedule) {
+  SimTransport transport(3, TransportOptions{});
+  transport.begin_superstep();
+  for (const auto& [src, dst, sender, width] : sends) {
+    transport.send_exact(src, dst, sender, std::vector<float>(width, 1.0f));
+  }
+  transport.end_superstep();
+  return thrown_kind([&] {
+    InboxCursors cursors(transport);
+    for (const auto& [dst, src, sender, width] : schedule) {
+      EXPECT_EQ(cursors.pop(dst, src, sender, width).size(), width);
+    }
+    cursors.expect_drained();
+  });
+}
+
+TEST(OwnedRowShipper, InstallMatchesTheScheduleOrRaisesCorrupt) {
+  // Two sources interleave into partition 0; cursors are per (dst, src).
+  const std::vector<std::tuple<std::size_t, std::size_t, VertexId,
+                               std::size_t>>
+      sends = {{1, 0, 10, 4}, {2, 0, 20, 4}, {1, 0, 11, 4}};
+  EXPECT_FALSE(install_kind(sends, {{0, 2, 20, 4}, {0, 1, 10, 4},
+                                    {0, 1, 11, 4}})
+                   .has_value());
+  // Wrong sender: the second frame from 1 carries vertex 11, not 12.
+  EXPECT_EQ(install_kind(sends, {{0, 1, 10, 4}, {0, 1, 12, 4},
+                                 {0, 2, 20, 4}}),
+            TransportErrorKind::kCorrupt);
+  // Wrong width: the schedule expects 5 floats.
+  EXPECT_EQ(install_kind(sends, {{0, 1, 10, 4}, {0, 1, 11, 5},
+                                 {0, 2, 20, 4}}),
+            TransportErrorKind::kCorrupt);
+  // Missing frame (underflow): a third row from 1 never arrived.
+  EXPECT_EQ(install_kind(sends, {{0, 1, 10, 4}, {0, 1, 11, 4},
+                                 {0, 1, 12, 4}, {0, 2, 20, 4}}),
+            TransportErrorKind::kCorrupt);
+  // Extra frame (leftovers): nothing in the schedule claims 2's row.
+  EXPECT_EQ(install_kind(sends, {{0, 1, 10, 4}, {0, 1, 11, 4}}),
+            TransportErrorKind::kCorrupt);
+}
+
 // ---- FrameDecoder fuzz (wire_format.h) ----
 
 std::vector<std::uint8_t> valid_frame_stream() {
@@ -253,7 +307,6 @@ std::vector<std::uint8_t> valid_frame_stream() {
   wire::append_barrier_frame(bytes, 1, 4);
   wire::append_token_frame(bytes, 0, 3, -2, true, false);
   wire::append_row_frame(bytes, 5, 1, 2, row);
-  wire::append_migrate_frame(bytes, 6, 0, row);
   wire::append_heartbeat_frame(bytes, 1);
   return bytes;
 }

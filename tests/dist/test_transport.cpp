@@ -136,32 +136,6 @@ TEST(WireFormat, RowFrameRoundTripCarriesHopStamp) {
   EXPECT_FALSE(decoder.next(frame));
 }
 
-TEST(WireFormat, MigrateFrameRoundTripIsBitExact) {
-  // Migration frames move the owner's committed state verbatim: full f32
-  // width at ANY --wire-precision, so the round trip must preserve raw
-  // bits including NaN payloads and denormals.
-  const std::vector<float> row = {42.0f, -0.0f, std::nanf("0xbad"),
-                                  std::numeric_limits<float>::denorm_min(),
-                                  std::numeric_limits<float>::infinity()};
-  std::vector<std::uint8_t> buf;
-  wire::append_migrate_frame(buf, /*sender=*/31, /*src_part=*/2, row);
-  wire::FrameDecoder decoder;
-  std::vector<wire::Frame> frames;
-  wire::Frame frame;
-  for (const std::uint8_t byte : buf) {  // worst-case fragmentation
-    decoder.feed(std::span<const std::uint8_t>(&byte, 1));
-    while (decoder.next(frame)) frames.push_back(frame);
-  }
-  ASSERT_EQ(frames.size(), 1u);
-  EXPECT_EQ(frames[0].type, wire::FrameType::migrate_row);
-  EXPECT_EQ(frames[0].sender, 31u);
-  EXPECT_EQ(frames[0].src_part, 2u);
-  ASSERT_EQ(frames[0].row.size(), row.size());
-  EXPECT_EQ(std::memcmp(frames[0].row.data(), row.data(),
-                        row.size() * sizeof(float)),
-            0);
-}
-
 TEST(WireFormat, TokenFrameRoundTripSurvivesOneByteChunks) {
   std::vector<std::uint8_t> buf;
   wire::append_token_frame(buf, /*src_part=*/1, /*round=*/4,
