@@ -37,6 +37,12 @@ RIPPLE_TRANSPORT=tcp ctest --test-dir build -L dist --output-on-failure \
 ./build/bench_recovery --quick --mode=bsp >/dev/null
 ./build/bench_recovery --quick --mode=async >/dev/null
 ./build/bench_drift_scenario --quick >/dev/null
+# Example smoke (about a second each): the quickstart tour runs to the end,
+# and fraud_detection's StreamingServer flip callbacks report the same
+# flips a full scan of every account would.
+./build/example_quickstart >/dev/null
+./build/example_fraud_detection |
+  grep -q "label flips observed: 76 (39 newly flagged accounts)"
 
 # ThreadSanitizer pass over the unit tier: the work-stealing scheduler's
 # Chase-Lev deque (common/scheduler.h) is lock-free, so races there would be

@@ -6,13 +6,14 @@
 //
 // Run:  ./fraud_detection [--accounts=4000] [--updates=2000] [--batch=25]
 #include <cstdio>
-#include <unordered_set>
+#include <memory>
 
 #include "common/flags.h"
 #include "tensor/kernels.h"
 #include "common/log.h"
 #include "common/rng.h"
 #include "core/ripple_engine.h"
+#include "core/serving.h"
 #include "gnn/trainer.h"
 #include "graph/datasets.h"
 #include "stream/generator.h"
@@ -54,44 +55,31 @@ int main(int argc, char** argv) {
   stream_config.seed = 99;
   const auto stream = generate_stream(ds.graph, stream_config);
 
-  RippleEngine engine(model, ds.graph, ds.features);
-
-  // Trigger-based serving: remember every account's label and report flips.
-  std::vector<std::uint32_t> labels(accounts);
-  for (VertexId v = 0; v < accounts; ++v) {
-    labels[v] = engine.embeddings().predicted_label(v);
-  }
-
+  // Trigger-based serving: the server diffs labels on the rows each batch
+  // rewrote at the final hop and calls back on every flip.
+  StreamingServer::Options options;
+  options.batch_size = batch_size;
+  options.adaptive_options.flush_after_sec = 0;  // size-based batches only
+  StreamingServer server(
+      std::make_unique<RippleEngine>(model, ds.graph, ds.features), options);
   std::size_t flips = 0;
   std::size_t flagged = 0;
-  double total_sec = 0;
-  std::size_t batches = 0;
-  for (const auto& batch : make_batches(stream, batch_size)) {
-    const auto result = engine.apply_batch(batch);
-    total_sec += result.total_sec();
-    ++batches;
-    // Only re-read the vertices the engine touched at the final hop; this
-    // is the trigger set.
-    std::unordered_set<VertexId> touched;
-    for (const auto& update : batch) {
-      touched.insert(update.hop0_vertex());
-      if (update.is_edge_update()) touched.insert(update.v);
-    }
-    for (VertexId v = 0; v < accounts; ++v) {
-      const auto fresh = engine.embeddings().predicted_label(v);
-      if (fresh != labels[v]) {
+  server.set_label_callback(
+      [&](VertexId, std::uint32_t, std::uint32_t new_label) {
         ++flips;
-        if (fresh == 1) ++flagged;
-        labels[v] = fresh;
-      }
-    }
-  }
+        if (new_label == 1) ++flagged;
+      });
+  for (const auto& update : stream) server.submit(update);
+  server.flush();
+
+  const auto& stats = server.stats();
   std::printf(
       "processed %zu updates in %zu batches: %.1f updates/sec\n"
       "label flips observed: %zu (%zu newly flagged accounts)\n"
       "mean batch latency: %.2f ms — fresh predictions after every batch\n",
-      batches * batch_size, batches,
-      static_cast<double>(batches * batch_size) / total_sec, flips, flagged,
-      total_sec / static_cast<double>(batches) * 1e3);
+      stats.updates_processed, stats.batches_processed,
+      static_cast<double>(stats.updates_processed) / stats.total_sec, flips,
+      flagged,
+      stats.total_sec / static_cast<double>(stats.batches_processed) * 1e3);
   return 0;
 }

@@ -262,6 +262,15 @@ BatchResult RippleEngine::propagate() {
                 [&](std::size_t t) { drain_target_shard(l, t); });
       incremental_ops_ += messages.load(std::memory_order_relaxed);
       result.compute_phase_sec += scatter_watch.elapsed_sec();
+    } else {
+      // The hop-L mailbox is exactly the set of H^L rows the apply phase
+      // rewrote; shards partition it, so the concatenation has no repeats.
+      result.final_rows.reserve(mailbox.size());
+      for (std::size_t s = 0; s < num_shards_; ++s) {
+        const std::vector<VertexId>& rows = mailbox.shard(s).vertices;
+        result.final_rows.insert(result.final_rows.end(), rows.begin(),
+                                 rows.end());
+      }
     }
     mailbox.clear();
   }

@@ -1,5 +1,6 @@
 #include "core/serving.h"
 
+#include <algorithm>
 #include <chrono>
 
 #include "common/timer.h"
@@ -68,6 +69,10 @@ std::uint32_t StreamingServer::label(VertexId v) const {
     // poisoned batch has no committed label yet.
     return v < labels_.size() ? labels_[v] : 0;
   }
+  RIPPLE_CHECK_MSG(v < engine_->graph().num_vertices(),
+                   "label lookup for vertex " << v << " of a "
+                       << engine_->graph().num_vertices()
+                       << "-vertex graph");
   return engine_->embeddings().predicted_label(v);
 }
 
@@ -103,11 +108,12 @@ std::size_t StreamingServer::flush() {
   stats_.sched.accumulate(result.sched);
   const std::size_t applied = pending_.size();
   pending_.clear();
-  refresh_labels_and_notify();
+  refresh_labels_and_notify(std::move(result.final_rows));
   return applied;
 }
 
-void StreamingServer::refresh_labels_and_notify() {
+void StreamingServer::refresh_labels_and_notify(
+    std::vector<VertexId> final_rows) {
   const std::size_t n = engine_->graph().num_vertices();
   // A batch may GROW the graph. Vertices first seen now have no previous
   // prediction to diff against: baseline them to their current label
@@ -119,7 +125,14 @@ void StreamingServer::refresh_labels_and_notify() {
       labels_[v] = engine_->embeddings().predicted_label(v);
     }
   }
-  for (VertexId v = 0; v < known; ++v) {
+  // Only the rows the engine reported can have changed (the final_rows
+  // contract in infer/engine.h); sorting them keeps callbacks in ascending
+  // vertex order.
+  std::sort(final_rows.begin(), final_rows.end());
+  for (const VertexId v : final_rows) {
+    RIPPLE_CHECK_MSG(v < n, "engine reported final row "
+                                << v << " of a " << n << "-vertex graph");
+    if (v >= known) continue;  // baselined above
     const std::uint32_t fresh = engine_->embeddings().predicted_label(v);
     if (fresh != labels_[v]) {
       ++stats_.label_changes;

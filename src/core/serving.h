@@ -7,7 +7,15 @@
 // the updates that caused them. StreamingServer batches submitted updates
 // (fixed size or AdaptiveBatcher-driven), applies them through the engine,
 // diffs the predicted labels of vertices in the final-hop affected region,
-// and invokes the registered callback for every flip.
+// and invokes the registered callback for every flip, in ascending vertex
+// order.
+//
+// Engine-side contract: the diff reads only BatchResult::final_rows, the
+// vertices whose H^L row the batch may have rewritten. An engine (or a
+// decorator around one) that rewrites a row without listing it there
+// leaves that row's served label stale. In exchange a flush costs
+// O(|hop-L set| · classes) plus a sort of the hop-L set, independent of
+// the graph size; only vertices a batch adds are baselined separately.
 #pragma once
 
 #include <functional>
@@ -71,10 +79,11 @@ class StreamingServer {
   // Apply whatever is pending immediately.
   std::size_t flush();
 
-  // Request-based lookup. Healthy: the current exact prediction. Degraded:
-  // the engine's state is suspect, so the lookup is shed onto the last
-  // COMMITTED label snapshot (the labels_ diff base — updated only after a
-  // batch fully applied, so it never reflects a half-applied batch).
+  // Request-based lookup. Healthy: the current exact prediction; a vertex
+  // outside the graph raises check_error. Degraded: the engine's state is
+  // suspect, so the lookup is shed onto the last COMMITTED label snapshot
+  // (the labels_ diff base — updated only after a batch fully applied, so
+  // it never reflects a half-applied batch).
   std::uint32_t label(VertexId v) const;
 
   // kDegraded after an engine apply threw (TransportError, check_error):
@@ -109,7 +118,7 @@ class StreamingServer {
   const Stats& stats() const { return stats_; }
 
  private:
-  void refresh_labels_and_notify();
+  void refresh_labels_and_notify(std::vector<VertexId> final_rows);
   double now_sec() const;
   bool age_flush_due() const;
 

@@ -31,8 +31,8 @@ BatchResult DglEmuEngine::apply_batch(UpdateBatch batch) {
 
   StopWatch propagate_watch;
   const bool uses_self = model_.layer(0).uses_self();
-  const auto affected = compute_affected_sets(mirror_, batch,
-                                              model_.num_layers(), uses_self);
+  auto affected = compute_affected_sets(mirror_, batch,
+                                        model_.num_layers(), uses_self);
   std::vector<float> x_scratch;
   for (std::size_t l = 0; l < model_.num_layers(); ++l) {
     const Matrix& h_prev = store_.layer(l);
@@ -57,6 +57,7 @@ BatchResult DglEmuEngine::apply_batch(UpdateBatch batch) {
   result.propagate_sec = propagate_watch.elapsed_sec();
   result.propagation_tree_size = propagation_tree_size(affected);
   result.affected_final = affected.back().size();
+  result.final_rows = std::move(affected.back());
   return result;
 }
 

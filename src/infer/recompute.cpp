@@ -49,8 +49,8 @@ BatchResult RecomputeEngine::apply_batch(UpdateBatch batch) {
 
   StopWatch propagate_watch;
   const bool uses_self = model_.layer(0).uses_self();
-  const auto affected = compute_affected_sets(graph_, batch,
-                                              model_.num_layers(), uses_self);
+  auto affected = compute_affected_sets(graph_, batch,
+                                        model_.num_layers(), uses_self);
   for (std::size_t l = 0; l < model_.num_layers(); ++l) {
     const Matrix& h_prev = store_.layer(l);
     Matrix& h_out = store_.layer(l + 1);
@@ -66,6 +66,7 @@ BatchResult RecomputeEngine::apply_batch(UpdateBatch batch) {
   result.propagate_sec = propagate_watch.elapsed_sec();
   result.propagation_tree_size = propagation_tree_size(affected);
   result.affected_final = affected.back().size();
+  result.final_rows = std::move(affected.back());
   return result;
 }
 

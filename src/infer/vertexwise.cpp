@@ -82,8 +82,8 @@ BatchResult VertexWiseEngine::apply_batch(UpdateBatch batch) {
 
   StopWatch propagate_watch;
   const bool uses_self = model_.layer(0).uses_self();
-  const auto affected = compute_affected_sets(graph_, batch,
-                                              model_.num_layers(), uses_self);
+  auto affected = compute_affected_sets(graph_, batch,
+                                        model_.num_layers(), uses_self);
   const std::size_t num_layers = model_.num_layers();
   // Each final-hop target gets its own computation tree — the vertex-wise
   // redundancy. Intermediate store layers are refreshed from the trees so
@@ -111,6 +111,7 @@ BatchResult VertexWiseEngine::apply_batch(UpdateBatch batch) {
   result.propagate_sec = propagate_watch.elapsed_sec();
   result.propagation_tree_size = propagation_tree_size(affected);
   result.affected_final = affected.back().size();
+  result.final_rows = std::move(affected.back());
   return result;
 }
 

@@ -45,6 +45,15 @@ TEST(StreamingServer, LabelLookupTracksEngine) {
   }
 }
 
+TEST(StreamingServer, LabelLookupOutsideTheGraphIsACheckError) {
+  // Used to read past the logits matrix through the unchecked Matrix::row.
+  auto server = make_server(1);
+  EXPECT_EQ(server.label(39),
+            server.engine().embeddings().predicted_label(39));
+  EXPECT_THROW(server.label(40), check_error);
+  EXPECT_THROW(server.label(kInvalidVertex), check_error);
+}
+
 TEST(StreamingServer, CallbackFiresOnLabelFlips) {
   auto graph = testing::random_graph(30, 200, 94);
   const auto features = testing::random_features(30, 6, 95);
@@ -242,6 +251,9 @@ class GrowingStubEngine : public InferenceEngine {
     for (VertexId v = 2; v < n; ++v) set_label(v, 1);
     BatchResult result;
     result.batch_size = batch.size();
+    // The store is rebuilt, so every row counts as rewritten.
+    for (VertexId v = 0; v < n; ++v) result.final_rows.push_back(v);
+    result.affected_final = n;
     return result;
   }
   const EmbeddingStore& embeddings() const override { return store_; }
