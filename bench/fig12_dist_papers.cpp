@@ -22,7 +22,6 @@ int main() {
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   apply_kernel_flag(flags);
-  apply_precision_flag(flags);
   const bool quick = flags.has("quick");
   // --json: emit ONLY machine-readable rows for the scaling sweep (one per
   // partition count x engine, including the per-rank footprint) — the

@@ -20,7 +20,6 @@ int main() {
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   apply_kernel_flag(flags);
-  apply_precision_flag(flags);
   const bool quick = flags.has("quick");
   const double scale = flags.get_double("scale", quick ? 0.04 : 0.30);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));

@@ -15,7 +15,6 @@ using namespace ripple;
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   apply_kernel_flag(flags);
-  apply_precision_flag(flags);
   const bool quick = flags.has("quick");
   const double scale = flags.get_double("scale", quick ? 0.04 : 0.5);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));

@@ -17,8 +17,8 @@
 //
 // Flags: --vertices=100000 --degree=16 --updates=2000 --batch=100
 //        --threads=1,2,4,8 --shards=16 --rmat-a=0.45,0.57,0.75
-//        --scheduler=both|static|steal --kernels=auto|scalar
-//        --precision=f32|bf16|int8 --quick --seed=42
+//        --scheduler=both|static|steal --kernels=auto|scalar --quick
+//        --seed=42
 #include <cstdio>
 
 #include "bench_util.h"
@@ -33,7 +33,6 @@ using namespace ripple;
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   const char* kernel_isa = apply_kernel_flag(flags);
-  const char* precision = apply_precision_flag(flags);
   const bool quick = flags.has("quick");
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
   const auto num_vertices = static_cast<std::size_t>(
@@ -108,7 +107,7 @@ int main(int argc, char** argv) {
                                    : 0;
         std::printf(
             "{\"bench\":\"parallel_scaling\",\"dataset\":\"rmat\","
-            "\"kernels\":\"%s\",\"precision\":\"%s\",\"rmat_a\":%.4g,"
+            "\"kernels\":\"%s\",\"rmat_a\":%.4g,"
             "\"scheduler\":\"%s\","
             "\"vertices\":%zu,\"edges\":%zu,\"layers\":3,\"feat_dim\":%zu,"
             "\"hidden_dim\":64,\"updates\":%zu,\"batch_size\":%zu,"
@@ -119,7 +118,7 @@ int main(int argc, char** argv) {
             "\"mean_tree_size\":%.6g,\"sched_width\":%zu,\"tasks\":%llu,"
             "\"steals\":%llu,\"busy_max_sec\":%.6g,\"busy_total_sec\":%.6g,"
             "\"imbalance\":%.4g,\"propagate_speedup_vs_first\":%.4g}\n",
-            kernel_isa, precision, a, scheduler_mode_name(scheduler),
+            kernel_isa, a, scheduler_mode_name(scheduler),
             graph.num_vertices(),
             graph.num_edges(), feat_dim, stream.size(), batch_size,
             run.num_shards, static_cast<long long>(run.num_threads),

@@ -4,11 +4,10 @@
 # later PRs diff against measured history instead of folklore.
 #
 # Sweeps:
-#   * bench_micro_kernels --quick at every --precision (its internal
-#     variant axis already re-runs each case under the scalar tier and the
-#     dispatched tier, so kernels x precision is covered);
-#   * bench_parallel_scaling --quick (end-to-end engine throughput) across
-#     --precision x --kernels;
+#   * bench_micro_kernels --quick (its internal variant axis already re-runs
+#     each case under the scalar tier and the dispatched tier);
+#   * bench_parallel_scaling --quick (end-to-end engine throughput) at
+#     --kernels=auto and --kernels=scalar;
 #   * bench_fig12_dist_papers --quick --json at --mode=bsp AND
 #     --mode=async (distributed scaling sweep): throughput, wire traffic,
 #     rank_memory_bytes — the PER-RANK resident footprint (owned rows +
@@ -55,17 +54,11 @@ rows_file="$(mktemp)"
 diag_file="$(mktemp)"
 trap 'rm -f "$rows_file" "$diag_file"' EXIT
 
-for precision in f32 bf16 int8; do
-  "$build/bench_micro_kernels" --quick --precision="$precision" \
-    >>"$rows_file" 2>>"$diag_file"
-done
+"$build/bench_micro_kernels" --quick >>"$rows_file" 2>>"$diag_file"
 
-for precision in f32 bf16 int8; do
-  for kernels in auto scalar; do
-    "$build/bench_parallel_scaling" --quick \
-      --precision="$precision" --kernels="$kernels" \
-      >>"$rows_file" 2>>"$diag_file"
-  done
+for kernels in auto scalar; do
+  "$build/bench_parallel_scaling" --quick --kernels="$kernels" \
+    >>"$rows_file" 2>>"$diag_file"
 done
 
 for mode in bsp async; do
@@ -81,7 +74,7 @@ done
 "$build/bench_drift_scenario" --json >>"$rows_file" 2>>"$diag_file"
 
 # micro_kernels prints "dispatched tier=<isa>" on stderr; that is the
-# machine's auto-dispatch answer (avx512/avx2/sse2/scalar).
+# machine's auto-dispatch answer (avx512/avx2/scalar).
 tier="$(sed -n 's/.*dispatched tier=\([a-z0-9]*\).*/\1/p' "$diag_file" \
         | head -1)"
 cpu="$(sed -n 's/^model name[^:]*: //p' /proc/cpuinfo 2>/dev/null | head -1)"

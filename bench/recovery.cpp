@@ -18,6 +18,7 @@
 #include <unistd.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <filesystem>
 
 #include "common/timer.h"
@@ -65,7 +66,6 @@ DynamicGraph topology_at(const DynamicGraph& snapshot,
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   apply_kernel_flag(flags);
-  apply_precision_flag(flags);
   const bool quick = flags.has("quick");
   const bool json = flags.has("json");
   const double scale = flags.get_double("scale", quick ? 0.03 : 0.25);

@@ -8,7 +8,6 @@ using namespace ripple;
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   apply_kernel_flag(flags);
-  apply_precision_flag(flags);
   const double scale = flags.get_double("scale", flags.has("quick") ? 0.1 : 0.5);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
   set_log_level(log_level::warn);

@@ -42,7 +42,6 @@ int main() {
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   apply_kernel_flag(flags);
-  apply_precision_flag(flags);
   const std::string transport_kind =
       flags.get_choice("transport", {"sim", "tcp"}, "sim");
   const bool use_tcp = transport_kind == "tcp";

@@ -92,7 +92,13 @@ double Flags::get_double(const std::string& name, double default_value) const {
 bool Flags::get_bool(const std::string& name, bool default_value) const {
   const auto it = values_.find(name);
   if (it == values_.end()) return default_value;
-  return it->second == "true" || it->second == "1" || it->second == "yes";
+  const std::string& text = it->second;
+  if (text == "true" || text == "1" || text == "yes") return true;
+  if (text == "false" || text == "0" || text == "no") return false;
+  RIPPLE_CHECK_MSG(false, "--" << name << '=' << text
+                               << " is not a boolean (expected "
+                                  "true|1|yes|false|0|no)");
+  return default_value;  // unreachable
 }
 
 std::vector<std::int64_t> Flags::get_int_list(

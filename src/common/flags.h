@@ -22,6 +22,8 @@ class Flags {
   std::int64_t get_int(const std::string& name,
                        std::int64_t default_value) const;
   double get_double(const std::string& name, double default_value) const;
+  // true|1|yes or false|0|no (a bare --name is true); anything else dies
+  // naming the flag, like the numeric getters.
   bool get_bool(const std::string& name, bool default_value) const;
 
   // Comma-separated list of integers, e.g. --batch-sizes=1,10,100.

@@ -50,8 +50,7 @@ class Flags;
 // cost model and measured tcp supersteps. Because the rounding happens
 // sender-side (not in the codec), the local replica inboxes and the
 // decoded wire bytes carry identical f32 bits — sim and tcp stay bit-equal
-// with equal counters at either precision. Orthogonal to --precision
-// (weight-panel storage): the two narrow different operands.
+// with equal counters at either precision. Compute stays f32 either way.
 enum class WirePrecision { kF32, kBf16 };
 
 const char* wire_precision_name(WirePrecision p);

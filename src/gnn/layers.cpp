@@ -26,21 +26,17 @@ GnnLayer::GnnLayer(LayerKind kind, Params params, std::size_t in_dim,
 }
 
 void GnnLayer::repack() {
-  // Weights are packed at the precision active NOW (--precision); a later
-  // set_precision() only takes effect through another repack.
-  const Precision precision = active_precision();
   packed_.clear();
   if (const auto* gc = std::get_if<GraphConvParams>(&params_)) {
-    packed_.push_back(PackedMatrix::pack(gc->weight, precision));
+    packed_.push_back(PackedMatrix::pack(gc->weight));
   } else if (const auto* sage = std::get_if<SageParams>(&params_)) {
-    packed_.push_back(PackedMatrix::pack(sage->w_self, precision));
-    packed_.push_back(PackedMatrix::pack(sage->w_neigh, precision));
+    packed_.push_back(PackedMatrix::pack(sage->w_self));
+    packed_.push_back(PackedMatrix::pack(sage->w_neigh));
   } else {
     const auto& gin = std::get<GinParams>(params_);
-    packed_.push_back(PackedMatrix::pack(gin.w1, precision));
-    packed_.push_back(PackedMatrix::pack(gin.w2, precision));
+    packed_.push_back(PackedMatrix::pack(gin.w1));
+    packed_.push_back(PackedMatrix::pack(gin.w2));
   }
-  packed_precision_ = precision;
 }
 
 GnnLayer GnnLayer::random(LayerKind kind, std::size_t in_dim,

@@ -89,28 +89,20 @@ class GnnLayer {
 
   // Mutable access to the weights (the trainer's optimizer path).
   // Invalidates the packed-panel cache: subsequent update_* calls fall back
-  // to the unpacked f32 kernels — bit-identical results at f32 precision,
-  // just slower — until repack() is called. (At bf16/int8 the fallback is
-  // the full-precision reference, NOT the quantized panels; the trainer
-  // always runs at f32, so the distinction only matters to code that
-  // mutates weights mid-inference.)
+  // to the unpacked kernels — bit-identical results, just slower — until
+  // repack() is called.
   Params& mutable_params() {
     packed_.clear();
     return params_;
   }
 
-  // Re-derives the packed weight panels from the current params at the
-  // ACTIVE precision (tensor/precision.h) — called by the constructor, so
-  // benches apply --precision before building the model. Call after
-  // mutating weights (or after set_precision) to restore the packed fast
-  // path. GNN layer weights are immutable across the stream, so in steady
-  // state every update_row / update_matrix on every engine's hot path reads
-  // the panels packed once at model load.
+  // Re-derives the packed weight panels from the current params — called
+  // by the constructor. Call after mutating weights to restore the packed
+  // fast path. GNN layer weights are immutable across the stream, so in
+  // steady state every update_row / update_matrix on every engine's hot
+  // path reads the panels packed once at model load.
   void repack();
   bool has_packed_weights() const { return !packed_.empty(); }
-  // Precision the current panels were packed at (meaningful only when
-  // has_packed_weights()).
-  Precision packed_precision() const { return packed_precision_; }
 
   // Number of learnable scalars (reporting / optimizer sizing).
   std::size_t num_parameters() const;
@@ -122,10 +114,8 @@ class GnnLayer {
   std::size_t out_dim_;
   // Packed panels per weight matrix in declaration order (GC: [W];
   // SAGE: [W_self, W_neigh]; GIN: [W1, W2]). Empty means stale (weights
-  // were handed out mutably); biases are row vectors and stay unpacked f32
-  // in every precision (they are O(out_dim), not worth narrowing).
+  // were handed out mutably); biases are row vectors and stay unpacked.
   std::vector<PackedMatrix> packed_;
-  Precision packed_precision_ = Precision::kF32;
 };
 
 }  // namespace ripple

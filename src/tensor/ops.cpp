@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "common/scheduler.h"
 #include "common/thread_pool.h"
@@ -9,27 +10,6 @@
 namespace ripple {
 
 namespace {
-
-// Selects the gemm/gemv table entry matching the pack's storage precision
-// (kernels.h): these wrappers are the single place precision dispatch
-// happens, so layer and engine code just passes panels around.
-auto gemm_packed_fn(const KernelOps& ops, Precision p) {
-  switch (p) {
-    case Precision::kF32: return ops.gemm_packed;
-    case Precision::kBf16: return ops.gemm_packed_bf16;
-    case Precision::kInt8: return ops.gemm_packed_int8;
-  }
-  return ops.gemm_packed;
-}
-
-auto gemv_packed_fn(const KernelOps& ops, Precision p) {
-  switch (p) {
-    case Precision::kF32: return ops.gemv_accum_packed;
-    case Precision::kBf16: return ops.gemv_accum_packed_bf16;
-    case Precision::kInt8: return ops.gemv_accum_packed_int8;
-  }
-  return ops.gemv_accum_packed;
-}
 
 // One body for both parallel backends (ThreadPool static chunks vs
 // work-stealing row blocks). Row results are split-independent, so the
@@ -45,9 +25,9 @@ void gemm_impl(const Matrix& a, const PackedMatrix& b, Matrix& c, Par* par) {
   const std::size_t k = a.cols();
   const std::size_t n = b.cols();
   const KernelOps& ops = kernels();
-  const auto gemm_fn = gemm_packed_fn(ops, b.precision());
   auto rows = [&](std::size_t lo, std::size_t hi) {
-    gemm_fn(a.data() + lo * k, hi - lo, k, k, b, c.data() + lo * n, n);
+    ops.gemm_packed(a.data() + lo * k, hi - lo, k, k, b, c.data() + lo * n,
+                    n);
   };
   if (par != nullptr && m >= 128) {
     if constexpr (std::is_same_v<Par, ThreadPool>) {
@@ -233,15 +213,13 @@ void gemv_row(std::span<const float> x, const PackedMatrix& w,
               std::span<float> y) {
   RIPPLE_CHECK(x.size() == w.rows() && y.size() == w.cols());
   std::fill(y.begin(), y.end(), 0.0f);
-  const KernelOps& ops = kernels();
-  gemv_packed_fn(ops, w.precision())(x.data(), x.size(), w, y.data());
+  kernels().gemv_accum_packed(x.data(), x.size(), w, y.data());
 }
 
 void gemv_row_accum(std::span<const float> x, const PackedMatrix& w,
                     std::span<float> y) {
   RIPPLE_CHECK(x.size() == w.rows() && y.size() == w.cols());
-  const KernelOps& ops = kernels();
-  gemv_packed_fn(ops, w.precision())(x.data(), x.size(), w, y.data());
+  kernels().gemv_accum_packed(x.data(), x.size(), w, y.data());
 }
 
 void vec_copy(std::span<const float> src, std::span<float> dst) {

@@ -102,109 +102,6 @@ void s_gemm_packed(const float* a, std::size_t m, std::size_t k,
   }
 }
 
-// Reduced-precision reference kernels (precision.h): identical loop shapes
-// to the f32 packed kernels with a per-element dequant folded in. These
-// define the chains every SIMD tier must reproduce bit-for-bit at a fixed
-// precision.
-
-void s_gemv_accum_packed_bf16(const float* x, std::size_t k,
-                              const PackedMatrix& w, float* y) {
-  constexpr std::size_t kW = PackedMatrix::kPanelWidth;
-  const std::size_t n = w.cols();
-  for (std::size_t pj = 0; pj < w.num_panels(); ++pj) {
-    const std::size_t j0 = pj * kW;
-    const std::size_t jw = std::min(kW, n - j0);
-    const std::uint16_t* panel = w.panel_bf16(pj);
-    float* yj = y + j0;
-    for (std::size_t p = 0; p < k; ++p) {
-      const float xp = x[p];
-      const std::uint16_t* bp = panel + p * kW;
-      for (std::size_t lane = 0; lane < jw; ++lane) {
-        yj[lane] += xp * bf16_to_f32(bp[lane]);
-      }
-    }
-  }
-}
-
-void s_gemm_packed_bf16(const float* a, std::size_t m, std::size_t k,
-                        std::size_t lda, const PackedMatrix& b, float* c,
-                        std::size_t ldc) {
-  constexpr std::size_t kW = PackedMatrix::kPanelWidth;
-  const std::size_t n = b.cols();
-  for (std::size_t pj = 0; pj < b.num_panels(); ++pj) {
-    const std::size_t j0 = pj * kW;
-    const std::size_t jw = std::min(kW, n - j0);
-    const std::uint16_t* panel = b.panel_bf16(pj);
-    for (std::size_t i = 0; i < m; ++i) {
-      float acc[kW] = {0};
-      const float* ai = a + i * lda;
-      for (std::size_t p = 0; p < k; ++p) {
-        const float aip = ai[p];
-        const std::uint16_t* bp = panel + p * kW;
-        for (std::size_t lane = 0; lane < kW; ++lane) {
-          acc[lane] += aip * bf16_to_f32(bp[lane]);
-        }
-      }
-      float* ci = c + i * ldc + j0;
-      for (std::size_t lane = 0; lane < jw; ++lane) ci[lane] = acc[lane];
-    }
-  }
-}
-
-void s_gemv_accum_packed_int8(const float* x, std::size_t k,
-                              const PackedMatrix& w, float* y) {
-  constexpr std::size_t kW = PackedMatrix::kPanelWidth;
-  const std::size_t n = w.cols();
-  for (std::size_t pj = 0; pj < w.num_panels(); ++pj) {
-    const std::size_t j0 = pj * kW;
-    const std::size_t jw = std::min(kW, n - j0);
-    const std::int8_t* panel = w.panel_int8(pj);
-    const float scale = w.panel_scale(pj);
-    float* yj = y + j0;
-    // Codes accumulate scale-free; the panel scale applies ONCE at the end
-    // (the hoisted-scale chain in kernels.h).
-    float acc[kW] = {0};
-    for (std::size_t p = 0; p < k; ++p) {
-      const float xp = x[p];
-      const std::int8_t* bp = panel + p * kW;
-      for (std::size_t lane = 0; lane < kW; ++lane) {
-        acc[lane] += xp * static_cast<float>(bp[lane]);
-      }
-    }
-    for (std::size_t lane = 0; lane < jw; ++lane) {
-      yj[lane] += scale * acc[lane];
-    }
-  }
-}
-
-void s_gemm_packed_int8(const float* a, std::size_t m, std::size_t k,
-                        std::size_t lda, const PackedMatrix& b, float* c,
-                        std::size_t ldc) {
-  constexpr std::size_t kW = PackedMatrix::kPanelWidth;
-  const std::size_t n = b.cols();
-  for (std::size_t pj = 0; pj < b.num_panels(); ++pj) {
-    const std::size_t j0 = pj * kW;
-    const std::size_t jw = std::min(kW, n - j0);
-    const std::int8_t* panel = b.panel_int8(pj);
-    const float scale = b.panel_scale(pj);
-    for (std::size_t i = 0; i < m; ++i) {
-      float acc[kW] = {0};
-      const float* ai = a + i * lda;
-      for (std::size_t p = 0; p < k; ++p) {
-        const float aip = ai[p];
-        const std::int8_t* bp = panel + p * kW;
-        for (std::size_t lane = 0; lane < kW; ++lane) {
-          acc[lane] += aip * static_cast<float>(bp[lane]);
-        }
-      }
-      float* ci = c + i * ldc + j0;
-      for (std::size_t lane = 0; lane < jw; ++lane) {
-        ci[lane] = scale * acc[lane];
-      }
-    }
-  }
-}
-
 const KernelOps kScalarOps = {
     .isa = KernelIsa::kScalar,
     .vec_add = s_vec_add,
@@ -216,10 +113,6 @@ const KernelOps kScalarOps = {
     .gemv_accum = s_gemv_accum,
     .gemv_accum_packed = s_gemv_accum_packed,
     .gemm_packed = s_gemm_packed,
-    .gemv_accum_packed_bf16 = s_gemv_accum_packed_bf16,
-    .gemm_packed_bf16 = s_gemm_packed_bf16,
-    .gemv_accum_packed_int8 = s_gemv_accum_packed_int8,
-    .gemm_packed_int8 = s_gemm_packed_int8,
 };
 
 }  // namespace

@@ -72,8 +72,23 @@ TEST(Flags, DoubleParsing) {
 }
 
 TEST(Flags, BoolExplicitFalse) {
-  const auto flags = make_flags({"--verbose=false"});
+  const auto flags = make_flags({"--verbose=false", "--a=0", "--b=no"});
   EXPECT_FALSE(flags.get_bool("verbose", true));
+  EXPECT_FALSE(flags.get_bool("a", true));
+  EXPECT_FALSE(flags.get_bool("b", true));
+}
+
+TEST(Flags, MalformedBoolThrows) {
+  // A typo must not silently read as false.
+  const auto flags = make_flags({"--skip-dnc=ture"});
+  try {
+    flags.get_bool("skip-dnc", true);
+    FAIL() << "expected check_error";
+  } catch (const check_error& e) {
+    EXPECT_NE(std::string(e.what()).find("--skip-dnc=ture"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 // ---- malformed numeric values must die naming the flag, not parse as 0 ----

@@ -18,6 +18,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <limits>
 #include <optional>
