@@ -18,6 +18,9 @@
 //     HaloCache trailing trim releases the freed slots; swap-backfilled
 //     plans (MigrationOptions::swap_backfill) plus the two-pass rehome keep
 //     every rank's owned-row count flat, so churn adds no store high-water.
+// Both the table and the rows also report propose_ms, the mean wall ms of
+// one propose_migration call (the planner cost between batches; 0 for the
+// static policy, which never proposes).
 // --json emits one row per policy for bench/record_bench.sh.
 #include <cstring>
 
@@ -45,6 +48,7 @@ struct PolicyMetrics {
   std::size_t final_rank_memory_bytes = 0;
   std::size_t moves = 0;
   std::size_t migrations = 0;  // nonempty migration supersteps
+  double propose_ms = 0;       // mean wall ms per propose_migration call
   double busy_imbalance = 1.0;
   EmbeddingStore final_embeddings;  // leader gather after the last batch
 };
@@ -115,6 +119,7 @@ int main(int argc, char** argv) {
         "ripple", model, scenario.snapshot, features, partition, nullptr,
         default_transport_options());
     SkewSignal signal;
+    Timer propose;
     for (const auto& batch : batches) {
       const DistBatchResult result = engine->apply_batch(batch);
       m.makespan_sec += result.total_sec();
@@ -133,12 +138,16 @@ int main(int argc, char** argv) {
         signal.accumulate(p, result.busy_share_sec(p));
       }
       if (migrate) {
-        const std::size_t executed = engine->migrate(propose_migration(
-            engine->graph(), engine->partition(), signal, options));
+        propose.start();
+        MigrationPlan plan = propose_migration(
+            engine->graph(), engine->partition(), signal, options);
+        propose.stop();
+        const std::size_t executed = engine->migrate(std::move(plan));
         m.moves += executed;
         m.migrations += executed > 0 ? 1 : 0;
       }
     }
+    m.propose_ms = propose.mean_sec() * 1e3;
     m.final_rank_memory_bytes = engine->memory_bytes();
     m.busy_imbalance = signal.imbalance(parts);
     m.final_embeddings = engine->gather_embeddings();
@@ -153,6 +162,7 @@ int main(int argc, char** argv) {
         best.makespan_sec = m.makespan_sec;
         best.comm_sec = m.comm_sec;
       }
+      best.propose_ms = std::min(best.propose_ms, m.propose_ms);
     }
     return best;
   };
@@ -177,18 +187,20 @@ int main(int argc, char** argv) {
           "\"batch_size\":%zu,\"makespan_sec\":%.6g,\"comm_sec\":%.6g,"
           "\"wire_bytes\":%zu,\"wire_messages\":%zu,"
           "\"peak_rank_memory_bytes\":%zu,\"final_rank_memory_bytes\":%zu,"
-          "\"moves\":%zu,\"migrations\":%zu}\n",
+          "\"moves\":%zu,\"migrations\":%zu,\"propose_ms\":%.6g}\n",
           m->policy.c_str(), parts, scenario.num_vertices, dc.num_windows,
           batches.size(), dc.batch_size, m->makespan_sec, m->comm_sec,
           m->wire_bytes, m->wire_messages, m->peak_rank_memory_bytes,
-          m->final_rank_memory_bytes, m->moves, m->migrations);
+          m->final_rank_memory_bytes, m->moves, m->migrations,
+          m->propose_ms);
     }
     std::fflush(stdout);
     return 0;
   }
 
   TextTable table({"Policy", "Makespan (s)", "Comm (s)", "Wire bytes",
-                   "Messages", "Peak rank mem", "Final rank mem", "Moves"});
+                   "Messages", "Peak rank mem", "Final rank mem", "Moves",
+                   "Propose (ms)"});
   for (const auto* m : {&st, &mg}) {
     table.add_row({m->policy,
                    TextTable::fmt(m->makespan_sec, 4),
@@ -200,7 +212,9 @@ int main(int argc, char** argv) {
                        static_cast<double>(m->peak_rank_memory_bytes)),
                    TextTable::fmt_si(
                        static_cast<double>(m->final_rank_memory_bytes)),
-                   TextTable::fmt_int(static_cast<std::int64_t>(m->moves))});
+                   TextTable::fmt_int(static_cast<std::int64_t>(m->moves)),
+                   m->policy == "migrate" ? TextTable::fmt(m->propose_ms, 3)
+                                          : std::string("-")});
   }
   table.print();
   std::printf(

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <map>
 #include <queue>
 
 #include "common/check.h"
@@ -304,35 +305,43 @@ MigrationPlan propose_migration(const DynamicGraph& graph,
   }
   if (options.swap_backfill) {
     // Pair each shed with a return: the destination hands back its best
-    // cut-gain vertex toward the shedding part, restoring both sizes. The
-    // scan order (plan order, then ascending vertex id within the
-    // destination) is a total order, so replicas stay in lockstep.
+    // cut-gain vertex toward the shedding part, restoring both sizes. A
+    // return's gain reads only the pre-plan table (it changes in apply(),
+    // never here), so each (to → from) pair ranks its candidates once, in
+    // the total order (gain desc, vertex id asc) replicas share. Sheds then
+    // take from a per-pair cursor in plan order, skipping vertices an
+    // earlier move claimed; in_plan only grows, so the cursor never backs up.
+    struct Returns {
+      std::vector<std::pair<std::int64_t, VertexId>> ranked;  // (-gain, w)
+      std::size_t next = 0;
+    };
+    std::map<std::pair<std::uint32_t, std::uint32_t>, Returns> returns;
     const std::size_t sheds = plan.size();
     for (std::size_t i = 0; i < sheds; ++i) {
       const auto shed = plan.moves[i];
-      std::int64_t best_gain = std::numeric_limits<std::int64_t>::min();
-      VertexId best = kInvalidVertex;
-      for (const VertexId w : partition.vertices_of(shed.to)) {
-        if (w >= graph.num_vertices() || in_plan[w]) continue;
-        std::int64_t toward_from = 0;
-        std::int64_t toward_to = 0;
-        for (const Neighbor& nb : graph.in_neighbors(w)) {
-          const std::uint32_t q = partition.part_of(nb.vertex);
-          toward_from += q == shed.from;
-          toward_to += q == shed.to;
+      const auto [slot, fresh] = returns.try_emplace({shed.to, shed.from});
+      Returns& pair = slot->second;
+      if (fresh) {
+        for (const VertexId w : partition.vertices_of(shed.to)) {
+          if (w >= graph.num_vertices()) continue;
+          std::int64_t gain = 0;  // edges toward `from` minus toward `to`
+          for (const auto side :
+               {graph.in_neighbors(w), graph.out_neighbors(w)}) {
+            for (const Neighbor& nb : side) {
+              const std::uint32_t q = partition.part_of(nb.vertex);
+              gain += (q == shed.from) - (q == shed.to);
+            }
+          }
+          pair.ranked.push_back({-gain, w});
         }
-        for (const Neighbor& nb : graph.out_neighbors(w)) {
-          const std::uint32_t q = partition.part_of(nb.vertex);
-          toward_from += q == shed.from;
-          toward_to += q == shed.to;
-        }
-        const std::int64_t gain = toward_from - toward_to;
-        if (gain > best_gain) {
-          best_gain = gain;
-          best = w;
-        }
+        std::sort(pair.ranked.begin(), pair.ranked.end());
       }
-      if (best == kInvalidVertex) continue;  // unpaired shed: size drifts
+      while (pair.next < pair.ranked.size() &&
+             in_plan[pair.ranked[pair.next].second]) {
+        ++pair.next;
+      }
+      if (pair.next == pair.ranked.size()) continue;  // unpaired: size drifts
+      const VertexId best = pair.ranked[pair.next++].second;
       plan.moves.push_back({best, shed.to, shed.from});
       in_plan[best] = 1;
       ++sizes[shed.from];

@@ -164,8 +164,12 @@ struct MigrationOptions {
 // Skew detector: proposes a plan that sheds boundary vertices of hot ranks
 // to their best-affinity non-hot neighbor part (affinity = in+out neighbor
 // count, the refine_partition gain), capacity-gated and fully deterministic
-// (candidates ordered by cut gain desc, then vertex id). Returns an empty
-// plan when no rank is hot or num_parts < 2.
+// (candidates ordered by cut gain desc, then vertex id). With
+// swap_backfill, each shed p→q in plan order takes as its return the first
+// vertex of q not yet in the plan, by (gain toward p desc, vertex id asc).
+// Cost: one adjacency pass per hot part plus one per (q, p) pair the sheds
+// use, and the sorts of those candidate lists. Returns an empty plan when
+// no rank is hot or num_parts < 2.
 MigrationPlan propose_migration(const DynamicGraph& graph,
                                 const Partition& partition,
                                 const SkewSignal& signal,
