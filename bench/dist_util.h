@@ -31,26 +31,20 @@ inline Partition make_partition(const DynamicGraph& graph,
 
 #if RIPPLE_HAS_DIST
 
-// Run-shape selection shared by the dist benches and the distributed
-// example: --transport=sim (default, modeled cost) or --transport=tcp
-// (real sockets, measured seconds; needs --rank and --peers), and
-// --mode=bsp (default, barriered supersteps) or --mode=async (barrier-free
-// epoch with token termination; see docs/async.md).
+// Run-shape selection shared by the dist benches: --transport=sim
+// (default, modeled cost) or --transport=tcp (real sockets, measured
+// seconds; needs --rank and --peers).
 struct RunSpec {
   std::string kind = "sim";
   TcpConfig tcp;  // valid only when kind == "tcp"
-  ExecMode mode = ExecMode::kBsp;
 
   bool is_tcp() const { return kind == "tcp"; }
   std::size_t world_size() const { return tcp.peers.size(); }
-  const char* mode_name() const { return exec_mode_name(mode); }
 
   static RunSpec from_flags(const Flags& flags) {
     RunSpec spec;
     spec.kind = flags.get_choice("transport", {"sim", "tcp"}, "sim");
     if (spec.is_tcp()) spec.tcp = TcpConfig::from_flags(flags);
-    spec.mode =
-        parse_exec_mode(flags.get_choice("mode", exec_mode_choices(), "bsp"));
     return spec;
   }
 };
@@ -89,13 +83,9 @@ struct DistRunMetrics {
   double median_latency_sec = 0;
   double compute_sec = 0;          // totals across the run
   double comm_sec = 0;
-  // Stall accounting (totals of the per-batch worst rank): BSP charges the
-  // slowest rank's superstep barrier waits, async charges its poll-loop
-  // idle; epoch_sec totals the barrier-free epoch makespans (async only).
-  double epoch_sec = 0;
+  // Stall accounting: the total over batches of the slowest rank's
+  // superstep barrier waits.
   double barrier_wait_sec = 0;
-  double idle_sec = 0;
-  std::size_t token_messages = 0;
   // True when the run's seconds are measured wall clock (tcp transport)
   // rather than the cost model's output — never average the two kinds.
   bool comm_measured = false;
@@ -145,10 +135,7 @@ inline DistRunMetrics run_dist_stream(DistEngineBase& engine,
     latencies.push_back(result.total_sec());
     metrics.compute_sec += result.compute_sec;
     metrics.comm_sec += result.comm_sec;
-    metrics.epoch_sec += result.epoch_sec;
     metrics.barrier_wait_sec += result.barrier_wait_max();
-    metrics.idle_sec += result.idle_max();
-    metrics.token_messages += result.token_messages;
     metrics.comm_measured = result.comm_measured;
     metrics.wire_bytes += result.wire_bytes;
     metrics.wire_messages += result.wire_messages;
@@ -164,8 +151,7 @@ inline DistRunMetrics run_dist_stream(DistEngineBase& engine,
     ++metrics.num_batches;
     if (max_batches != 0 && metrics.num_batches >= max_batches) break;
   }
-  const double total =
-      metrics.compute_sec + metrics.comm_sec + metrics.epoch_sec;
+  const double total = metrics.compute_sec + metrics.comm_sec;
   const double updates = static_cast<double>(metrics.num_batches) *
                          static_cast<double>(batch_size);
   metrics.throughput_ups = total > 0 ? updates / total : 0;

@@ -59,9 +59,8 @@ int main(int argc, char** argv) {
   const auto partition_a = bench::make_partition(ds.graph, parts_a);
   if (!json) {
     std::printf(
-        "\n(a) %zu partitions, --mode=%s (LDG+refine cut: %zu of %zu edges)\n",
-        parts_a, run_spec.mode_name(), partition_a.edge_cut(ds.graph),
-        ds.graph.num_edges());
+        "\n(a) %zu partitions (LDG+refine cut: %zu of %zu edges)\n", parts_a,
+        partition_a.edge_cut(ds.graph), ds.graph.num_edges());
   }
   for (Workload workload : json ? std::initializer_list<Workload>{}
                                 : std::initializer_list<Workload>{
@@ -76,14 +75,12 @@ int main(int argc, char** argv) {
       const std::size_t num_batches = bench::batches_for(bs, quick ? 200 : 2000);
       auto rc = make_dist_engine(
           "rc", model, ds.graph, ds.features, partition_a, nullptr,
-          bench::make_transport(run_spec, parts_a), SchedulerMode::kSteal,
-          run_spec.mode);
+          bench::make_transport(run_spec, parts_a));
       const auto rc_run =
           bench::run_dist_stream(*rc, prepared.stream, bs, num_batches);
       auto rp = make_dist_engine(
           "ripple", model, ds.graph, ds.features, partition_a, nullptr,
-          bench::make_transport(run_spec, parts_a), SchedulerMode::kSteal,
-          run_spec.mode);
+          bench::make_transport(run_spec, parts_a));
       const auto rp_run =
           bench::run_dist_stream(*rp, prepared.stream, bs, num_batches);
       table.add_row(
@@ -110,14 +107,11 @@ int main(int argc, char** argv) {
       static_cast<std::size_t>(batch_sizes.back());
   if (!json) {
     std::printf(
-        "\n(b)+(c) strong scaling, GC-S-3L, batch size %zu, --mode=%s "
-        "(%s comm)\n",
-        bs_scaling, run_spec.mode_name(),
-        run_spec.is_tcp() ? "measured" : "modeled");
+        "\n(b)+(c) strong scaling, GC-S-3L, batch size %zu (%s comm)\n",
+        bs_scaling, run_spec.is_tcp() ? "measured" : "modeled");
   }
-  // Stall columns: BSP shows the worst rank's barrier waits, async shows
-  // the worst rank's poll-loop idle — the quantity the barrier-free epoch
-  // exists to shrink (docs/async.md).
+  // Stall columns: the total over batches of the slowest rank's superstep
+  // barrier waits.
   // "Balance" is the structural vertex-count balance of the partition;
   // "busy skew" is the worst rank's accumulated busy share over the ideal
   // (1.00 == perfectly even load) — the skew detector's trigger quantity.
@@ -132,37 +126,32 @@ int main(int argc, char** argv) {
     const std::size_t num_batches = quick ? 2 : 4;
     auto rc = make_dist_engine(
         "rc", model, ds.graph, ds.features, partition, nullptr,
-        bench::make_transport(run_spec, static_cast<std::size_t>(parts)),
-        SchedulerMode::kSteal, run_spec.mode);
+        bench::make_transport(run_spec, static_cast<std::size_t>(parts)));
     const auto rc_run =
         bench::run_dist_stream(*rc, prepared.stream, bs_scaling, num_batches);
     auto rp = make_dist_engine(
         "ripple", model, ds.graph, ds.features, partition, nullptr,
-        bench::make_transport(run_spec, static_cast<std::size_t>(parts)),
-        SchedulerMode::kSteal, run_spec.mode);
+        bench::make_transport(run_spec, static_cast<std::size_t>(parts)));
     const auto rp_run =
         bench::run_dist_stream(*rp, prepared.stream, bs_scaling, num_batches);
     if (json) {
       for (const auto* run : {&rc_run, &rp_run}) {
         std::printf(
             "{\"bench\":\"fig12_dist\",\"dataset\":\"papers-s\","
-            "\"engine\":\"%s\",\"mode\":\"%s\",\"parts\":%lld,"
+            "\"engine\":\"%s\",\"parts\":%lld,"
             "\"edge_cut\":%zu,\"balance\":%.4f,\"batch_size\":%zu,"
             "\"num_batches\":%zu,"
             "\"throughput_ups\":%.6g,\"compute_sec\":%.6g,"
-            "\"comm_sec\":%.6g,\"epoch_sec\":%.6g,"
-            "\"barrier_wait_sec\":%.6g,\"idle_sec\":%.6g,"
-            "\"token_messages\":%zu,\"comm_measured\":%s,"
+            "\"comm_sec\":%.6g,\"barrier_wait_sec\":%.6g,"
+            "\"comm_measured\":%s,"
             "\"wire_bytes\":%zu,\"wire_messages\":%zu,"
             "\"retries\":%zu,\"timeouts\":%zu,\"heartbeats\":%zu,"
             "\"rank_memory_bytes\":%zu,\"busy_imbalance\":%.4f,"
             "\"busy_share_sec\":[",
-            run->engine.c_str(), run_spec.mode_name(),
-            static_cast<long long>(parts), partition.edge_cut(ds.graph),
+            run->engine.c_str(), static_cast<long long>(parts), partition.edge_cut(ds.graph),
             partition.balance(), run->batch_size, run->num_batches,
             run->throughput_ups, run->compute_sec, run->comm_sec,
-            run->epoch_sec, run->barrier_wait_sec, run->idle_sec,
-            run->token_messages, run->comm_measured ? "true" : "false",
+            run->barrier_wait_sec, run->comm_measured ? "true" : "false",
             run->wire_bytes, run->wire_messages, run->retries,
             run->timeouts, run->heartbeats, run->rank_memory_bytes,
             run->busy_imbalance());
@@ -174,7 +163,6 @@ int main(int argc, char** argv) {
       std::fflush(stdout);
       continue;
     }
-    const bool async = run_spec.mode == ExecMode::kAsync;
     table.add_row(
         {TextTable::fmt_int(parts),
          TextTable::fmt_si(static_cast<double>(partition.edge_cut(ds.graph))),
@@ -185,8 +173,8 @@ int main(int argc, char** argv) {
          TextTable::fmt(rc_run.comm_sec, 3),
          TextTable::fmt(rp_run.compute_sec, 3),
          TextTable::fmt(rp_run.comm_sec, 3),
-         TextTable::fmt(async ? rc_run.idle_sec : rc_run.barrier_wait_sec, 3),
-         TextTable::fmt(async ? rp_run.idle_sec : rp_run.barrier_wait_sec, 3),
+         TextTable::fmt(rc_run.barrier_wait_sec, 3),
+         TextTable::fmt(rp_run.barrier_wait_sec, 3),
          TextTable::fmt_si(static_cast<double>(rc_run.wire_bytes)),
          TextTable::fmt_si(static_cast<double>(rp_run.wire_bytes)),
          rp_run.wire_bytes > 0

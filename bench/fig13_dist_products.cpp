@@ -50,8 +50,7 @@ int main(int argc, char** argv) {
   const std::size_t parts_a =
       static_cast<std::size_t>(part_counts.back());
   const auto partition_a = bench::make_partition(ds.graph, parts_a);
-  std::printf("\n(a) %zu partitions, --mode=%s\n", parts_a,
-              run_spec.mode_name());
+  std::printf("\n(a) %zu partitions\n", parts_a);
   TextTable table_a({"Batch", "RC up/s", "Ripple up/s",
                      "RC med lat (s)", "Ripple med lat (s)"});
   for (const auto batch_size : batch_sizes) {
@@ -59,14 +58,12 @@ int main(int argc, char** argv) {
     const std::size_t num_batches = bench::batches_for(bs, quick ? 150 : 1500);
     auto rc = make_dist_engine(
         "rc", model, ds.graph, ds.features, partition_a, nullptr,
-        bench::make_transport(run_spec, parts_a), SchedulerMode::kSteal,
-        run_spec.mode);
+        bench::make_transport(run_spec, parts_a));
     const auto rc_run =
         bench::run_dist_stream(*rc, prepared.stream, bs, num_batches);
     auto rp = make_dist_engine(
         "ripple", model, ds.graph, ds.features, partition_a, nullptr,
-        bench::make_transport(run_spec, parts_a), SchedulerMode::kSteal,
-        run_spec.mode);
+        bench::make_transport(run_spec, parts_a));
     const auto rp_run =
         bench::run_dist_stream(*rp, prepared.stream, bs, num_batches);
     table_a.add_row({TextTable::fmt_int(batch_size),
@@ -79,42 +76,36 @@ int main(int argc, char** argv) {
 
   // ---- (b) compute/comm scaling at the largest batch size ----
   const auto bs_scaling = static_cast<std::size_t>(batch_sizes.back());
-  std::printf("\n(b) compute/comm split, batch size %zu, --mode=%s (%s comm)\n",
-              bs_scaling, run_spec.mode_name(),
-              run_spec.is_tcp() ? "measured" : "modeled");
-  // "stall" = barrier waits under --mode=bsp, poll-loop idle under async.
+  std::printf("\n(b) compute/comm split, batch size %zu (%s comm)\n",
+              bs_scaling, run_spec.is_tcp() ? "measured" : "modeled");
+  // "stall" = the slowest rank's superstep barrier waits.
   TextTable table_b({"Parts", "RC comp (s)", "RC comm (s)", "RC stall (s)",
                      "RP comp (s)", "RP comm (s)", "RP stall (s)",
                      "RC total", "RP total"});
-  const bool async = run_spec.mode == ExecMode::kAsync;
   for (const auto parts : part_counts) {
     const auto partition =
         bench::make_partition(ds.graph, static_cast<std::size_t>(parts));
     const std::size_t num_batches = quick ? 2 : 3;
     auto rc = make_dist_engine(
         "rc", model, ds.graph, ds.features, partition, nullptr,
-        bench::make_transport(run_spec, static_cast<std::size_t>(parts)),
-        SchedulerMode::kSteal, run_spec.mode);
+        bench::make_transport(run_spec, static_cast<std::size_t>(parts)));
     const auto rc_run =
         bench::run_dist_stream(*rc, prepared.stream, bs_scaling, num_batches);
     auto rp = make_dist_engine(
         "ripple", model, ds.graph, ds.features, partition, nullptr,
-        bench::make_transport(run_spec, static_cast<std::size_t>(parts)),
-        SchedulerMode::kSteal, run_spec.mode);
+        bench::make_transport(run_spec, static_cast<std::size_t>(parts)));
     const auto rp_run =
         bench::run_dist_stream(*rp, prepared.stream, bs_scaling, num_batches);
     table_b.add_row(
         {TextTable::fmt_int(parts),
          TextTable::fmt(rc_run.compute_sec, 3),
          TextTable::fmt(rc_run.comm_sec, 3),
-         TextTable::fmt(async ? rc_run.idle_sec : rc_run.barrier_wait_sec, 3),
+         TextTable::fmt(rc_run.barrier_wait_sec, 3),
          TextTable::fmt(rp_run.compute_sec, 3),
          TextTable::fmt(rp_run.comm_sec, 3),
-         TextTable::fmt(async ? rp_run.idle_sec : rp_run.barrier_wait_sec, 3),
-         TextTable::fmt(rc_run.compute_sec + rc_run.comm_sec +
-                            rc_run.epoch_sec, 3),
-         TextTable::fmt(rp_run.compute_sec + rp_run.comm_sec +
-                            rp_run.epoch_sec, 3)});
+         TextTable::fmt(rp_run.barrier_wait_sec, 3),
+         TextTable::fmt(rc_run.compute_sec + rc_run.comm_sec, 3),
+         TextTable::fmt(rp_run.compute_sec + rp_run.comm_sec, 3)});
   }
   table_b.print();
   std::printf(

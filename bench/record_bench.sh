@@ -8,15 +8,15 @@
 #     each case under the scalar tier and the dispatched tier);
 #   * bench_parallel_scaling --quick (end-to-end engine throughput) at
 #     --kernels=auto and --kernels=scalar;
-#   * bench_fig12_dist_papers --quick --json at --mode=bsp AND
-#     --mode=async (distributed scaling sweep): throughput, wire traffic,
+#   * bench_fig12_dist_papers --quick --json (distributed scaling sweep,
+#     modeled): throughput, wire traffic, barrier stall, and
 #     rank_memory_bytes — the PER-RANK resident footprint (owned rows +
-#     halo), which must shrink as the partition count grows — and the
-#     bsp-vs-async stall split (barrier_wait_sec vs idle_sec/epoch_sec),
-#     the committed record that the barrier-free epoch models below the
-#     BSP total for the same stream (docs/async.md);
-#   * bench_recovery --quick --json at --mode=bsp AND --mode=async
-#     (docs/fault_tolerance.md): the periodic checkpoint tax
+#     halo), which must shrink as the partition count grows;
+#   * the same fig12 sweep once more over two local TcpTransport ranks
+#     (--transport=tcp, rank 1 in the background): one measured row per
+#     engine ("comm_measured":true), real seconds and real sockets;
+#   * bench_recovery --quick --json (docs/fault_tolerance.md): the
+#     periodic checkpoint tax
 #     (checkpoint_write_sec, checkpoint_bytes) and the recovery cost
 #     (restore_sec + recovery_replay_sec), each row bit-verifying the
 #     recovered embeddings against the uninterrupted run ("exact":true);
@@ -61,15 +61,21 @@ for kernels in auto scalar; do
     >>"$rows_file" 2>>"$diag_file"
 done
 
-for mode in bsp async; do
-  "$build/bench_fig12_dist_papers" --quick --json --mode="$mode" \
-    >>"$rows_file" 2>>"$diag_file"
-done
+"$build/bench_fig12_dist_papers" --quick --json >>"$rows_file" 2>>"$diag_file"
 
-for mode in bsp async; do
-  "$build/bench_recovery" --quick --json --mode="$mode" \
-    >>"$rows_file" 2>>"$diag_file"
-done
+# Measured fig12 rows: two ranks over loopback TCP. Only rank 0 prints;
+# rank 1 runs the identical sweep in the background. FIG12_TCP_PORT moves
+# the two ports (default 7311, 7312) off anything already listening.
+port="${FIG12_TCP_PORT:-7311}"
+peers="127.0.0.1:$port,127.0.0.1:$((port + 1))"
+"$build/bench_fig12_dist_papers" --quick --json --transport=tcp --rank=1 \
+  --peers="$peers" >/dev/null 2>>"$diag_file" &
+rank1=$!
+"$build/bench_fig12_dist_papers" --quick --json --transport=tcp --rank=0 \
+  --peers="$peers" >>"$rows_file" 2>>"$diag_file"
+wait "$rank1"
+
+"$build/bench_recovery" --quick --json >>"$rows_file" 2>>"$diag_file"
 
 "$build/bench_drift_scenario" --json >>"$rows_file" 2>>"$diag_file"
 

@@ -77,8 +77,6 @@ int main(int argc, char** argv) {
   const auto part_counts = flags.get_int_list(
       "partitions", quick ? std::vector<std::int64_t>{4, 8}
                           : std::vector<std::int64_t>{4, 8, 16});
-  const ExecMode mode =
-      parse_exec_mode(flags.get_choice("mode", exec_mode_choices(), "bsp"));
   set_log_level(log_level::warn);
   set_transport_options(TransportOptions::from_flags(flags));
 
@@ -107,8 +105,7 @@ int main(int argc, char** argv) {
       // ranks' files.
       auto engine = make_dist_engine(key, model, ds.graph, ds.features,
                                      partition, nullptr,
-                                     default_transport_options(),
-                                     SchedulerMode::kSteal, mode);
+                                     default_transport_options());
       double write_sec = 0;
       std::size_t checkpoints = 0;
       std::size_t applied = 0;
@@ -141,8 +138,7 @@ int main(int argc, char** argv) {
                                                  prefix_updates));
       auto recovered = make_dist_engine(key, model, topo, ds.features,
                                         partition, nullptr,
-                                        default_transport_options(),
-                                        SchedulerMode::kSteal, mode);
+                                        default_transport_options());
       StopWatch restore_watch;
       recovered->restore_checkpoint(dir, *cursor);
       const double restore_sec = restore_watch.elapsed_sec();
@@ -171,7 +167,7 @@ int main(int argc, char** argv) {
       if (json) {
         std::printf(
             "{\"bench\":\"recovery\",\"dataset\":\"papers-s\","
-            "\"engine\":\"%s\",\"mode\":\"%s\",\"parts\":%zu,"
+            "\"engine\":\"%s\",\"parts\":%zu,"
             "\"batch_size\":%zu,\"num_batches\":%zu,"
             "\"checkpoint_every\":%zu,\"checkpoints\":%zu,"
             "\"checkpoint_write_sec\":%.6g,"
@@ -179,7 +175,7 @@ int main(int argc, char** argv) {
             "\"checkpoint_bytes\":%zu,\"restore_cursor\":%llu,"
             "\"restore_sec\":%.6g,\"recovery_replay_sec\":%.6g,"
             "\"replayed_batches\":%zu,\"exact\":%s}\n",
-            key, exec_mode_name(mode), num_parts, batch_size, batches.size(),
+            key, num_parts, batch_size, batches.size(),
             checkpoint_every, checkpoints, write_sec,
             checkpoints ? write_sec / static_cast<double>(checkpoints) : 0.0,
             checkpoint_bytes,

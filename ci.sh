@@ -19,12 +19,10 @@ ctest --test-dir build -LE unit --output-on-failure -j "$(nproc)"
 # rows), the halo-cache invalidation tests, and the memory-scaling
 # property (a P=4 rank under half the P=1 footprint) — plus the
 # wire-precision conformance test (--wire-precision=bf16 halves row
-# payloads, tcp bit-identical to sim), the --mode=async conformance
-# axis (hop-stamped row frames + the Safra token ring over real sockets,
-# bit-identical to BSP and to sim; see docs/async.md), and the migration
-# conformance pass (migration supersteps after every batch over real
-# sockets: re-homed ownership, gathered embeddings and per-batch counter
-# sums all bit-identical to sim; see docs/repartition.md). The fault tier
+# payloads, tcp bit-identical to sim) and the migration conformance pass
+# (migration supersteps after every batch over real sockets: re-homed
+# ownership, gathered embeddings and per-batch counter sums all
+# bit-identical to sim; see docs/repartition.md). The fault tier
 # rides the same env gate: RIPPLE_TRANSPORT=tcp un-skips the forked
 # rank-kill recovery drill (tests/dist/test_rank_kill.cpp) — a real
 # SIGKILL mid-run, restore from the on-disk checkpoints, replay over real
@@ -34,8 +32,7 @@ RIPPLE_TRANSPORT=tcp ctest --test-dir build -L dist --output-on-failure \
 # Owned-row shipping smoke through real binaries: each run RIPPLE_CHECKs
 # bit-exactness at bench scale through migrate, checkpoint, restore and
 # the leader gather (a few seconds each).
-./build/bench_recovery --quick --mode=bsp >/dev/null
-./build/bench_recovery --quick --mode=async >/dev/null
+./build/bench_recovery --quick >/dev/null
 ./build/bench_drift_scenario --quick >/dev/null
 # Example smoke (about a second each): the quickstart tour runs to the end,
 # and fraud_detection's StreamingServer flip callbacks report the same
@@ -53,19 +50,17 @@ cmake -B build-tsan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DRIPPLE_BUILD_BENCHES=OFF -DRIPPLE_BUILD_EXAMPLES=OFF
 cmake --build build-tsan -j "$(nproc)"
 ctest --test-dir build-tsan -L unit --output-on-failure -j "$(nproc)"
-# TSan also sweeps the async axes: the dependency-counted pending-cell
-# worklists and the Safra termination ring (--mode=async) interleave
-# stealing workers with serial credit bookkeeping, exactly the shape TSan
-# exists to check. The migration suite rides along: its supersteps run
-# between batches on the same stealing pool, so a racy rehome would
-# surface here. The fault-injection and checkpoint suites join the sweep:
-# injected drops/duplicates/corruption drive the async error paths under
-# the same stealing pool, and a race in the typed-error unwinding would be
-# invisible in a normal build. (The forked rank-kill drills stay out:
+# TSan also sweeps the dist engine suite, whose apply phases run stealing
+# workers over per-partition shards. The migration suite rides along: its
+# supersteps run between batches on the same stealing pool, so a racy
+# rehome would surface here. The fault-injection and checkpoint suites
+# join the sweep: injected kills and corruption unwind typed errors out of
+# the same stealing pool, and a race there would be invisible in a normal
+# build. (The forked rank-kill drills stay out:
 # fork + SIGKILL under TSan's runtime is noise, and the ASan fault pass
 # below covers them.)
 ctest --test-dir build-tsan \
-  -R "dist_engine|dist_termination|dist_async|dist_migration|dist_fault_inject|dist_checkpoint" \
+  -R "dist_engine|dist_migration|dist_fault_inject|dist_checkpoint" \
   --output-on-failure -j "$(nproc)"
 
 # AddressSanitizer + UndefinedBehaviorSanitizer pass over the unit and

@@ -45,10 +45,6 @@ int main(int argc, char** argv) {
   const std::string transport_kind =
       flags.get_choice("transport", {"sim", "tcp"}, "sim");
   const bool use_tcp = transport_kind == "tcp";
-  // --mode=async retires the per-hop barriers for a token-terminated
-  // barrier-free epoch (docs/async.md); the embeddings are bit-identical.
-  const ExecMode mode =
-      parse_exec_mode(flags.get_choice("mode", exec_mode_choices(), "bsp"));
   TcpConfig tcp_config;
   if (use_tcp) tcp_config = TcpConfig::from_flags(flags);
   const auto num_parts =
@@ -89,11 +85,9 @@ int main(int argc, char** argv) {
                 : std::make_unique<SimTransport>(num_parts,
                                                  default_transport_options());
     auto engine = make_dist_engine(key, model, ds.graph, ds.features,
-                                   partition, nullptr, std::move(transport),
-                                   SchedulerMode::kSteal, mode);
+                                   partition, nullptr, std::move(transport));
     double compute = 0;
     double comm = 0;
-    double epoch = 0;
     double stall = 0;
     std::size_t bytes = 0;
     std::size_t batches = 0;
@@ -102,21 +96,17 @@ int main(int argc, char** argv) {
       const auto result = engine->apply_batch(batch);
       compute += result.compute_sec;
       comm += result.comm_sec;
-      epoch += result.epoch_sec;
-      stall += mode == ExecMode::kAsync ? result.idle_max()
-                                        : result.barrier_wait_max();
+      stall += result.barrier_wait_max();
       bytes += result.wire_bytes;
       measured = result.comm_measured;
       if (++batches >= 6) break;
     }
     std::printf(
-        "%-10s  mode %-5s  compute %.3fs  %s comm %.3fs  %s %.3fs  "
+        "%-10s  compute %.3fs  %s comm %.3fs  barrier %.3fs  "
         "wire %.2f MiB  throughput %.0f up/s\n",
-        engine->name(), exec_mode_name(mode), compute,
-        measured ? "measured" : "modeled", comm,
-        mode == ExecMode::kAsync ? "idle" : "barrier", stall,
-        static_cast<double>(bytes) / (1024.0 * 1024.0),
-        static_cast<double>(batches * 100) / (compute + comm + epoch));
+        engine->name(), compute, measured ? "measured" : "modeled", comm,
+        stall, static_cast<double>(bytes) / (1024.0 * 1024.0),
+        static_cast<double>(batches * 100) / (compute + comm));
   }
   std::printf(
       "\nRipple ships only deltas of changed vertices across the cut; RC\n"

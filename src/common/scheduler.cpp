@@ -364,16 +364,4 @@ void WorkStealingScheduler::parallel_range(
   });
 }
 
-std::size_t WorkStealingScheduler::drain_until_quiet(
-    const std::function<std::size_t()>& refill,
-    const std::function<void(std::size_t)>& body) {
-  std::size_t waves = 0;
-  for (;;) {
-    const std::size_t n = refill();
-    if (n == 0) return waves;
-    run(n, {}, body);
-    ++waves;
-  }
-}
-
 }  // namespace ripple

@@ -152,17 +152,6 @@ class WorkStealingScheduler {
                       const std::function<void(std::size_t, std::size_t)>& body,
                       std::size_t min_chunk = 256);
 
-  // Drain-until-quiet region: repeatedly asks `refill` for the next wave of
-  // ready work and runs that wave as a parallel region. `refill` runs on the
-  // calling thread between waves (serial — safe for bookkeeping that feeds
-  // the next wave, e.g. crediting dependency counters from the last wave's
-  // results) and returns the wave's task count; 0 means quiet, ending the
-  // region. The async dist engines drive their per-epoch pending-delta
-  // worklists through this: every wave is the currently-ready cell set, and
-  // applying a wave readies the next. Returns the number of waves run.
-  std::size_t drain_until_quiet(const std::function<std::size_t()>& refill,
-                                const std::function<void(std::size_t)>& body);
-
   const SchedulerStats& stats() const { return stats_; }
   void reset_stats();
 

@@ -68,16 +68,6 @@ void Mailbox::mark_self_changed(VertexId v) {
   shard.self[slot_of(shard, v)] = 1;
 }
 
-void Mailbox::adopt(VertexId v, std::span<const float> delta, bool touched,
-                    bool self) {
-  RIPPLE_CHECK(delta.size() == dim_);
-  Shard& shard = mutable_shard(v);
-  const std::uint32_t slot = slot_of(shard, v);
-  vec_copy(delta, std::span<float>(shard.deltas.data() + slot * dim_, dim_));
-  if (touched) shard.touched[slot] = 1;
-  if (self) shard.self[slot] = 1;
-}
-
 bool Mailbox::contains(VertexId v) const {
   const Shard& shard = shards_[shard_of(v)];
   return shard.index.find(v) != shard.index.end();

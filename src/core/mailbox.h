@@ -85,15 +85,6 @@ class Mailbox {
   // thread-safety contract as accumulate().
   void mark_self_changed(VertexId v);
 
-  // Copies another cell's accumulated state into v's cell BIT-EXACTLY:
-  // delta is copied, not added (0.0f + x would lose the sign of a negative
-  // zero), and the flags are ORed in. The async engine uses this to relocate
-  // a vertex's batch-seed cell into the per-wave apply box so the wave's
-  // accumulation continues from exactly the bits the BSP schedule would
-  // have. Same shard-owner thread-safety contract as accumulate().
-  void adopt(VertexId v, std::span<const float> delta, bool touched,
-             bool self);
-
   bool contains(VertexId v) const;
 
   // Creates v's cell if absent and returns a view of it.

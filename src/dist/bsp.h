@@ -45,9 +45,8 @@ inline BspTiming bsp_timing_of(const Transport& transport) {
 // accumulator. Under the BSP max rule every machine waits at the phase
 // barrier for the slowest one, so partition p stalls (phase max − its own
 // endpoint) — accumulated here so benches can report how much of a batch
-// was barrier wait (exactly the time --mode=async removes). Measured runs
-// skip it: a real rank's stall is observed at the transport barrier
-// instead (Transport::superstep_wait_sec).
+// was barrier wait. Measured runs skip it: a real rank's stall is observed
+// at the transport barrier instead (Transport::superstep_wait_sec).
 template <typename Body>
 double timed_over_parts(ThreadPool* pool, std::size_t num_parts,
                         const Body& body,

@@ -13,60 +13,6 @@
 
 namespace ripple {
 
-const char* exec_mode_name(ExecMode mode) {
-  switch (mode) {
-    case ExecMode::kBsp: return "bsp";
-    case ExecMode::kAsync: return "async";
-  }
-  return "?";
-}
-
-ExecMode parse_exec_mode(const std::string& name) {
-  if (name == "bsp") return ExecMode::kBsp;
-  if (name == "async") return ExecMode::kAsync;
-  throw check_error("unknown exec mode '" + name + "' (expected bsp|async)");
-}
-
-const std::vector<std::string>& exec_mode_choices() {
-  static const std::vector<std::string> choices = {"bsp", "async"};
-  return choices;
-}
-
-void finish_epoch_timing(const Transport& transport,
-                         const std::vector<double>& busy_sec, double wall_sec,
-                         DistBatchResult& result) {
-  const std::size_t num_parts = transport.num_parts();
-  if (result.comm_measured) {
-    // Real transport: the epoch's wall clock is the figure of merit; idle
-    // is whatever part of it this rank did not spend applying cells.
-    result.epoch_sec = wall_sec;
-    for (std::size_t p = 0; p < num_parts; ++p) {
-      if (!transport.hosts(p)) continue;
-      result.idle_sec[p] = std::max(0.0, wall_sec - busy_sec[p]);
-    }
-    return;
-  }
-  // Modeled cluster: a rank's sends are non-blocking and its polls consume
-  // frames the wire already carried, so per machine the NIC pipeline and
-  // the worklist CPU overlap — a rank finishes at max(busy, comm), not
-  // busy + comm (which is the BSP shape: barriers forbid exactly this
-  // overlap, every superstep serializes a compute phase and an exchange).
-  // There is no per-hop max coupling either, so the epoch makespan sits
-  // below the BSP hop total for the same traffic (max_p Σ_l ≤ Σ_l max_p).
-  double makespan = 0.0;
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    if (!transport.hosts(p)) continue;
-    makespan = std::max(makespan,
-                        std::max(busy_sec[p], transport.epoch_comm_sec(p)));
-  }
-  result.epoch_sec = makespan;
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    if (!transport.hosts(p)) continue;
-    result.idle_sec[p] =
-        makespan - std::max(busy_sec[p], transport.epoch_comm_sec(p));
-  }
-}
-
 InboxCursors::InboxCursors(const Transport& transport)
     : transport_(transport) {
   const std::size_t num_parts = transport.num_parts();
@@ -142,22 +88,54 @@ DistEngineBase::DistEngineBase(const char* key, const GnnModel& model,
                                DynamicGraph snapshot, const Matrix& features,
                                Partition partition, ThreadPool* pool,
                                std::unique_ptr<Transport> transport,
-                               SchedulerMode scheduler, ExecMode mode)
+                               SchedulerMode scheduler)
     : model_(model), graph_(std::move(snapshot)),
       partition_(std::move(partition)),
       row_map_(partition_, graph_.num_vertices()),
-      transport_(std::move(transport)), pool_(pool), mode_(mode), key_(key) {
+      transport_(std::move(transport)), pool_(pool), key_(key) {
   if (pool_ != nullptr && scheduler == SchedulerMode::kSteal) {
     stealer_ = std::make_unique<WorkStealingScheduler>(pool_);
   }
   RIPPLE_CHECK(features.rows() == graph_.num_vertices());
   RIPPLE_CHECK_MSG(partition_.num_vertices() <= graph_.num_vertices(),
                    "partition covers more vertices than the snapshot");
-  const std::size_t num_parts = partition_.num_parts();
-  detectors_.reserve(num_parts);
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    detectors_.emplace_back(p, num_parts);
+}
+
+DistEngineBase::BatchAccount DistEngineBase::open_batch(
+    std::size_t batch_size, DistBatchResult& result) {
+  result.batch_size = batch_size;
+  result.num_parts = partition_.num_parts();
+  result.comm_measured = transport_->measures_time();
+  result.barrier_wait_sec.assign(partition_.num_parts(), 0.0);
+  if (stealer_ != nullptr) stealer_->reset_stats();
+  BatchAccount account;
+  account.timing = bsp_timing_of(*transport_);
+  if (account.timing == BspTiming::kModeled) {
+    account.wait = &result.barrier_wait_sec;
   }
+  account.wire_bytes = transport_->wire_bytes();
+  account.wire_messages = transport_->wire_messages();
+  account.retries = transport_->retries();
+  account.timeouts = transport_->timeouts();
+  account.heartbeats = transport_->heartbeats();
+  return account;
+}
+
+void DistEngineBase::add_transport_waits(DistBatchResult& result) const {
+  for (std::size_t p = 0; p < partition_.num_parts(); ++p) {
+    if (!hosts(p)) continue;
+    result.barrier_wait_sec[p] += transport_->superstep_wait_sec(p);
+  }
+}
+
+void DistEngineBase::close_batch(const BatchAccount& account,
+                                 DistBatchResult& result) const {
+  result.wire_bytes = transport_->wire_bytes() - account.wire_bytes;
+  result.wire_messages = transport_->wire_messages() - account.wire_messages;
+  result.retries = transport_->retries() - account.retries;
+  result.timeouts = transport_->timeouts() - account.timeouts;
+  result.heartbeats = transport_->heartbeats() - account.heartbeats;
+  if (stealer_ != nullptr) result.sched = stealer_->stats();
 }
 
 void DistEngineBase::scatter_owned(const std::vector<const Matrix*>& full) {
@@ -404,9 +382,6 @@ void DistEngineBase::restore_checkpoint(const std::string& dir,
                 [&](std::size_t k) { return layout[k]->row(r); });
     }
   }
-  // Halo version stamps resume monotone: the next batch stamps above
-  // anything a never-failed run committed through batch `stream_cursor`.
-  batches_applied_ = stream_cursor;
   // Exactly one refill superstep on every engine, so every rank leaves
   // restore at the same barrier index (rc's schedule is empty).
   const HaloPatch patch = halo_patch(nullptr);
@@ -432,7 +407,7 @@ std::unique_ptr<DistEngineBase> make_dist_engine(
     const DynamicGraph& snapshot, const Matrix& features,
     const Partition& partition, ThreadPool* pool,
     std::unique_ptr<Transport> transport, SchedulerMode scheduler,
-    ExecMode mode) {
+    ExecMode /*mode*/) {
   RIPPLE_CHECK(transport != nullptr);
   RIPPLE_CHECK_MSG(transport->num_parts() == partition.num_parts(),
                    "transport spans " << transport->num_parts()
@@ -441,14 +416,14 @@ std::unique_ptr<DistEngineBase> make_dist_engine(
   if (key == "ripple") {
     return std::make_unique<DistRippleEngine>(model, snapshot, features,
                                               partition, pool,
-                                              std::move(transport), scheduler,
-                                              mode);
+                                              std::move(transport),
+                                              scheduler);
   }
   if (key == "rc") {
     return std::make_unique<DistRecomputeEngine>(model, snapshot, features,
                                                  partition, pool,
                                                  std::move(transport),
-                                                 scheduler, mode);
+                                                 scheduler);
   }
   throw check_error("unknown dist engine '" + key + "' (ripple|rc)");
 }

@@ -31,7 +31,7 @@
 
 #include "common/check.h"
 #include "common/scheduler.h"
-#include "dist/termination.h"
+#include "dist/bsp.h"
 #include "dist/transport.h"
 #include "gnn/model.h"
 #include "graph/dynamic_graph.h"
@@ -42,20 +42,11 @@ namespace ripple {
 
 class ThreadPool;
 
-// Execution mode of the distributed engines (--mode). kBsp runs the classic
-// per-hop superstep barriers; kAsync replaces the hop barriers with one
-// barrier-free epoch per batch: dependency-counted pending-delta worklists,
-// eager application of frames as they arrive, and Safra-token termination
-// detection (dist/termination.h, docs/async.md). Async converges to the
-// SAME fixed point — embeddings bit-equal to BSP and single-machine after
-// quiescence — it just gets there without coupling the ranks per hop.
-enum class ExecMode { kBsp, kAsync };
-
-const char* exec_mode_name(ExecMode mode);
-// Parses "bsp" / "async"; dies with a message on anything else.
-ExecMode parse_exec_mode(const std::string& name);
-// The accepted --mode values, for Flags::get_choice.
-const std::vector<std::string>& exec_mode_choices();
+// The distributed engines run one execution mode: per-hop BSP supersteps.
+// ExecMode and make_dist_engine's `mode` parameter stay only because the
+// end-to-end benchmark (perfbench/src/dist.cpp) passes ExecMode::kBsp; both
+// go with the next benchmark change.
+enum class ExecMode { kBsp };
 
 // Per-batch outcome of a distributed engine: the compute/comm split and the
 // wire counters behind Figs. 12–13. On the simulated transport,
@@ -70,19 +61,11 @@ struct DistBatchResult {
   std::size_t affected_final = 0;         // |affected set| at hop L
   double compute_sec = 0;
   double comm_sec = 0;
-  // Async mode only: seconds of the barrier-free propagation epoch (the
-  // part that replaces the per-hop supersteps). Modeled on sim as the
-  // slowest rank's max(busy, epoch-comm) — non-blocking sends and polls
-  // overlap the NIC with the worklist CPU, and there is no per-hop max
-  // coupling, two reductions BSP's barriers forbid; measured wall clock on
-  // tcp. 0 in BSP mode (hops bill into compute_sec/comm_sec instead).
-  double epoch_sec = 0;
   // True when the transport measures real seconds (Transport::
   // measures_time()): benches must not average modeled and measured runs.
   bool comm_measured = false;
   std::size_t wire_bytes = 0;     // payload + headers, all supersteps
   std::size_t wire_messages = 0;  // messages across all supersteps
-  std::size_t token_messages = 0;  // termination tokens (async control)
   // Robustness counters, as per-batch deltas of the transport's cumulative
   // totals (docs/fault_tolerance.md): reconnect attempts burned by dial
   // backoff, deadline expiries, and liveness heartbeat frames sent from
@@ -90,25 +73,20 @@ struct DistBatchResult {
   std::size_t retries = 0;
   std::size_t timeouts = 0;
   std::size_t heartbeats = 0;
-  // Per-partition barrier stall (BSP): time spent waiting at superstep
-  // barriers behind slower endpoints — modeled on sim (slowest endpoint
-  // minus own), measured on tcp (only the local rank's slot is filled).
-  // This is exactly the time --mode=async removes.
+  // Per-partition barrier stall: time spent waiting at superstep barriers
+  // behind slower endpoints — modeled on sim (slowest endpoint minus own),
+  // measured on tcp (only the local rank's slot is filled).
   std::vector<double> barrier_wait_sec;
-  // Per-partition idle time inside an async epoch (makespan minus own
-  // busy+comm on sim; measured no-progress poll time on tcp).
-  std::vector<double> idle_sec;
   // Work-stealing scheduler stats of the apply phases (all-zero on the
   // static scheduler): see common/scheduler.h and the BSP accounting note
   // in src/dist/README.md.
   SchedulerStats sched;
-  double total_sec() const { return compute_sec + comm_sec + epoch_sec; }
+  double total_sec() const { return compute_sec + comm_sec; }
   // Per-partition busy seconds this batch: the batch total minus the
   // partition's own stall slots. On modeled timing every phase bills the
   // slowest endpoint and barrier_wait_sec[p] is exactly max − own per phase
   // (compute phases via bsp.h, comm supersteps via superstep_wait_sec), so
-  // the difference recovers each rank's own compute + own wire seconds;
-  // async epochs remove idle_sec[p] from the makespan the same way. The
+  // the difference recovers each rank's own compute + own wire seconds. The
   // base must be total_sec() — comm included — because the stall vector
   // folds in comm-barrier waits: a compute-only base would clamp every
   // rank but the comm-slowest to zero on comm-dominated runs. This is the
@@ -117,17 +95,11 @@ struct DistBatchResult {
   double busy_share_sec(std::size_t p) const {
     double busy = total_sec();
     if (p < barrier_wait_sec.size()) busy -= barrier_wait_sec[p];
-    if (p < idle_sec.size()) busy -= idle_sec[p];
     return std::max(0.0, busy);
   }
   double barrier_wait_max() const {
     double worst = 0;
     for (const double v : barrier_wait_sec) worst = std::max(worst, v);
-    return worst;
-  }
-  double idle_max() const {
-    double worst = 0;
-    for (const double v : idle_sec) worst = std::max(worst, v);
     return worst;
   }
 };
@@ -252,15 +224,45 @@ class DistEngineBase {
     std::function<void(const RowShipment&, std::span<const float>)> install;
   };
 
+  // Per-batch accounting shared by both apply_batch() implementations:
+  // open_batch() runs before the batch's first superstep and close_batch()
+  // after its last; the hop loops in between stay engine-specific.
+  struct BatchAccount {
+    // Modeled timing bills the slowest simulated partition; a measuring
+    // transport (tcp) switches every phase to this rank's real wall clock.
+    BspTiming timing = BspTiming::kModeled;
+    // Modeled runs accumulate per-partition compute-phase stalls through
+    // the bsp.h helpers (their wait_out); null on a measuring transport,
+    // which reports its own rank's stall via add_transport_waits().
+    std::vector<double>* wait = nullptr;
+    // The transport's cumulative counters when the batch opened.
+    std::size_t wire_bytes = 0;
+    std::size_t wire_messages = 0;
+    std::size_t retries = 0;
+    std::size_t timeouts = 0;
+    std::size_t heartbeats = 0;
+  };
+
   // `key` is the factory key written into checkpoint files. Checks the
-  // inputs, builds the row map, the stealing scheduler and the per-partition
-  // termination detectors; the engine allocates its hosted rows and then
-  // calls scatter_owned().
+  // inputs, builds the row map and the stealing scheduler; the engine
+  // allocates its hosted rows and then calls scatter_owned().
   DistEngineBase(const char* key, const GnnModel& model,
                  DynamicGraph snapshot, const Matrix& features,
                  Partition partition, ThreadPool* pool,
                  std::unique_ptr<Transport> transport,
-                 SchedulerMode scheduler, ExecMode mode);
+                 SchedulerMode scheduler);
+
+  // Fills the result's shape fields, sizes barrier_wait_sec, resets the
+  // stealer's stats and snapshots the transport counters. `result` must
+  // outlive the returned account (its wait pointer aims into it).
+  BatchAccount open_batch(std::size_t batch_size, DistBatchResult& result);
+  // Adds the transport's stall behind the superstep barrier that just
+  // completed to each hosted partition's barrier_wait_sec slot.
+  void add_transport_waits(DistBatchResult& result) const;
+  // Fills the wire and robustness deltas since open_batch() and copies the
+  // stealer's stats.
+  void close_batch(const BatchAccount& account,
+                   DistBatchResult& result) const;
 
   // The per-vertex owned-row layout, declared once per engine: the hosted
   // partition's row matrices (local-row indexed) in wire order. Row width,
@@ -306,9 +308,6 @@ class DistEngineBase {
   // workers, and its modeled endpoint shrinks to the W-worker makespan
   // bound (dist/bsp.h).
   std::unique_ptr<WorkStealingScheduler> stealer_;
-  ExecMode mode_ = ExecMode::kBsp;
-  std::uint64_t batches_applied_ = 0;  // restore fast-forwards it
-  std::vector<TerminationDetector> detectors_;  // one per partition (hosted)
 
  private:
   std::vector<std::size_t> layout_widths();
@@ -355,16 +354,5 @@ std::unique_ptr<DistEngineBase> make_dist_engine(
     std::unique_ptr<Transport> transport,
     SchedulerMode scheduler = SchedulerMode::kSteal,
     ExecMode mode = ExecMode::kBsp);
-
-// Shared async-epoch timing epilogue: fills epoch_sec and idle_sec from the
-// per-partition machine-busy seconds accumulated across one barrier-free
-// epoch. Measured transports report the epoch's wall clock (idle = wall −
-// own busy); modeled ones take the makespan max_p(max(busy_p, epoch traffic
-// of p)) — NIC/CPU overlap per rank and NO per-hop max coupling, the two
-// reductions that put async's modeled epoch below the BSP hop total for the
-// same work (docs/async.md).
-void finish_epoch_timing(const Transport& transport,
-                         const std::vector<double>& busy_sec, double wall_sec,
-                         DistBatchResult& result);
 
 }  // namespace ripple

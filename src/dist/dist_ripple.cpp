@@ -1,6 +1,7 @@
 #include "dist/dist_ripple.h"
 
 #include <algorithm>
+#include <unordered_map>
 
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -21,10 +22,10 @@ DistRippleEngine::DistRippleEngine(const GnnModel& model,
                                    const Matrix& features, Partition partition,
                                    ThreadPool* pool,
                                    std::unique_ptr<Transport> transport,
-                                   SchedulerMode scheduler, ExecMode mode)
+                                   SchedulerMode scheduler)
     : DistEngineBase("ripple", model, std::move(snapshot), features,
                      std::move(partition), pool, std::move(transport),
-                     scheduler, mode) {
+                     scheduler) {
   RIPPLE_CHECK_MSG(is_linear(model_.config().aggregator),
                    "Ripple requires a linear aggregation function; got "
                        << aggregator_name(model_.config().aggregator));
@@ -85,7 +86,6 @@ DistRippleEngine::DistRippleEngine(const GnnModel& model,
   inbox_delta_.resize(num_parts);
   merge_.resize(num_parts);
   remote_mask_.resize(num_parts);
-  async_.resize(num_parts);
 }
 
 std::vector<Matrix*> DistRippleEngine::owned_layout(std::size_t part) {
@@ -285,38 +285,11 @@ void DistRippleEngine::replay_uops() {
 
 DistBatchResult DistRippleEngine::apply_batch(UpdateBatch batch) {
   DistBatchResult result;
-  result.batch_size = batch.size();
-  result.num_parts = partition_.num_parts();
-  const std::size_t wire_bytes_before = transport_->wire_bytes();
-  const std::size_t wire_messages_before = transport_->wire_messages();
-  const std::size_t retries_before = transport_->retries();
-  const std::size_t timeouts_before = transport_->timeouts();
-  const std::size_t heartbeats_before = transport_->heartbeats();
-  const auto fill_robustness = [&](DistBatchResult& r) {
-    r.retries = transport_->retries() - retries_before;
-    r.timeouts = transport_->timeouts() - timeouts_before;
-    r.heartbeats = transport_->heartbeats() - heartbeats_before;
-  };
+  const BatchAccount account = open_batch(batch.size(), result);
+  const BspTiming timing = account.timing;
+  std::vector<double>* const wait = account.wait;
   const std::size_t num_parts = partition_.num_parts();
   const std::size_t num_layers = model_.num_layers();
-  // Modeled timing bills the slowest simulated partition; a measuring
-  // transport (tcp) switches every phase to this rank's real wall clock.
-  const BspTiming timing = bsp_timing_of(*transport_);
-  result.comm_measured = transport_->measures_time();
-  if (stealer_ != nullptr) stealer_->reset_stats();
-  ++batches_applied_;
-  result.barrier_wait_sec.assign(num_parts, 0.0);
-  result.idle_sec.assign(num_parts, 0.0);
-  // Modeled runs accumulate per-partition compute-phase stalls through the
-  // bsp.h helpers; a measuring transport reports its own rank's barrier
-  // stall via superstep_wait_sec instead (other slots stay 0).
-  std::vector<double>* const wait =
-      timing == BspTiming::kModeled ? &result.barrier_wait_sec : nullptr;
-  const auto add_transport_waits = [&] {
-    for (std::size_t p = 0; p < num_parts; ++p) {
-      result.barrier_wait_sec[p] += transport_->superstep_wait_sec(p);
-    }
-  };
 
   // ---- superstep U: routing + fills/feature rows + hop-0 seeding ----
   // Pass 1 walks the batch (every replica applies it to its topology copy)
@@ -336,20 +309,10 @@ DistBatchResult DistRippleEngine::apply_batch(UpdateBatch batch) {
       [this](const GraphUpdate& update) { record_feature_op(update); });
   result.compute_sec += pass1_watch.elapsed_sec();
   result.comm_sec += transport_->end_superstep();
-  add_transport_waits();
+  add_transport_waits(result);
   StopWatch pass2_watch;
   replay_uops();
   result.compute_sec += pass2_watch.elapsed_sec();
-
-  if (mode_ == ExecMode::kAsync) {
-    // ---- barrier-free epoch: replaces the per-hop supersteps below ----
-    run_async_epoch(result);
-    result.wire_bytes = transport_->wire_bytes() - wire_bytes_before;
-    result.wire_messages = transport_->wire_messages() - wire_messages_before;
-    fill_robustness(result);
-    if (stealer_ != nullptr) result.sched = stealer_->stats();
-    return result;
-  }
 
   // ---- hops 1..L: apply / exchange / seed supersteps ----
   // Every hop runs its supersteps even when this endpoint has no pending
@@ -490,7 +453,7 @@ DistBatchResult DistRippleEngine::apply_batch(UpdateBatch batch) {
       result.compute_sec +=
           serial_phase_cost(scan_sec, scan_watch.elapsed_sec(), timing, wait);
       result.comm_sec += transport_->end_superstep();
-      add_transport_waits();
+      add_transport_waits(result);
 
       // Seed: each hosted partition derives Δh for every received row
       // against its cached copy (bit-equal to the sender's subtraction at
@@ -567,333 +530,8 @@ DistBatchResult DistRippleEngine::apply_batch(UpdateBatch batch) {
     }
   }
 
-  result.wire_bytes = transport_->wire_bytes() - wire_bytes_before;
-  result.wire_messages = transport_->wire_messages() - wire_messages_before;
-  fill_robustness(result);
-  if (stealer_ != nullptr) result.sched = stealer_->stats();
+  close_batch(account, result);
   return result;
-}
-
-// ---- async epoch (--mode=async) ------------------------------------------
-
-void DistRippleEngine::init_epoch_frontier(DistBatchResult& result) {
-  const std::size_t num_parts = partition_.num_parts();
-  const std::size_t num_layers = model_.num_layers();
-  frontier_.assign(num_layers + 1, {});
-  contrib_.assign(num_layers + 1, {});
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    if (!hosts(p)) continue;
-    AsyncPartState& as = async_[p];
-    as.cells.reset(num_layers + 1, graph_.num_vertices());
-    as.delta.assign(num_layers + 1, {});
-    as.busy_sec = 0;
-  }
-
-  // Seeds from the superstep-U record: an edge op seeds its sink at every
-  // hop; a feature op seeds its walk-position sinks (and its own self
-  // channel) at hop 1. Presence only — the values already sit in the
-  // replayed mailboxes.
-  for (const UOp& op : uops_) {
-    if (op.kind == UpdateKind::vertex_feature) {
-      for (const auto& [sink, alpha] : op.sinks) {
-        (void)alpha;
-        frontier_[1].insert(sink);
-      }
-      if (op.self_mark) frontier_[1].insert(op.u);
-    } else {
-      for (std::size_t l = 1; l <= num_layers; ++l) frontier_[l].insert(op.v);
-    }
-  }
-  // Expansion over the post-batch topology: every hop-l cell re-expands
-  // over its out-edges whether or not its Δ is numerically zero (exactly
-  // the BSP seed phase's rule), plus itself when layer l has a self term.
-  // This is why the frontier is value-independent — and why every rank
-  // derives the SAME sets from its topology replica with no communication.
-  std::vector<VertexId> sorted;
-  for (std::size_t l = 1; l < num_layers; ++l) {
-    sorted.assign(frontier_[l].begin(), frontier_[l].end());
-    std::sort(sorted.begin(), sorted.end());
-    const bool uses_self = model_.layer(l).uses_self();
-    for (const VertexId u : sorted) {
-      for (const Neighbor& nb : graph_.out_neighbors(u)) {
-        frontier_[l + 1].insert(nb.vertex);
-      }
-      if (uses_self) frontier_[l + 1].insert(u);
-    }
-  }
-
-  // Contributor lists for hosted cells: sweeping F(l-1) in ascending sender
-  // order makes every cell's list ascending for free — the exact merged
-  // order the BSP seed phase would have accumulated in.
-  for (std::size_t l = 2; l <= num_layers; ++l) {
-    sorted.assign(frontier_[l - 1].begin(), frontier_[l - 1].end());
-    std::sort(sorted.begin(), sorted.end());
-    for (const VertexId u : sorted) {
-      for (const Neighbor& nb : graph_.out_neighbors(u)) {
-        if (!hosts(owner(nb.vertex))) continue;
-        contrib_[l][nb.vertex].push_back({u, edge_alpha(nb.weight)});
-      }
-    }
-  }
-
-  // Register every hosted owned cell with its outstanding-contributor
-  // count. Hop-1 cells depend only on superstep U and are ready at once.
-  for (std::size_t l = 1; l <= num_layers; ++l) {
-    const bool self_dep = l >= 2 && model_.layer(l - 1).uses_self();
-    std::size_t hosted_cells = 0;
-    for (const VertexId v : frontier_[l]) {
-      const std::uint32_t pv = owner(v);
-      if (!hosts(pv)) continue;
-      ++hosted_cells;
-      std::uint32_t deps = 0;
-      if (l >= 2) {
-        if (auto it = contrib_[l].find(v); it != contrib_[l].end()) {
-          deps = static_cast<std::uint32_t>(it->second.size());
-        }
-        if (self_dep && frontier_[l - 1].count(v) != 0) ++deps;
-      }
-      async_[pv].cells.add(l, v, deps);
-    }
-    result.propagation_tree_size += hosted_cells;
-    if (l == num_layers) result.affected_final = hosted_cells;
-  }
-}
-
-void DistRippleEngine::process_remote_row(std::size_t q,
-                                          const Transport::AsyncFrame& f) {
-  RankState& st = states_[q];
-  AsyncPartState& as = async_[q];
-  const std::size_t l = f.hop;
-  RIPPLE_CHECK_MSG(l >= 1 && l < model_.num_layers(),
-                   "async row with out-of-range hop " << l);
-  const VertexId u = f.sender;
-  // Same derivation as the BSP seed phase: while a cut edge u→q exists the
-  // cached halo row holds u's previous committed H^l, so payload − cache is
-  // u's Δh with exactly the bits the sender's local subtraction produced.
-  auto cached = st.halo.row(u, l);
-  // Wire-input validation, typed kCorrupt (a truncated frame, not a bug):
-  // the layers above recover by restoring from checkpoint.
-  if (f.row.size() != cached.size()) {
-    throw TransportError(TransportErrorKind::kCorrupt,
-                         "async row frame width mismatch: expected " +
-                             std::to_string(cached.size()) + " floats, got " +
-                             std::to_string(f.row.size()));
-  }
-  std::vector<float> delta_row(cached.size());
-  for (std::size_t j = 0; j < delta_row.size(); ++j) {
-    delta_row[j] = f.row[j] - cached[j];
-  }
-  // Versioned write-through: stamps grow strictly in (batch, hop), so even
-  // a reordered delivery could never let a stale row clobber a fresher one.
-  // Under the protocol each (u, layer) arrives at most once per epoch, so a
-  // stale or duplicate write means the wire delivered a frame the protocol
-  // never sent — typed kProtocol, recoverable by checkpoint restore.
-  const bool fresh = st.halo.write_through(u, l, f.row, epoch_version(l));
-  if (!fresh) {
-    throw TransportError(TransportErrorKind::kProtocol,
-                         "async row arrived version-stale (duplicated or "
-                         "replayed frame)");
-  }
-  const bool inserted = as.delta[l].emplace(u, std::move(delta_row)).second;
-  if (!inserted) {
-    throw TransportError(TransportErrorKind::kProtocol,
-                         "duplicate async row in one epoch");
-  }
-  for (const Neighbor& nb : graph_.out_neighbors(u)) {
-    if (owner(nb.vertex) == q) as.cells.credit(l + 1, nb.vertex);
-  }
-}
-
-void DistRippleEngine::build_wave_box(std::size_t q, std::size_t l,
-                                      const std::vector<VertexId>& wave) {
-  AsyncPartState& as = async_[q];
-  const std::size_t in_dim = model_.config().layer_in_dim(l - 1);
-  const bool is_last = l == model_.num_layers();
-  const bool self_dep = l >= 2 && model_.layer(l - 1).uses_self();
-  wave_box_ = Mailbox(in_dim, stealer_ != nullptr ? kShardsPerPart : 1);
-  const Mailbox& seeds = mailbox(q, l);
-  for (const VertexId v : wave) {
-    // Reproduce the BSP cell bit-for-bit: superstep-U seed bits first (a
-    // bit COPY — adding them to a zero cell could flip a negative zero),
-    // then every contributor's Δ in ascending global sender order.
-    const Mailbox::Shard& sh = seeds.shard(seeds.shard_of(v));
-    if (auto it = sh.index.find(v); it != sh.index.end()) {
-      const std::uint32_t slot = it->second;
-      wave_box_.adopt(
-          v,
-          std::span<const float>(sh.deltas.data() + slot * in_dim, in_dim),
-          sh.touched[slot] != 0, sh.self[slot] != 0);
-    }
-    if (l >= 2) {
-      if (auto it = contrib_[l].find(v); it != contrib_[l].end()) {
-        for (const auto& [u, alpha] : it->second) {
-          wave_box_.accumulate(v, alpha,
-                               std::span<const float>(as.delta[l - 1].at(u)),
-                               {});
-        }
-      }
-      if (self_dep && frontier_[l - 1].count(v) != 0) {
-        wave_box_.mark_self_changed(v);
-      }
-    }
-  }
-  wave_senders_ = wave_box_.sorted_vertices();
-  if (!is_last) {
-    // no_fill: the shard drains' RankDeltaSink writes every row before
-    // finish_wave reads any.
-    wave_delta_.resize_no_fill(wave_senders_.size(),
-                               model_.config().layer_out_dim(l - 1));
-  }
-}
-
-void DistRippleEngine::drain_wave_shard(std::size_t q, std::size_t l,
-                                        std::size_t s) {
-  RankState& st = states_[q];
-  const Mailbox::Shard& shard = wave_box_.shard(s);
-  if (shard.size() == 0) return;
-  const bool is_last = l == model_.num_layers();
-  const RankDeltaSink sink(wave_senders_, wave_delta_);
-  apply_hop_shard(model_, l, graph_, shard, wave_box_.dim(),
-                  st.agg_cache[l - 1], st.store.layer(l - 1),
-                  st.store.layer(l), scratch_[q * kShardsPerPart + s],
-                  is_last ? nullptr : &sink, nullptr,
-                  row_map_.local_rows());
-}
-
-void DistRippleEngine::finish_wave(std::size_t q, std::size_t l) {
-  if (l == model_.num_layers()) return;  // last hop: nothing downstream
-  RankState& st = states_[q];
-  AsyncPartState& as = async_[q];
-  TerminationDetector& det = detectors_[q];
-  const bool uses_self = model_.layer(l).uses_self();
-  for (std::size_t r = 0; r < wave_senders_.size(); ++r) {
-    const VertexId v = wave_senders_[r];
-    const auto drow = wave_delta_.row(r);
-    const bool inserted =
-        as.delta[l]
-            .emplace(v, std::vector<float>(drow.begin(), drow.end()))
-            .second;
-    RIPPLE_CHECK_MSG(inserted, "async cell applied twice in one epoch");
-    // Remote owners get v's COMMITTED new H^l row, hop-tagged — the §5.1
-    // stub-combining rule, one frame per remote partition. Each send is a
-    // counted row message for the termination detector.
-    for_each_remote_owner(
-        v, static_cast<std::uint32_t>(q), [&](std::size_t dst) {
-          transport_->send_row(q, dst, v, static_cast<std::uint32_t>(l),
-                               st.store.layer(l).row(local(v)));
-          det.on_send();
-        });
-    for (const Neighbor& nb : graph_.out_neighbors(v)) {
-      if (owner(nb.vertex) == q) as.cells.credit(l + 1, nb.vertex);
-    }
-    if (uses_self) as.cells.credit(l + 1, v);
-  }
-}
-
-bool DistRippleEngine::rank_step(std::size_t q) {
-  AsyncPartState& as = async_[q];
-  TerminationDetector& det = detectors_[q];
-  bool progress = false;
-
-  // Consume whatever arrived. Only a lone-hosted endpoint (tcp) may block
-  // in the poll, and only when it has nothing else to do; the hosts-all sim
-  // round-robin must keep every partition stepping.
-  const int timeout_ms =
-      (transport_->measures_time() && as.cells.idle() && !det.terminated())
-          ? 1
-          : 0;
-  frames_.clear();
-  transport_->poll_async(q, frames_, timeout_ms);
-  const StopWatch busy_watch;
-  for (const Transport::AsyncFrame& f : frames_) {
-    if (f.is_token) {
-      // Token traffic is NOT progress: a circulating token with an unmet
-      // deficit would otherwise reset the epoch driver's stall detector
-      // forever, turning a lost row into an infinite spin instead of the
-      // typed kTimeout it must surface as.
-      det.receive_token(f.token);
-    } else {
-      progress = true;
-      det.on_receive();
-      process_remote_row(q, f);
-    }
-  }
-
-  // Cascade ready waves lowest hop first — applying hop l only readies hop
-  // l+1 cells, so one sweep drains everything currently reachable.
-  const std::size_t num_layers = model_.num_layers();
-  if (!as.cells.idle()) {
-    progress = true;
-    if (stealer_ != nullptr) {
-      // Serial refill between waves does the post-wave bookkeeping (delta
-      // store, row sends, credits) and hands the next ready wave's shard
-      // drains to the stealing scheduler.
-      std::size_t cur_hop = 0;
-      stealer_->drain_until_quiet(
-          [&]() -> std::size_t {
-            if (cur_hop != 0) finish_wave(q, cur_hop);
-            const std::size_t l = as.cells.lowest_ready();
-            if (l > num_layers) return 0;
-            cur_hop = l;
-            build_wave_box(q, l, as.cells.take_ready(l));
-            return wave_box_.num_shards();
-          },
-          [&](std::size_t s) { drain_wave_shard(q, cur_hop, s); });
-    } else {
-      for (std::size_t l = 1; l <= num_layers; ++l) {
-        if (!as.cells.level_ready(l)) continue;
-        build_wave_box(q, l, as.cells.take_ready(l));
-        for (std::size_t s = 0; s < wave_box_.num_shards(); ++s) {
-          drain_wave_shard(q, l, s);
-        }
-        finish_wave(q, l);
-      }
-    }
-  }
-  as.busy_sec += busy_watch.elapsed_sec();
-
-  // Termination: pass the token on (or, at rank 0, evaluate it) whenever
-  // the local worklists are drained. Forwarding is control traffic, not
-  // progress, for the same stall-detector reason as token receipt above.
-  if (auto token = det.try_forward(as.cells.idle())) {
-    transport_->send_token(q, det.next_rank(), *token);
-  }
-  return progress;
-}
-
-void DistRippleEngine::run_async_epoch(DistBatchResult& result) {
-  const std::size_t num_parts = partition_.num_parts();
-  const std::size_t num_layers = model_.num_layers();
-  const std::size_t tokens_before = transport_->token_messages();
-  const StopWatch epoch_watch;
-
-  init_epoch_frontier(result);
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    if (hosts(p)) detectors_[p].begin_epoch();
-  }
-  transport_->begin_epoch();
-
-  // Drive hosted partitions until every hosted detector agrees the epoch is
-  // over. The sim transport hosts all partitions and steps them round-robin
-  // in rank order (deterministic — delivery skew comes only from the
-  // transport's seeded model); a real transport hosts exactly one.
-  drive_async_epoch(*transport_, detectors_, num_parts,
-                    [this](std::size_t p) { return rank_step(p); });
-  transport_->end_epoch();
-
-  // Termination must coincide with structural quiescence.
-  std::vector<double> busy(num_parts, 0.0);
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    if (!hosts(p)) continue;
-    AsyncPartState& as = async_[p];
-    RIPPLE_CHECK_MSG(as.cells.remaining() == 0,
-                     "async epoch terminated with unapplied cells");
-    busy[p] = as.busy_sec;
-    for (std::size_t l = 1; l <= num_layers; ++l) mailbox(p, l).clear();
-    as.delta.clear();
-  }
-  result.token_messages = transport_->token_messages() - tokens_before;
-  finish_epoch_timing(*transport_, busy, epoch_watch.elapsed_sec(), result);
 }
 
 DistEngineBase::HaloPatch DistRippleEngine::halo_patch(
@@ -921,9 +559,9 @@ DistEngineBase::HaloPatch DistRippleEngine::halo_patch(
     return patch;
   }
 
-  // Between-batches invariant: BSP clears every mailbox per hop and async
-  // clears them at epoch end, so a correctly-placed migrate() never has
-  // pending cells to ship. Assert instead of serializing them.
+  // Between-batches invariant: every hop clears its mailboxes, so a
+  // correctly-placed migrate() never has pending cells to ship. Assert
+  // instead of serializing them.
   for (std::size_t p = 0; p < partition_.num_parts(); ++p) {
     if (!hosts(p)) continue;
     for (std::size_t l = 1; l <= model_.num_layers(); ++l) {

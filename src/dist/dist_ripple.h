@@ -51,30 +51,14 @@
 // ascending-sender order as the single-machine engine, and the hop kernel's
 // blocked Update is row-independent, embeddings are bit-identical to
 // RippleEngine for ANY partition count and ANY thread count.
-// --mode=async (docs/async.md) replaces the per-hop supersteps with ONE
-// barrier-free epoch per batch: superstep U still runs (ingress routing and
-// halo fills are walk-ordered), but afterwards every rank derives the exact
-// per-hop affected frontier F(l) from the replicated batch record — cell
-// presence is value-independent — registers each owned cell with its
-// contributor count (dist/async_worklist.h), and then applies cells the
-// moment their contributions are all in: local upstream waves, remote
-// hop-tagged delta rows consumed as they arrive, the self channel. Each
-// ready wave rebuilds its cells in a fresh apply box — superstep-U seed
-// bits adopted first, then contributor deltas in ascending global sender
-// order — so the float sequence per cell is EXACTLY the BSP schedule's and
-// embeddings stay bit-identical. Epoch quiescence is detected by a Safra
-// token ring (dist/termination.h).
 #pragma once
 
 #include <cstdint>
-#include <unordered_map>
-#include <unordered_set>
 #include <utility>
 #include <vector>
 
 #include "core/hop_kernel.h"
 #include "core/mailbox.h"
-#include "dist/async_worklist.h"
 #include "dist/dist_engine.h"
 #include "dist/halo_cache.h"
 
@@ -85,8 +69,7 @@ class DistRippleEngine : public DistEngineBase {
   DistRippleEngine(const GnnModel& model, DynamicGraph snapshot,
                    const Matrix& features, Partition partition,
                    ThreadPool* pool, std::unique_ptr<Transport> transport,
-                   SchedulerMode scheduler = SchedulerMode::kSteal,
-                   ExecMode mode = ExecMode::kBsp);
+                   SchedulerMode scheduler = SchedulerMode::kSteal);
 
   const char* name() const override { return "dist-Ripple"; }
   DistBatchResult apply_batch(UpdateBatch batch) override;
@@ -175,32 +158,6 @@ class DistRippleEngine : public DistEngineBase {
   // absent) — every halo fill, refill and migration patch lands here.
   void fill_halo(std::size_t part, VertexId u, std::span<const float> row);
 
-  // ---- async epoch (--mode=async) ----
-  // Everything one hosted partition tracks across one barrier-free epoch.
-  struct AsyncPartState {
-    PendingCells cells;  // hop-indexed dependency-counted worklists
-    // Committed Δh^l rows by sender — local applies plus rows derived from
-    // remote arrivals — read by the contributor sweeps of hop l+1 cells.
-    std::vector<std::unordered_map<VertexId, std::vector<float>>> delta;
-    double busy_sec = 0;  // modeled machine-busy seconds this epoch
-  };
-
-  // Monotone halo-row version for batch `batches_applied_`, layer l: stamps
-  // grow strictly across batches and hops, so a stale row can never clobber
-  // a fresher one no matter how delivery is skewed.
-  std::uint64_t epoch_version(std::size_t l) const {
-    return batches_applied_ * (model_.num_layers() + 1) + l;
-  }
-
-  void init_epoch_frontier(DistBatchResult& result);
-  void run_async_epoch(DistBatchResult& result);
-  bool rank_step(std::size_t q);  // returns true when any progress was made
-  void process_remote_row(std::size_t q, const Transport::AsyncFrame& frame);
-  void build_wave_box(std::size_t q, std::size_t l,
-                      const std::vector<VertexId>& wave);
-  void drain_wave_shard(std::size_t q, std::size_t l, std::size_t s);
-  void finish_wave(std::size_t q, std::size_t l);
-
   std::vector<RankState> states_;  // per partition; hosted only
 
   // Per-partition hop state, reused across batches.
@@ -217,21 +174,6 @@ class DistRippleEngine : public DistEngineBase {
   std::vector<std::uint8_t> remote_mask_;       // for_each_remote_owner
   std::vector<UOp> uops_;                       // superstep U record
   std::vector<float> wire_frame_;               // send-side concat scratch
-
-  // ---- async epoch state (per batch; idle in BSP mode) ----
-  std::vector<AsyncPartState> async_;  // per partition; hosted only
-  // Global per-hop affected frontier F(l), identical on every rank, and the
-  // derived per-owned-cell contributor lists (ascending sender, with edge
-  // weights) for hosted partitions.
-  std::vector<std::unordered_set<VertexId>> frontier_;
-  std::vector<std::unordered_map<
-      VertexId, std::vector<std::pair<VertexId, float>>>> contrib_;
-  // Current wave's apply box + sender order + Δ rows (one wave in flight
-  // per rank-step; rank-steps are serial per hosted partition).
-  Mailbox wave_box_{1};
-  std::vector<VertexId> wave_senders_;
-  Matrix wave_delta_;
-  std::vector<Transport::AsyncFrame> frames_;  // poll_async scratch
 };
 
 }  // namespace ripple

@@ -27,7 +27,6 @@ FaultInjectTransport::FaultInjectTransport(std::unique_ptr<Transport> inner,
       inner_(std::move(inner)), plan_(std::move(plan)) {}
 
 void FaultInjectTransport::kill_now(const char* where) {
-  ++faults_injected_;
   if (plan_.real_kill) {
     // A forked tcp rank dies for real; its peers' detection path is the
     // test subject. raise() cannot return for SIGKILL.
@@ -37,15 +36,6 @@ void FaultInjectTransport::kill_now(const char* where) {
   os << "injected rank death at " << where << " (step " << steps_begun_
      << ")";
   throw TransportError(TransportErrorKind::kPeerLost, os.str());
-}
-
-void FaultInjectTransport::maybe_kill_at_step() {
-  for (const FaultAction& action : plan_.actions) {
-    if (action.kind == FaultKind::kKillAtStep &&
-        action.at_step == steps_begun_) {
-      kill_now("step start");
-    }
-  }
 }
 
 const FaultAction* FaultInjectTransport::match(FaultKind kind,
@@ -58,7 +48,12 @@ const FaultAction* FaultInjectTransport::match(FaultKind kind,
 
 void FaultInjectTransport::begin_superstep() {
   ++steps_begun_;
-  maybe_kill_at_step();
+  for (const FaultAction& action : plan_.actions) {
+    if (action.kind == FaultKind::kKillAtStep &&
+        action.at_step == steps_begun_) {
+      kill_now("step start");
+    }
+  }
   inner_->begin_superstep();
 }
 
@@ -67,7 +62,6 @@ void FaultInjectTransport::send(std::size_t src, std::size_t dst,
                                 std::span<const float> payload) {
   const std::uint64_t index = payloads_sent_++;
   if (match(FaultKind::kCorruptPayload, index) != nullptr) {
-    ++faults_injected_;
     // Truncation survives framing on every backend; a bit flip would too,
     // but only a width change is DETECTABLE without a row checksum.
     inner_->send(src, dst, sender, payload.subspan(0, payload.size() / 2));
@@ -100,95 +94,6 @@ bool FaultInjectTransport::measures_time() const {
   return inner_->measures_time();
 }
 
-void FaultInjectTransport::begin_epoch() {
-  ++steps_begun_;
-  maybe_kill_at_step();
-  inner_->begin_epoch();
-}
-
-void FaultInjectTransport::send_row(std::size_t src, std::size_t dst,
-                                    VertexId sender, std::uint32_t hop,
-                                    std::span<const float> payload) {
-  const std::uint64_t index = rows_sent_++;
-  if (const FaultAction* kill = match(FaultKind::kKillAtRowFrame, index)) {
-    (void)kill;
-    kill_now("row send");
-  }
-  // A pair already being held must keep holding LATER rows too — releasing
-  // them early would invert the pair's FIFO order.
-  const auto held = held_.find({src, dst});
-  if (held != held_.end()) {
-    held->second.rows.push_back(
-        HeldRow{src, dst, sender, hop,
-                std::vector<float>(payload.begin(), payload.end())});
-    return;
-  }
-  if (match(FaultKind::kDropRow, index) != nullptr) {
-    ++faults_injected_;
-    return;
-  }
-  if (const FaultAction* delay = match(FaultKind::kDelayRowPair, index)) {
-    ++faults_injected_;
-    HeldPair pair;
-    pair.release_poll = polls_ + delay->delay_polls;
-    pair.rows.push_back(
-        HeldRow{src, dst, sender, hop,
-                std::vector<float>(payload.begin(), payload.end())});
-    held_.emplace(std::make_pair(src, dst), std::move(pair));
-    return;
-  }
-  if (match(FaultKind::kDuplicateRow, index) != nullptr) {
-    ++faults_injected_;
-    inner_->send_row(src, dst, sender, hop, payload);
-    inner_->send_row(src, dst, sender, hop, payload);
-    return;
-  }
-  if (match(FaultKind::kCorruptRow, index) != nullptr) {
-    ++faults_injected_;
-    inner_->send_row(src, dst, sender, hop,
-                     payload.subspan(0, payload.size() / 2));
-    return;
-  }
-  inner_->send_row(src, dst, sender, hop, payload);
-}
-
-void FaultInjectTransport::send_token(std::size_t src, std::size_t dst,
-                                      const TerminationToken& token) {
-  inner_->send_token(src, dst, token);
-}
-
-void FaultInjectTransport::release_due_pairs() {
-  for (auto it = held_.begin(); it != held_.end();) {
-    if (it->second.release_poll <= polls_) {
-      for (const HeldRow& row : it->second.rows) {
-        inner_->send_row(row.src, row.dst, row.sender, row.hop, row.row);
-      }
-      it = held_.erase(it);
-    } else {
-      ++it;
-    }
-  }
-}
-
-std::size_t FaultInjectTransport::poll_async(std::size_t part,
-                                             std::vector<AsyncFrame>& out,
-                                             int timeout_ms) {
-  ++polls_;
-  release_due_pairs();
-  return inner_->poll_async(part, out, timeout_ms);
-}
-
-void FaultInjectTransport::end_epoch() {
-  RIPPLE_CHECK_MSG(held_.empty(),
-                   "fault plan held rows past the epoch end (delay_polls "
-                   "longer than the epoch)");
-  inner_->end_epoch();
-}
-
-double FaultInjectTransport::epoch_comm_sec(std::size_t part) const {
-  return inner_->epoch_comm_sec(part);
-}
-
 double FaultInjectTransport::superstep_wait_sec(std::size_t part) const {
   return inner_->superstep_wait_sec(part);
 }
@@ -203,10 +108,6 @@ std::size_t FaultInjectTransport::wire_bytes() const {
 
 std::size_t FaultInjectTransport::wire_messages() const {
   return inner_->wire_messages();
-}
-
-std::size_t FaultInjectTransport::token_messages() const {
-  return inner_->token_messages();
 }
 
 std::size_t FaultInjectTransport::retries() const { return inner_->retries(); }

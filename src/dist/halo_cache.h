@@ -52,18 +52,6 @@ class HaloCache {
   std::span<float> row(VertexId v, std::size_t layer);
   std::span<const float> row(VertexId v, std::size_t layer) const;
 
-  // Version-stamped write-through: copies `data` into v's layer row unless a
-  // row with a newer-or-equal stamp was already committed (returns false and
-  // leaves the row untouched in that case). Engines stamp writes with
-  // epoch_base + hop, monotone across batches and hops, so an async frame
-  // that somehow arrived late can never regress a newer committed row —
-  // the commutative-safety net under out-of-order delivery. Stamps reset to
-  // 0 when a vertex is erased and its slot reused.
-  bool write_through(VertexId v, std::size_t layer,
-                     std::span<const float> data, std::uint64_t version);
-  // Stamp of the last write_through to (v, layer); 0 = never stamped.
-  std::uint64_t version(VertexId v, std::size_t layer) const;
-
   // Resident footprint (flat layer storage + index + free list).
   std::size_t bytes() const;
 
@@ -74,7 +62,6 @@ class HaloCache {
   std::vector<std::uint32_t> free_;
   std::size_t num_slots_ = 0;
   std::vector<std::vector<float>> data_;  // per layer, slot-major
-  std::vector<std::vector<std::uint64_t>> version_;  // per layer, slot-major
 };
 
 }  // namespace ripple

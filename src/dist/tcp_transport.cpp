@@ -378,7 +378,6 @@ bool TcpTransport::flush_some(Peer& peer) {
 
 void TcpTransport::dispatch(std::size_t peer_rank, wire::Frame&& frame) {
   Peer& peer = peers_[peer_rank];
-  ++dispatched_frames_;
   switch (frame.type) {
     case wire::FrameType::payload:
     case wire::FrameType::payload_bf16: {
@@ -417,32 +416,6 @@ void TcpTransport::dispatch(std::size_t peer_rank, wire::Frame&& frame) {
       }
       ++peer.barriers_seen;
       break;
-    case wire::FrameType::row: {
-      // Async epoch rows never cross an epoch boundary (a peer cannot reach
-      // the next epoch without our superstep barrier in between), so no
-      // staging: straight onto the arrival queue in wire order.
-      RIPPLE_CHECK_MSG(frame.src_part == peer_rank,
-                       "row frame src_part " << frame.src_part
-                                             << " from rank " << peer_rank);
-      AsyncFrame out;
-      out.sender = frame.sender;
-      out.src_part = frame.src_part;
-      out.hop = frame.hop;
-      out.row = std::move(frame.row);
-      async_arrivals_.push_back(std::move(out));
-      break;
-    }
-    case wire::FrameType::token: {
-      AsyncFrame out;
-      out.src_part = frame.src_part;
-      out.is_token = true;
-      out.token = TerminationToken{.round = frame.token_round,
-                                   .count = frame.token_count,
-                                   .black = frame.token_black,
-                                   .done = frame.token_done};
-      async_arrivals_.push_back(std::move(out));
-      break;
-    }
   }
 }
 
@@ -463,14 +436,9 @@ void TcpTransport::drain_ready(Peer& peer) {
     if (n < 0 && (errno == EAGAIN || errno == EWOULDBLOCK)) return;
     if (n == 0) {
       // A peer that finished its run exits and closes cleanly; that is
-      // only an error if it still owes us progress — a barrier (checked at
-      // the poll loop, where the current superstep index is known) or any
-      // part of an active async epoch (termination needs every rank, so
-      // EOF mid-epoch is positively fatal).
+      // only an error if it still owes us a barrier (checked at the poll
+      // loop, where the current superstep index is known).
       peer.eof = true;
-      if (epoch_active_) {
-        throw_peer_lost(peer_rank, "connection closed mid-epoch");
-      }
       return;
     }
     throw_peer_lost(peer_rank,
@@ -478,9 +446,8 @@ void TcpTransport::drain_ready(Peer& peer) {
   }
 }
 
-std::size_t TcpTransport::poll_once(int timeout_ms) {
-  if (num_parts() == 1) return 0;
-  const std::size_t before = dispatched_frames_;
+void TcpTransport::poll_once(int timeout_ms) {
+  if (num_parts() == 1) return;
   std::vector<pollfd> fds;
   std::vector<std::size_t> fd_rank;
   for (std::size_t p = 0; p < num_parts(); ++p) {
@@ -494,16 +461,15 @@ std::size_t TcpTransport::poll_once(int timeout_ms) {
     fds.push_back(pfd);
     fd_rank.push_back(p);
   }
-  if (fds.empty()) return 0;
+  if (fds.empty()) return;
   const int ready = ::poll(fds.data(), fds.size(), timeout_ms);
-  if (ready < 0 && errno == EINTR) return 0;
+  if (ready < 0 && errno == EINTR) return;
   RIPPLE_CHECK_MSG(ready >= 0, "poll: " << std::strerror(errno));
   for (std::size_t i = 0; i < fds.size(); ++i) {
     Peer& peer = peers_[fd_rank[i]];
     if (fds[i].revents & (POLLIN | POLLERR | POLLHUP)) drain_ready(peer);
     if (fds[i].revents & POLLOUT) flush_some(peer);
   }
-  return dispatched_frames_ - before;
 }
 
 double TcpTransport::end_superstep() {
@@ -592,7 +558,7 @@ void TcpTransport::maybe_heartbeat() {
     if (p == rank_) continue;
     Peer& peer = peers_[p];
     if (peer.eof || peer.fd < 0) continue;
-    // Liveness-only control traffic: never in the wire/token counters (the
+    // Liveness-only control traffic: never in the wire counters (the
     // cadence is wall-clock-dependent, and counters must stay
     // backend-conformant for a given protocol run).
     wire::append_heartbeat_frame(peer.sendbuf,
@@ -607,77 +573,6 @@ void TcpTransport::throw_peer_lost(std::size_t peer_rank,
   std::ostringstream os;
   os << "rank " << rank_ << " lost peer " << peer_rank << ": " << what;
   throw TransportError(TransportErrorKind::kPeerLost, os.str());
-}
-
-// ---- async epoch backend ----
-
-void TcpTransport::begin_epoch() {
-  // Nothing else to reset: async_arrivals_ may legitimately hold early
-  // frames of THIS epoch (landed while the previous superstep's barrier
-  // drained).
-  epoch_active_ = true;
-  // A peer that already closed cannot take part in this epoch at all.
-  for (std::size_t p = 0; p < num_parts(); ++p) {
-    if (p != rank_ && peers_[p].eof) {
-      throw_peer_lost(p, "connection already closed at epoch start");
-    }
-  }
-}
-
-void TcpTransport::send_row(std::size_t src, std::size_t dst, VertexId sender,
-                            std::uint32_t hop,
-                            std::span<const float> payload) {
-  RIPPLE_CHECK_MSG(src != dst, "local traffic must not touch the wire");
-  RIPPLE_CHECK_MSG(src == rank_,
-                   "rank " << rank_ << " cannot transmit for partition "
-                           << src << " (owner routing)");
-  // Wire-rounded and counted like send(); framed f32 either way (the
-  // rounding already happened, so the bits survive — see wire_format.h).
-  const std::span<const float> row = round_row_for_wire(payload);
-  count_wire(row_wire_bytes(row.size()), 1);
-  Peer& peer = peers_[dst];
-  wire::append_row_frame(peer.sendbuf, sender,
-                         static_cast<std::uint32_t>(src), hop, row);
-  maybe_flush(peer);
-}
-
-void TcpTransport::send_token(std::size_t src, std::size_t dst,
-                              const TerminationToken& token) {
-  RIPPLE_CHECK_MSG(src != dst, "local traffic must not touch the wire");
-  RIPPLE_CHECK_MSG(src == rank_,
-                   "rank " << rank_ << " cannot transmit for partition "
-                           << src << " (owner routing)");
-  count_token();
-  Peer& peer = peers_[dst];
-  wire::append_token_frame(peer.sendbuf, static_cast<std::uint32_t>(src),
-                          token.round, token.count, token.black, token.done);
-  // Tokens gate epoch termination: flush eagerly, never queue behind the
-  // threshold.
-  flush_some(peer);
-}
-
-std::size_t TcpTransport::poll_async(std::size_t part,
-                                     std::vector<AsyncFrame>& out,
-                                     int timeout_ms) {
-  RIPPLE_CHECK_MSG(part == rank_, "rank " << rank_ << " cannot poll for "
-                                          << part << " (owner routing)");
-  // A blocking poll means the engine has nothing to do but wait — the idle
-  // window where peers watching a deadline need proof of life.
-  if (timeout_ms > 0) maybe_heartbeat();
-  poll_once(timeout_ms);
-  const std::size_t n = async_arrivals_.size();
-  for (AsyncFrame& frame : async_arrivals_) out.push_back(std::move(frame));
-  async_arrivals_.clear();
-  return n;
-}
-
-void TcpTransport::end_epoch() {
-  epoch_active_ = false;
-  // Termination proved global quiescence, and the next epoch's frames
-  // cannot arrive before our next superstep barrier — anything still queued
-  // here is a protocol bug.
-  RIPPLE_CHECK_MSG(async_arrivals_.empty(),
-                   "async frames left at epoch end on rank " << rank_);
 }
 
 }  // namespace ripple

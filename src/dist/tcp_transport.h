@@ -60,9 +60,9 @@ struct TcpConfig {
   // is catastrophically slow — so the caller decides whether to rebuild).
   double barrier_timeout_sec = 120.0;
   // Idle-liveness protocol (docs/fault_tolerance.md): while a rank is
-  // parked waiting — at a barrier, or blocked in poll_async — it ships a
-  // heartbeat frame to every live peer each interval, proving "alive, just
-  // waiting" to peers that might themselves be watching a deadline.
+  // parked waiting at a barrier it ships a heartbeat frame to every live
+  // peer each interval, proving "alive, just waiting" to peers that might
+  // themselves be watching a deadline.
   double heartbeat_interval_sec = 0.2;
   // Positive-death deadline: a peer that still owes this superstep's
   // barrier AND has sent no bytes for this long (measured from when WE
@@ -104,28 +104,6 @@ class TcpTransport final : public Transport {
   bool measures_time() const override { return true; }
   bool hosts(std::size_t part) const override { return part == rank_; }
 
-  // One round of non-blocking transport progress: flushes every peer's
-  // pending writes and drains every readable socket, dispatching decoded
-  // frames (superstep payloads staged for their superstep, async rows and
-  // tokens onto the epoch arrival queue). The single poll primitive behind
-  // end_superstep's barrier loop, the async epoch loop, AND the mid-
-  // superstep backpressure path — send() calls it when the kernel send
-  // buffer fills, so receives overlap sends in BSP mode too instead of
-  // both sides buffering toward each other. timeout_ms > 0 blocks in
-  // ::poll up to that long. Returns the number of frames dispatched.
-  std::size_t poll_once(int timeout_ms = 0);
-
-  // Async epoch backend (--mode=async): rows and tokens are framed like
-  // superstep traffic and dispatched out of poll_once as they arrive —
-  // no staging, no barrier. Delivery is per-peer TCP FIFO.
-  void begin_epoch() override;
-  void send_row(std::size_t src, std::size_t dst, VertexId sender,
-                std::uint32_t hop, std::span<const float> payload) override;
-  void send_token(std::size_t src, std::size_t dst,
-                  const TerminationToken& token) override;
-  std::size_t poll_async(std::size_t part, std::vector<AsyncFrame>& out,
-                         int timeout_ms = 0) override;
-  void end_epoch() override;
   // Measured barrier stall of the LAST end_superstep: wall time between
   // this rank's writes finishing and the final peer barrier arriving.
   double superstep_wait_sec(std::size_t part) const override;
@@ -147,6 +125,14 @@ class TcpTransport final : public Transport {
   };
 
   void setup_mesh(const TcpConfig& config);
+  // One round of non-blocking transport progress: flushes every peer's
+  // pending writes and drains every readable socket, staging decoded
+  // payload frames for their superstep. The single poll primitive behind
+  // end_superstep's barrier loop AND the mid-superstep backpressure path —
+  // send() calls it when the kernel send buffer fills, so receives overlap
+  // sends instead of both sides buffering toward each other. timeout_ms > 0
+  // blocks in ::poll up to that long.
+  void poll_once(int timeout_ms = 0);
   bool flush_some(Peer& peer);   // true when sendbuf fully flushed
   void drain_ready(Peer& peer);  // non-blocking read + frame dispatch
   void dispatch(std::size_t peer_rank, wire::Frame&& frame);
@@ -166,8 +152,6 @@ class TcpTransport final : public Transport {
   double heartbeat_interval_sec_ = 0.2;
   double peer_dead_sec_ = 30.0;
   double last_heartbeat_sec_ = 0.0;  // mono_sec() of the last batch sent
-  bool epoch_active_ = false;  // between begin_epoch and end_epoch: a peer
-                               // EOF is immediately fatal (kPeerLost)
   std::vector<Peer> peers_;  // index == rank; peers_[rank_].fd == -1
   std::uint64_t completed_ = 0;  // end_superstep() calls so far == index of
                                  // the superstep currently in flight
@@ -175,12 +159,6 @@ class TcpTransport final : public Transport {
   // rank; flushed into inbox(rank_) in ascending src_part order at the end
   // of the barrier (matches SimTransport's global send order).
   std::vector<std::vector<wire::Frame>> staged_by_src_;
-  // Async row/token frames decoded by poll_once, in arrival order, waiting
-  // for the engine's next poll_async. Retained across epoch boundaries: a
-  // frame that lands between end_epoch and the next begin_epoch already
-  // belongs to the next epoch (the superstep barrier in between proves it).
-  std::vector<AsyncFrame> async_arrivals_;
-  std::size_t dispatched_frames_ = 0;      // cumulative, for poll_once deltas
   double last_barrier_wait_sec_ = 0.0;
 };
 

@@ -38,39 +38,8 @@ TransportOptions TransportOptions::from_flags(const Flags& flags) {
   options.bytes_per_sec = flags.get_double("wire-gbps", 10.0) * 1e9 / 8.0;
   options.wire_precision = parse_wire_precision(flags.get_choice(
       "wire-precision", wire_precision_choices(), "f32"));
-  options.sim_skew = static_cast<std::uint64_t>(flags.get_int("sim-skew", 0));
-  options.sim_skew_seed =
-      static_cast<std::uint64_t>(flags.get_int("sim-skew-seed", 1));
   return options;
 }
-
-// ---- Transport async defaults: a backend must opt in ----
-
-void Transport::begin_epoch() {
-  RIPPLE_CHECK_MSG(false, name() << " transport has no async epoch support");
-}
-
-void Transport::send_row(std::size_t, std::size_t, VertexId, std::uint32_t,
-                         std::span<const float>) {
-  RIPPLE_CHECK_MSG(false, name() << " transport has no async epoch support");
-}
-
-void Transport::send_token(std::size_t, std::size_t,
-                           const TerminationToken&) {
-  RIPPLE_CHECK_MSG(false, name() << " transport has no async epoch support");
-}
-
-std::size_t Transport::poll_async(std::size_t, std::vector<AsyncFrame>&,
-                                  int) {
-  RIPPLE_CHECK_MSG(false, name() << " transport has no async epoch support");
-  return 0;
-}
-
-void Transport::end_epoch() {
-  RIPPLE_CHECK_MSG(false, name() << " transport has no async epoch support");
-}
-
-double Transport::epoch_comm_sec(std::size_t) const { return 0.0; }
 
 double Transport::superstep_wait_sec(std::size_t) const { return 0.0; }
 
@@ -105,14 +74,6 @@ SimTransport::SimTransport(std::size_t num_parts,
   egress_sec_.assign(num_parts, 0.0);
   ingress_sec_.assign(num_parts, 0.0);
   superstep_wait_sec_.assign(num_parts, 0.0);
-  pending_.resize(num_parts);
-  poll_clock_.assign(num_parts, 0);
-  arrival_order_.assign(num_parts, 0);
-  pair_floor_.assign(num_parts * num_parts, 0);
-  epoch_egress_sec_.assign(num_parts, 0.0);
-  epoch_ingress_sec_.assign(num_parts, 0.0);
-  // xorshift64 state; seed 0 would be a fixed point, so mix in a constant.
-  skew_rng_ = options.sim_skew_seed ^ 0x9e3779b97f4a7c15ULL;
 }
 
 void SimTransport::begin_superstep() {
@@ -175,126 +136,6 @@ double SimTransport::end_superstep() {
 
 double SimTransport::superstep_wait_sec(std::size_t part) const {
   return superstep_wait_sec_[part];
-}
-
-// ---- async epoch backend ----
-
-double SimTransport::frame_cost_sec(std::size_t payload_bytes) const {
-  return options_.per_message_sec +
-         static_cast<double>(payload_bytes + options_.header_bytes) /
-             options_.bytes_per_sec;
-}
-
-void SimTransport::enqueue_async(std::size_t src, std::size_t dst,
-                                 AsyncFrame frame) {
-  std::uint64_t release = poll_clock_[dst] + 1;
-  if (options_.sim_skew > 0) {
-    skew_rng_ ^= skew_rng_ << 13;
-    skew_rng_ ^= skew_rng_ >> 7;
-    skew_rng_ ^= skew_rng_ << 17;
-    release += skew_rng_ % (options_.sim_skew + 1);
-  }
-  // Pair FIFO: a frame never releases before an earlier frame of the same
-  // (src, dst) pair. Equal release steps keep arrival order (the `order`
-  // tie-break is monotone), so clamping to the floor is enough.
-  std::uint64_t& floor = pair_floor_[src * num_parts() + dst];
-  release = std::max(release, floor);
-  floor = release;
-  pending_[dst].push_back(
-      PendingFrame{release, arrival_order_[dst]++, std::move(frame)});
-}
-
-void SimTransport::begin_epoch() {
-  // The superstep barrier between epochs means nothing can still be in
-  // flight here (termination already proved all queues drained).
-  for (const auto& queue : pending_) {
-    RIPPLE_CHECK_MSG(queue.empty(),
-                     "async frames crossed an epoch boundary on sim");
-  }
-  std::fill(epoch_egress_sec_.begin(), epoch_egress_sec_.end(), 0.0);
-  std::fill(epoch_ingress_sec_.begin(), epoch_ingress_sec_.end(), 0.0);
-}
-
-void SimTransport::send_row(std::size_t src, std::size_t dst, VertexId sender,
-                            std::uint32_t hop,
-                            std::span<const float> payload) {
-  RIPPLE_CHECK_MSG(src != dst, "local traffic must not touch the wire");
-  const std::span<const float> row = round_row_for_wire(payload);
-  const std::size_t payload_bytes = row_wire_bytes(row.size());
-  const double sec = frame_cost_sec(payload_bytes);
-  epoch_egress_sec_[src] += sec;
-  epoch_ingress_sec_[dst] += sec;
-  count_wire(payload_bytes, 1);
-  AsyncFrame frame;
-  frame.sender = sender;
-  frame.src_part = static_cast<std::uint32_t>(src);
-  frame.hop = hop;
-  frame.row.assign(row.begin(), row.end());
-  enqueue_async(src, dst, std::move(frame));
-}
-
-void SimTransport::send_token(std::size_t src, std::size_t dst,
-                              const TerminationToken& token) {
-  RIPPLE_CHECK_MSG(src != dst, "local traffic must not touch the wire");
-  // Control traffic: token_messages, not the wire counters; the modeled
-  // cost still accrues (the frame really travels).
-  constexpr std::size_t kTokenBytes =
-      sizeof(std::uint32_t) + sizeof(std::uint64_t) + sizeof(std::int64_t) +
-      2 * sizeof(std::uint8_t);
-  const double sec = frame_cost_sec(kTokenBytes);
-  epoch_egress_sec_[src] += sec;
-  epoch_ingress_sec_[dst] += sec;
-  count_token();
-  AsyncFrame frame;
-  frame.src_part = static_cast<std::uint32_t>(src);
-  frame.is_token = true;
-  frame.token = token;
-  enqueue_async(src, dst, std::move(frame));
-}
-
-std::size_t SimTransport::poll_async(std::size_t part,
-                                     std::vector<AsyncFrame>& out,
-                                     int timeout_ms) {
-  (void)timeout_ms;  // nothing to block on in-process
-  auto& queue = pending_[part];
-  const std::uint64_t now = ++poll_clock_[part];
-  // Single-pass split: due frames move out, the rest compact in place —
-  // an epoch-start burst can park thousands of frames here at once.
-  std::vector<PendingFrame> due;
-  std::size_t kept = 0;
-  for (std::size_t i = 0; i < queue.size(); ++i) {
-    if (queue[i].release <= now) {
-      due.push_back(std::move(queue[i]));
-    } else {
-      if (kept != i) queue[kept] = std::move(queue[i]);
-      ++kept;
-    }
-  }
-  queue.resize(kept);
-  std::sort(due.begin(), due.end(),
-            [](const PendingFrame& a, const PendingFrame& b) {
-              return a.release != b.release ? a.release < b.release
-                                            : a.order < b.order;
-            });
-  for (PendingFrame& f : due) out.push_back(std::move(f.frame));
-  return due.size();
-}
-
-void SimTransport::end_epoch() {
-  for (const auto& queue : pending_) {
-    RIPPLE_CHECK_MSG(queue.empty(),
-                     "async epoch ended with undelivered frames");
-  }
-}
-
-double SimTransport::epoch_comm_sec(std::size_t part) const {
-  return epoch_egress_sec_[part] + epoch_ingress_sec_[part];
-}
-
-std::size_t SimTransport::pending_async_frames() const {
-  std::size_t total = 0;
-  for (const auto& queue : pending_) total += queue.size();
-  return total;
 }
 
 }  // namespace ripple

@@ -36,7 +36,6 @@
 #include <string>
 #include <vector>
 
-#include "dist/termination.h"
 #include "dist/transport_error.h"
 #include "graph/types.h"
 
@@ -63,17 +62,9 @@ struct TransportOptions {
   double bytes_per_sec = 1.25e9;   // link bandwidth (10 GbE)
   std::size_t header_bytes = 16;   // per-message envelope size
   WirePrecision wire_precision = WirePrecision::kF32;
-  // Async-epoch delivery skew on SimTransport: each frame's release is
-  // delayed by a seeded-random 0..sim_skew receiver polls (per-pair FIFO is
-  // preserved). 0 = deliver at the next poll. Different seeds produce
-  // different interleavings — the schedule-perturbation axis of the async
-  // fixed-point property tests.
-  std::uint64_t sim_skew = 0;
-  std::uint64_t sim_skew_seed = 1;
 
-  // Reads --wire-latency-us (default 5.0), --wire-gbps (default 10.0),
-  // --wire-precision (default f32), --sim-skew (default 0) and
-  // --sim-skew-seed (default 1).
+  // Reads --wire-latency-us (default 5.0), --wire-gbps (default 10.0) and
+  // --wire-precision (default f32).
   static TransportOptions from_flags(const Flags& flags);
 };
 
@@ -159,47 +150,6 @@ class Transport {
   // compute accounting to wall clock alongside it (dist/bsp.h).
   virtual bool measures_time() const = 0;
 
-  // ---- async epoch API (--mode=async; docs/async.md) ----
-  // Between two supersteps the engines may run an EPOCH: barrier-free row
-  // traffic (send_row, hop-stamped) plus termination tokens (send_token),
-  // consumed incrementally via poll_async until the termination detector
-  // declares quiescence. The base implementations die — a backend must
-  // opt in (SimTransport and TcpTransport both do).
-  struct AsyncFrame {
-    VertexId sender = kInvalidVertex;
-    std::uint32_t src_part = 0;
-    std::uint32_t hop = 0;       // version stamp of a row frame
-    bool is_token = false;
-    TerminationToken token;      // valid when is_token
-    std::vector<float> row;      // valid when !is_token
-  };
-
-  // Starts an epoch. Frames that arrived early (between the previous
-  // epoch's end and this call) are retained — the superstep barrier between
-  // epochs guarantees they already belong to the new epoch.
-  virtual void begin_epoch();
-  // Hop-stamped row, delivered without a barrier. Wire-rounded and counted
-  // like send(); delivery order is per-(src,dst) FIFO on every backend.
-  virtual void send_row(std::size_t src, std::size_t dst, VertexId sender,
-                        std::uint32_t hop, std::span<const float> payload);
-  // Termination-protocol control frame: counted in token_messages(), never
-  // in wire_bytes/wire_messages.
-  virtual void send_token(std::size_t src, std::size_t dst,
-                          const TerminationToken& token);
-  // Non-blocking progress + receive: flushes pending sends, drains newly
-  // arrived (sim: released) frames addressed to `part` into `out` in
-  // delivery order, and returns how many were appended. timeout_ms > 0 lets
-  // a networked backend block briefly when the caller has nothing else to
-  // do (ignored by SimTransport).
-  virtual std::size_t poll_async(std::size_t part,
-                                 std::vector<AsyncFrame>& out,
-                                 int timeout_ms = 0);
-  // Ends the epoch: asserts every queue drained, resets epoch state.
-  virtual void end_epoch();
-  // Modeled comm seconds `part` spent on this epoch's row/token traffic
-  // since begin_epoch (sim); 0 on measuring backends, which fold epoch wire
-  // time into the measured wall clock instead.
-  virtual double epoch_comm_sec(std::size_t part) const;
   // Stall behind the barrier of the LAST completed superstep: modeled on
   // sim (slowest endpoint's cost minus this partition's), measured on tcp
   // (wall time between this rank finishing its sends and the last peer
@@ -218,9 +168,6 @@ class Transport {
   // Virtual for the same decorator-delegation reason as inbox().
   virtual std::size_t wire_bytes() const { return wire_bytes_; }
   virtual std::size_t wire_messages() const { return wire_messages_; }
-  // Cumulative termination-token frames sent by this endpoint (control
-  // traffic, reported separately from row traffic).
-  virtual std::size_t token_messages() const { return token_messages_; }
 
   // ---- robustness counters (docs/fault_tolerance.md) ----
   // Cumulative totals since construction; engines report per-batch DELTAS
@@ -262,7 +209,6 @@ class Transport {
     wire_bytes_ += payload_bytes + num_messages * options_.header_bytes;
     wire_messages_ += num_messages;
   }
-  void count_token() { ++token_messages_; }
   void count_retry() { ++retries_; }
   void count_timeout() { ++timeouts_; }
   void count_heartbeat() { ++heartbeats_; }
@@ -274,7 +220,6 @@ class Transport {
  private:
   std::size_t wire_bytes_ = 0;
   std::size_t wire_messages_ = 0;
-  std::size_t token_messages_ = 0;
   std::size_t retries_ = 0;
   std::size_t timeouts_ = 0;
   std::size_t heartbeats_ = 0;
@@ -299,54 +244,18 @@ class SimTransport final : public Transport {
   double end_superstep() override;
   bool measures_time() const override { return false; }
 
-  // Async epoch backend: event-ordered delivery. Every frame is assigned a
-  // release step — the destination's poll clock at send time, plus one,
-  // plus a seeded-random 0..sim_skew extra polls — clamped so per-(src,dst)
-  // order never inverts (pair FIFO). poll_async advances the destination's
-  // clock by one and releases every frame that is due, ordered by
-  // (release step, arrival order). skew 0 therefore reproduces in-order
-  // next-poll delivery, and a nonzero skew with a different seed is a
-  // different (but deterministic) interleaving of the same frames.
-  void begin_epoch() override;
-  void send_row(std::size_t src, std::size_t dst, VertexId sender,
-                std::uint32_t hop, std::span<const float> payload) override;
-  void send_token(std::size_t src, std::size_t dst,
-                  const TerminationToken& token) override;
-  std::size_t poll_async(std::size_t part, std::vector<AsyncFrame>& out,
-                         int timeout_ms = 0) override;
-  void end_epoch() override;
-  double epoch_comm_sec(std::size_t part) const override;
   double superstep_wait_sec(std::size_t part) const override;
-
-  // Frames currently buffered (sent, not yet released) — test hook.
-  std::size_t pending_async_frames() const;
 
  protected:
   const char* name_impl() const override { return "sim"; }
 
  private:
-  struct PendingFrame {
-    std::uint64_t release;  // due when the destination clock reaches this
-    std::uint64_t order;    // arrival tie-break (monotone per destination)
-    AsyncFrame frame;
-  };
-
   void account(std::size_t src, std::size_t dst, std::size_t payload_bytes,
                std::size_t num_messages);
-  void enqueue_async(std::size_t src, std::size_t dst, AsyncFrame frame);
-  double frame_cost_sec(std::size_t payload_bytes) const;
 
   std::vector<double> egress_sec_;   // per-partition, this superstep
   std::vector<double> ingress_sec_;  // per-partition, this superstep
   std::vector<double> superstep_wait_sec_;  // last completed superstep
-
-  std::vector<std::vector<PendingFrame>> pending_;  // per destination
-  std::vector<std::uint64_t> poll_clock_;           // per destination
-  std::vector<std::uint64_t> arrival_order_;        // per destination
-  std::vector<std::uint64_t> pair_floor_;           // [src * P + dst]
-  std::vector<double> epoch_egress_sec_;            // per partition
-  std::vector<double> epoch_ingress_sec_;           // per partition
-  std::uint64_t skew_rng_;
 };
 
 }  // namespace ripple

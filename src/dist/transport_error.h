@@ -7,15 +7,15 @@
 // such failure surfaces as a TransportError carrying a machine-readable
 // kind, so callers can switch on WHAT failed:
 //
-//   kTimeout  — a deadline expired (superstep barrier, connect budget,
-//               async epoch stalled without quiescing). The peer may still
-//               be alive; retrying or re-forming the mesh can succeed.
+//   kTimeout  — a deadline expired (superstep barrier, connect budget).
+//               The peer may still be alive; retrying or re-forming the
+//               mesh can succeed.
 //   kPeerLost — a peer is positively gone: its socket closed or errored
 //               before its barrier, or it sent nothing for peer_dead_sec
 //               while owing progress. Recovery means restore-from-
 //               checkpoint with a replacement rank.
 //   kProtocol — frames arrived intact but violated the protocol state
-//               machine (barrier index mismatch, duplicate async credit).
+//               machine (barrier index mismatch).
 //               Indicates a software bug or a byzantine peer; the mesh
 //               state is unrecoverable without a restart.
 //   kCorrupt  — bytes failed validation (frame length out of bounds,

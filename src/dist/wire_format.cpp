@@ -84,32 +84,6 @@ void append_barrier_frame(std::vector<std::uint8_t>& out,
   put<std::uint64_t>(out, superstep);
 }
 
-void append_token_frame(std::vector<std::uint8_t>& out, std::uint32_t src_part,
-                        std::uint64_t round, std::int64_t count, bool black,
-                        bool done) {
-  put_frame_header(out, FrameType::token,
-                   sizeof(std::uint32_t) + sizeof(std::uint64_t) +
-                       sizeof(std::int64_t) + 2 * sizeof(std::uint8_t));
-  put<std::uint32_t>(out, src_part);
-  put<std::uint64_t>(out, round);
-  put<std::int64_t>(out, count);
-  put<std::uint8_t>(out, black ? 1 : 0);
-  put<std::uint8_t>(out, done ? 1 : 0);
-}
-
-void append_row_frame(std::vector<std::uint8_t>& out, VertexId sender,
-                      std::uint32_t src_part, std::uint32_t hop,
-                      std::span<const float> row) {
-  put_frame_header(out, FrameType::row,
-                   4 * sizeof(std::uint32_t) + row.size() * sizeof(float));
-  put<std::uint32_t>(out, sender);
-  put<std::uint32_t>(out, src_part);
-  put<std::uint32_t>(out, hop);
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(row.size()));
-  const auto* bytes = reinterpret_cast<const std::uint8_t*>(row.data());
-  out.insert(out.end(), bytes, bytes + row.size() * sizeof(float));
-}
-
 void append_heartbeat_frame(std::vector<std::uint8_t>& out,
                             std::uint32_t src_part) {
   put_frame_header(out, FrameType::heartbeat, sizeof(std::uint32_t));
@@ -189,31 +163,6 @@ bool FrameDecoder::next(Frame& out) {
       need(sizeof(std::uint32_t) + sizeof(std::uint64_t));
       out.src_part = get<std::uint32_t>(buf_.data(), at);
       out.superstep = get<std::uint64_t>(buf_.data(), at);
-      break;
-    }
-    case FrameType::token: {
-      need(sizeof(std::uint32_t) + sizeof(std::uint64_t) +
-           sizeof(std::int64_t) + 2 * sizeof(std::uint8_t));
-      out.src_part = get<std::uint32_t>(buf_.data(), at);
-      out.token_round = get<std::uint64_t>(buf_.data(), at);
-      out.token_count = get<std::int64_t>(buf_.data(), at);
-      out.token_black = get<std::uint8_t>(buf_.data(), at) != 0;
-      out.token_done = get<std::uint8_t>(buf_.data(), at) != 0;
-      break;
-    }
-    case FrameType::row: {
-      need(4 * sizeof(std::uint32_t));
-      out.sender = get<std::uint32_t>(buf_.data(), at);
-      out.src_part = get<std::uint32_t>(buf_.data(), at);
-      out.hop = get<std::uint32_t>(buf_.data(), at);
-      const auto num_floats = get<std::uint32_t>(buf_.data(), at);
-      need(num_floats * sizeof(float));
-      out.row.resize(num_floats);
-      if (num_floats > 0) {
-        std::memcpy(out.row.data(), buf_.data() + at,
-                    num_floats * sizeof(float));
-      }
-      at += num_floats * sizeof(float);
       break;
     }
     case FrameType::heartbeat: {

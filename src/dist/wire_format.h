@@ -25,19 +25,7 @@
 //   barrier  — u32 src_part, u64 superstep. End-of-superstep marker; a
 //              rank's superstep completes when every peer's barrier for
 //              the same superstep index arrived.
-//   token    — u32 src_part, u64 round, i64 count, u8 black, u8 done.
-//              Safra-style termination token for --mode=async epochs
-//              (dist/termination.h). Control traffic: counted separately
-//              from row traffic by the transport (token_messages), never
-//              in wire_bytes/wire_messages.
-//   row      — payload fields plus a leading u32 hop. Async epoch row: the
-//              hop index both routes the row to the right per-layer halo
-//              slot on the receiver and acts as the version stamp for the
-//              HaloCache write-through (a late frame must never regress a
-//              newer committed row). Rows travel f32 even under
-//              --wire-precision=bf16 — the sender has already rounded, so
-//              bits are preserved; byte COUNTERS still use the bf16 size
-//              so sim and tcp accounting agree.
+//   heartbeat — u32 src_part. Idle-liveness frame (see below).
 //
 // The encoder appends to a byte vector (the per-peer send queue); the
 // decoder is incremental — feed it arbitrary chunks as they arrive off a
@@ -58,9 +46,9 @@ enum class FrameType : std::uint8_t {
   opaque = 2,
   barrier = 3,
   payload_bf16 = 4,
-  token = 5,
-  row = 6,
-  // 7 is retired (a former migration frame type): do not reuse it.
+  // 5, 6 and 7 are retired (former async token/row and migration frame
+  // types): the decoder rejects them as unknown, and they must not be
+  // reused.
   heartbeat = 8,
 };
 
@@ -85,13 +73,6 @@ struct Frame {
   std::uint64_t num_messages = 0;
   // barrier fields (src_part shared above)
   std::uint64_t superstep = 0;
-  // row fields (payload fields shared above)
-  std::uint32_t hop = 0;
-  // token fields (src_part shared above)
-  std::uint64_t token_round = 0;
-  std::int64_t token_count = 0;
-  bool token_black = false;
-  bool token_done = false;
 };
 
 void append_payload_frame(std::vector<std::uint8_t>& out, VertexId sender,
@@ -109,16 +90,10 @@ void append_opaque_frame(std::vector<std::uint8_t>& out,
                          std::uint64_t num_messages);
 void append_barrier_frame(std::vector<std::uint8_t>& out,
                           std::uint32_t src_part, std::uint64_t superstep);
-void append_token_frame(std::vector<std::uint8_t>& out, std::uint32_t src_part,
-                        std::uint64_t round, std::int64_t count, bool black,
-                        bool done);
-void append_row_frame(std::vector<std::uint8_t>& out, VertexId sender,
-                      std::uint32_t src_part, std::uint32_t hop,
-                      std::span<const float> row);
 // Liveness heartbeat — u32 src_part only. Sent by TcpTransport while idle
 // at a barrier so peers can distinguish "slow" from "dead"; the receiver
 // refreshes its peer-liveness clock on ANY bytes, so the frame itself is
-// discarded on dispatch. Never counted in wire/token counters.
+// discarded on dispatch. Never counted in the wire counters.
 void append_heartbeat_frame(std::vector<std::uint8_t>& out,
                             std::uint32_t src_part);
 

@@ -8,8 +8,7 @@
 //     stream-prefix topology, restore every rank from the last complete
 //     checkpoint, and replay the suffix — the final embeddings must be
 //     BIT-identical to a run that never failed, across
-//     parts {1,2,4} x engines {ripple, rc} x modes {bsp, async} x kill
-//     seeds. Zero tolerance: this is what makes a checkpoint file plus the
+//     parts {1,2,4} x engines {ripple, rc} x kill seeds. Zero tolerance: this is what makes a checkpoint file plus the
 //     deterministic runtime a complete recovery story.
 //  3. Restore refuses a valid file that is not the one it asked for
 //     (another rank's, another cursor's, another engine's) and the file
@@ -250,8 +249,8 @@ std::unique_ptr<InferenceEngine> make_reference(const std::string& key,
   return std::make_unique<RecomputeEngine>(model, g, features);
 }
 
-void run_recovery_case(const std::string& key, ExecMode mode,
-                       std::size_t num_parts, std::uint64_t kill_seed) {
+void run_recovery_case(const std::string& key, std::size_t num_parts,
+                       std::uint64_t kill_seed) {
   constexpr std::size_t kBatchSize = 9;
   constexpr std::size_t kCheckpointEvery = 2;
   auto c = make_rmat_case(77);
@@ -274,8 +273,7 @@ void run_recovery_case(const std::string& key, ExecMode mode,
   {
     auto pristine = make_dist_engine(key, model, c.snapshot, c.features,
                                      partition, nullptr,
-                                     default_transport_options(),
-                                     SchedulerMode::kSteal, mode);
+                                     default_transport_options());
     EXPECT_GE(pristine->write_checkpoint(dir, 0), 0.0);
   }
 
@@ -286,8 +284,7 @@ void run_recovery_case(const std::string& key, ExecMode mode,
     auto engine = make_dist_engine(
         key, model, c.snapshot, c.features, partition, nullptr,
         make_fault_inject_sim(num_parts, default_transport_options(),
-                              FaultPlan::seeded_kill(kill_seed, 20)),
-        SchedulerMode::kSteal, mode);
+                              FaultPlan::seeded_kill(kill_seed, 20)));
     for (const auto& batch : batches) {
       engine->apply_batch(batch);
       ++applied;
@@ -323,8 +320,7 @@ void run_recovery_case(const std::string& key, ExecMode mode,
 
   auto engine = make_dist_engine(key, model, topo, other_features,
                                  restored_partition, nullptr,
-                                 default_transport_options(),
-                                 SchedulerMode::kSteal, mode);
+                                 default_transport_options());
   engine->restore_checkpoint(dir, *cursor);
   for (std::size_t i = *cursor; i < batches.size(); ++i) {
     engine->apply_batch(batches[i]);
@@ -336,26 +332,20 @@ void run_recovery_case(const std::string& key, ExecMode mode,
 
 TEST(CheckpointRecovery, KillRestoreReplayIsBitIdenticalRipple) {
   for (const std::size_t num_parts : {1, 2, 4}) {
-    for (const ExecMode mode : {ExecMode::kBsp, ExecMode::kAsync}) {
-      for (const std::uint64_t seed : {5ull, 6ull}) {
-        SCOPED_TRACE(std::to_string(num_parts) + " parts, " +
-                     exec_mode_name(mode) + ", kill seed " +
-                     std::to_string(seed));
-        run_recovery_case("ripple", mode, num_parts, seed);
-      }
+    for (const std::uint64_t seed : {5ull, 6ull}) {
+      SCOPED_TRACE(std::to_string(num_parts) + " parts, kill seed " +
+                   std::to_string(seed));
+      run_recovery_case("ripple", num_parts, seed);
     }
   }
 }
 
 TEST(CheckpointRecovery, KillRestoreReplayIsBitIdenticalRecompute) {
   for (const std::size_t num_parts : {1, 2, 4}) {
-    for (const ExecMode mode : {ExecMode::kBsp, ExecMode::kAsync}) {
-      for (const std::uint64_t seed : {5ull, 6ull}) {
-        SCOPED_TRACE(std::to_string(num_parts) + " parts, " +
-                     exec_mode_name(mode) + ", kill seed " +
-                     std::to_string(seed));
-        run_recovery_case("rc", mode, num_parts, seed);
-      }
+    for (const std::uint64_t seed : {5ull, 6ull}) {
+      SCOPED_TRACE(std::to_string(num_parts) + " parts, kill seed " +
+                   std::to_string(seed));
+      run_recovery_case("rc", num_parts, seed);
     }
   }
 }

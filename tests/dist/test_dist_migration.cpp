@@ -6,7 +6,7 @@
 //     deterministic plan proposal.
 //  2. Exactness property: embeddings after ANY migration schedule are
 //     BIT-IDENTICAL to the never-migrated single-machine engines, across
-//     num_parts {1, 2, 4} × both engines × bsp/async — for explicit
+//     num_parts {1, 2, 4} × both engines — for explicit
 //     deterministic plans, and for plans the skew detector proposes from
 //     the per-rank busy counters of the drifting-hot-region stream
 //     (bench/drift_rmat.h, the workload the feature exists for).
@@ -234,32 +234,29 @@ TEST(DistMigration, MigratedRunsBitIdenticalToNeverMigratedSingleMachine) {
     auto partition = ldg_partition(c.snapshot, num_parts);
     refine_partition(c.snapshot, partition, 1);
     for (const char* key : {"ripple", "rc"}) {
-      for (const ExecMode mode : {ExecMode::kBsp, ExecMode::kAsync}) {
-        SCOPED_TRACE(std::string(key) + ", " +
-                     std::to_string(num_parts) + " parts, " +
-                     exec_mode_name(mode));
-        ThreadPool pool(3);
-        auto engine =
-            make_dist_engine(key, model, c.snapshot, c.features, partition,
-                             &pool, default_transport_options(),
-                             SchedulerMode::kSteal, mode);
-        std::size_t moves = 0;
-        std::size_t supersteps = 0;
-        for (std::size_t b = 0; b < batches.size(); ++b) {
-          engine->apply_batch(batches[b]);
-          const std::size_t executed = engine->migrate(rotate_plan(*engine, b));
-          moves += executed;
-          supersteps += executed > 0 ? 1 : 0;
-        }
-        if (num_parts > 1) {
-          EXPECT_GT(moves, 0u);  // the schedule genuinely migrated
-          EXPECT_EQ(engine->partition().version(), supersteps);
-        }
-        const auto& ref = std::string(key) == "ripple" ? ripple_ref.embeddings()
-                                                       : rc_ref.embeddings();
-        EXPECT_EQ(testing::max_store_diff(ref, engine->gather_embeddings()),
-                  0.0f);
+      SCOPED_TRACE(std::string(key) + ", " +
+                   std::to_string(num_parts) + " parts");
+      ThreadPool pool(3);
+      auto engine =
+          make_dist_engine(key, model, c.snapshot, c.features, partition,
+                           &pool, default_transport_options(),
+                           SchedulerMode::kSteal);
+      std::size_t moves = 0;
+      std::size_t supersteps = 0;
+      for (std::size_t b = 0; b < batches.size(); ++b) {
+        engine->apply_batch(batches[b]);
+        const std::size_t executed = engine->migrate(rotate_plan(*engine, b));
+        moves += executed;
+        supersteps += executed > 0 ? 1 : 0;
       }
+      if (num_parts > 1) {
+        EXPECT_GT(moves, 0u);  // the schedule genuinely migrated
+        EXPECT_EQ(engine->partition().version(), supersteps);
+      }
+      const auto& ref = std::string(key) == "ripple" ? ripple_ref.embeddings()
+                                                     : rc_ref.embeddings();
+      EXPECT_EQ(testing::max_store_diff(ref, engine->gather_embeddings()),
+                0.0f);
     }
   }
 }
@@ -288,32 +285,29 @@ TEST(DistMigration, SkewProposedPlansOnDriftStreamStayExact) {
   RippleEngine ref(model, scenario.snapshot, features);
   for (const auto& batch : batches) ref.apply_batch(batch);
 
-  for (const ExecMode mode : {ExecMode::kBsp, ExecMode::kAsync}) {
-    SCOPED_TRACE(exec_mode_name(mode));
-    auto partition = ldg_partition(scenario.snapshot, 4);
-    refine_partition(scenario.snapshot, partition, 1);
-    auto engine = make_dist_engine("ripple", model, scenario.snapshot,
-                                   features, partition, nullptr,
-                                   default_transport_options(),
-                                   SchedulerMode::kStatic, mode);
-    SkewSignal signal;
-    MigrationOptions options;
-    options.hot_factor = 1.0;  // eager: migrate on any measurable skew
-    options.max_moves = 16;
-    std::size_t total_moves = 0;
-    for (const auto& batch : batches) {
-      const DistBatchResult result = engine->apply_batch(batch);
-      for (std::size_t p = 0; p < result.num_parts; ++p) {
-        signal.accumulate(p, result.busy_share_sec(p));
-      }
-      total_moves += engine->migrate(propose_migration(
-          engine->graph(), engine->partition(), signal, options));
+  auto partition = ldg_partition(scenario.snapshot, 4);
+  refine_partition(scenario.snapshot, partition, 1);
+  auto engine = make_dist_engine("ripple", model, scenario.snapshot,
+                                 features, partition, nullptr,
+                                 default_transport_options(),
+                                 SchedulerMode::kStatic);
+  SkewSignal signal;
+  MigrationOptions options;
+  options.hot_factor = 1.0;  // eager: migrate on any measurable skew
+  options.max_moves = 16;
+  std::size_t total_moves = 0;
+  for (const auto& batch : batches) {
+    const DistBatchResult result = engine->apply_batch(batch);
+    for (std::size_t p = 0; p < result.num_parts; ++p) {
+      signal.accumulate(p, result.busy_share_sec(p));
     }
-    EXPECT_GT(total_moves, 0u);  // the drift stream must trigger the detector
-    EXPECT_EQ(testing::max_store_diff(ref.embeddings(),
-                                      engine->gather_embeddings()),
-              0.0f);
+    total_moves += engine->migrate(propose_migration(
+        engine->graph(), engine->partition(), signal, options));
   }
+  EXPECT_GT(total_moves, 0u);  // the drift stream must trigger the detector
+  EXPECT_EQ(testing::max_store_diff(ref.embeddings(),
+                                    engine->gather_embeddings()),
+            0.0f);
 }
 
 TEST(DistMigration, GrowthThenMigratePostPartitionVertex) {

@@ -1,20 +1,13 @@
 // Fault-injection property tests (dist/fault_inject.h,
 // docs/fault_tolerance.md):
 //  1. A seeded kill schedule is deterministic — two runs of the same plan
-//     fail at the same point with the same typed error (kPeerLost) — for
-//     both exec modes.
-//  2. Benign faults are invisible: delaying a (src,dst) pair's rows keeps
-//     pair FIFO, so the async run stays BIT-identical to the single-machine
-//     reference while faults_injected() proves the schedule fired.
-//  3. Malign faults surface as the documented typed error, never as an
-//     abort: dropped row -> kTimeout (stalled epoch), duplicated row ->
-//     kProtocol (spurious credit / stale stamp), truncated async row ->
-//     kCorrupt, truncated BSP payload -> kCorrupt on both the halo-fill
-//     and the delta-seed validation paths.
-//  4. Owned-row installs check every frame against the shipping schedule:
+//     fail at the same point with the same typed error (kPeerLost).
+//  2. A truncated payload surfaces as TransportError{kCorrupt}, never as
+//     an abort, on both the halo-fill and the delta-seed validation paths.
+//  3. Owned-row installs check every frame against the shipping schedule:
 //     a wrong sender, a wrong width, a missing frame and an unclaimed frame
 //     each raise TransportError{kCorrupt}.
-//  5. FrameDecoder fuzz: random truncations and bit flips of a valid frame
+//  4. FrameDecoder fuzz: random truncations and bit flips of a valid frame
 //     stream either decode or raise TransportError{kCorrupt} — never any
 //     other failure — and a wire-declared length beyond kMaxFrameBytes is
 //     rejected the moment the header is visible.
@@ -27,7 +20,6 @@
 #include <tuple>
 
 #include "../test_util.h"
-#include "core/ripple_engine.h"
 #include "dist/dist_engine.h"
 #include "dist/fault_inject.h"
 #include "dist/transport.h"
@@ -58,12 +50,11 @@ RmatCase make_rmat_case(std::uint64_t seed) {
 
 // Same 4-vertex 2-part fixture as test_dist_engine.cpp: vertices 0,1 on
 // partition 0; 2,3 on partition 1; edges 0->1, 1->2 (cut), 2->3, 2->0 (cut);
-// every model width is 2. Small enough that the send() / send_row() index
-// of each protocol frame is known exactly, so a fault can target a specific
-// frame: for the edge_add(0, 2) batch, payload send 0 is the halo fetch
-// (h^0,h^1 of vertex 0 -> partition 1) and payload send 1 is the hop-1
-// delta row (sender 2 -> partition 0); async row send 0 is that same hop-1
-// delta travelling as a row frame.
+// every model width is 2. Small enough that the send() index of each
+// protocol frame is known exactly, so a fault can target a specific frame:
+// for the edge_add(0, 2) batch, payload send 0 is the halo fetch (h^0,h^1
+// of vertex 0 -> partition 1) and payload send 1 is the hop-1 delta row
+// (sender 2 -> partition 0).
 struct TinyDist {
   DynamicGraph graph{4};
   Matrix features;
@@ -92,12 +83,11 @@ std::optional<TransportErrorKind> thrown_kind(
   return std::nullopt;
 }
 
-std::unique_ptr<DistEngineBase> make_faulted_tiny(
-    TinyDist& t, const FaultPlan& plan, ExecMode mode) {
+std::unique_ptr<DistEngineBase> make_faulted_tiny(TinyDist& t,
+                                                  const FaultPlan& plan) {
   return make_dist_engine("ripple", t.model, t.graph, t.features, t.partition,
                           nullptr,
-                          make_fault_inject_sim(2, TransportOptions{}, plan),
-                          SchedulerMode::kSteal, mode);
+                          make_fault_inject_sim(2, TransportOptions{}, plan));
 }
 
 // ---- seeded kill: deterministic, typed ----
@@ -110,16 +100,14 @@ struct KillRun {
 };
 
 KillRun run_seeded_kill(const RmatCase& c, const GnnModel& model,
-                        const Partition& partition, ExecMode mode,
-                        std::uint64_t seed) {
+                        const Partition& partition, std::uint64_t seed) {
   KillRun r;
   try {
     auto engine = make_dist_engine(
         "ripple", model, c.snapshot, c.features, partition, nullptr,
         make_fault_inject_sim(partition.num_parts(),
                               default_transport_options(),
-                              FaultPlan::seeded_kill(seed, 24)),
-        SchedulerMode::kSteal, mode);
+                              FaultPlan::seeded_kill(seed, 24)));
     for (const auto& batch : make_batches(c.stream, 9)) {
       engine->apply_batch(batch);
       ++r.batches_applied;
@@ -138,96 +126,20 @@ TEST(FaultInject, SeededKillIsDeterministicAndTyped) {
   const auto model = GnnModel::random(config, 79);
   auto partition = ldg_partition(c.snapshot, 2);
   refine_partition(c.snapshot, partition, 1);
-  for (const ExecMode mode : {ExecMode::kBsp, ExecMode::kAsync}) {
-    for (const std::uint64_t seed : {11ull, 12ull}) {
-      SCOPED_TRACE(std::string(exec_mode_name(mode)) + ", seed " +
-                   std::to_string(seed));
-      const KillRun a = run_seeded_kill(c, model, partition, mode, seed);
-      const KillRun b = run_seeded_kill(c, model, partition, mode, seed);
-      ASSERT_TRUE(a.threw);
-      EXPECT_EQ(a.kind, TransportErrorKind::kPeerLost);
-      // Determinism: the identical plan against the identical protocol run
-      // dies at the identical step (the step number rides in the message).
-      EXPECT_EQ(a.error, b.error);
-      EXPECT_EQ(a.batches_applied, b.batches_applied);
-    }
+  for (const std::uint64_t seed : {11ull, 12ull}) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const KillRun a = run_seeded_kill(c, model, partition, seed);
+    const KillRun b = run_seeded_kill(c, model, partition, seed);
+    ASSERT_TRUE(a.threw);
+    EXPECT_EQ(a.kind, TransportErrorKind::kPeerLost);
+    // Determinism: the identical plan against the identical protocol run
+    // dies at the identical step (the step number rides in the message).
+    EXPECT_EQ(a.error, b.error);
+    EXPECT_EQ(a.batches_applied, b.batches_applied);
   }
 }
 
-// ---- benign fault: pair-FIFO delay keeps the bits ----
-
-TEST(FaultInject, DelayedPairFifoStaysBitIdentical) {
-  auto c = make_rmat_case(41);
-  const auto config = workload_config(Workload::gc_m, 8, 4, 2, 10);
-  const auto model = GnnModel::random(config, 43);
-  const auto batches = make_batches(c.stream, 9);
-  RippleEngine ref(model, c.snapshot, c.features);
-  for (const auto& batch : batches) ref.apply_batch(batch);
-
-  auto partition = ldg_partition(c.snapshot, 2);
-  refine_partition(c.snapshot, partition, 1);
-  FaultPlan plan;
-  plan.actions.push_back({FaultKind::kDelayRowPair, 0, 0, 6});
-  plan.actions.push_back({FaultKind::kDelayRowPair, 0, 17, 4});
-  auto transport =
-      make_fault_inject_sim(2, default_transport_options(), plan);
-  auto* fault = static_cast<FaultInjectTransport*>(transport.get());
-  auto engine = make_dist_engine("ripple", model, c.snapshot, c.features,
-                                 partition, nullptr, std::move(transport),
-                                 SchedulerMode::kSteal, ExecMode::kAsync);
-  for (const auto& batch : batches) engine->apply_batch(batch);
-  // The schedule genuinely fired...
-  EXPECT_GE(fault->faults_injected(), 1u);
-  // ...and the run is indistinguishable from a fault-free one: holding a
-  // pair's rows preserves per-(src,dst) FIFO, which is all the async
-  // fixed-point property requires.
-  EXPECT_EQ(
-      testing::max_store_diff(ref.embeddings(), engine->gather_embeddings()),
-      0.0f);
-}
-
-// ---- malign faults: each surfaces as its documented typed error ----
-
-TEST(FaultInject, DroppedRowStallsToTypedTimeout) {
-  TinyDist t(2, {0, 0, 1, 1});
-  FaultPlan plan;
-  plan.actions.push_back({FaultKind::kDropRow, 0, 0, 4});
-  auto engine = make_faulted_tiny(t, plan, ExecMode::kAsync);
-  const std::vector<GraphUpdate> batch = {GraphUpdate::edge_add(0, 2)};
-  // The dropped hop-1 row leaves partition 0's pending cell waiting forever
-  // and the termination counters never balance: the epoch driver's stall
-  // detector must convert the unbounded spin into a typed timeout.
-  const auto kind = thrown_kind([&] { engine->apply_batch(batch); });
-  ASSERT_TRUE(kind.has_value());
-  EXPECT_EQ(*kind, TransportErrorKind::kTimeout);
-}
-
-TEST(FaultInject, DuplicatedRowRaisesProtocol) {
-  TinyDist t(2, {0, 0, 1, 1});
-  FaultPlan plan;
-  plan.actions.push_back({FaultKind::kDuplicateRow, 0, 0, 4});
-  auto engine = make_faulted_tiny(t, plan, ExecMode::kAsync);
-  const std::vector<GraphUpdate> batch = {GraphUpdate::edge_add(0, 2)};
-  // The second copy of the row is version-stale on arrival (same hop
-  // stamp) / a spurious dependency credit — either detection path is a
-  // protocol violation, not a crash.
-  const auto kind = thrown_kind([&] { engine->apply_batch(batch); });
-  ASSERT_TRUE(kind.has_value());
-  EXPECT_EQ(*kind, TransportErrorKind::kProtocol);
-}
-
-TEST(FaultInject, CorruptAsyncRowRaisesCorrupt) {
-  TinyDist t(2, {0, 0, 1, 1});
-  FaultPlan plan;
-  plan.actions.push_back({FaultKind::kCorruptRow, 0, 0, 4});
-  auto engine = make_faulted_tiny(t, plan, ExecMode::kAsync);
-  const std::vector<GraphUpdate> batch = {GraphUpdate::edge_add(0, 2)};
-  // Truncated to half width: the receiver's width validation fires before
-  // any float is read.
-  const auto kind = thrown_kind([&] { engine->apply_batch(batch); });
-  ASSERT_TRUE(kind.has_value());
-  EXPECT_EQ(*kind, TransportErrorKind::kCorrupt);
-}
+// ---- corrupt payload: surfaces as its documented typed error ----
 
 TEST(FaultInject, CorruptBspPayloadRaisesCorrupt) {
   // Payload send 0 is the halo fetch (validated by the replay-phase
@@ -237,8 +149,8 @@ TEST(FaultInject, CorruptBspPayloadRaisesCorrupt) {
     SCOPED_TRACE("payload send " + std::to_string(frame_index));
     TinyDist t(2, {0, 0, 1, 1});
     FaultPlan plan;
-    plan.actions.push_back({FaultKind::kCorruptPayload, 0, frame_index, 4});
-    auto engine = make_faulted_tiny(t, plan, ExecMode::kBsp);
+    plan.actions.push_back({FaultKind::kCorruptPayload, 0, frame_index});
+    auto engine = make_faulted_tiny(t, plan);
     const std::vector<GraphUpdate> batch = {GraphUpdate::edge_add(0, 2)};
     const auto kind = thrown_kind([&] { engine->apply_batch(batch); });
     ASSERT_TRUE(kind.has_value());
@@ -305,8 +217,6 @@ std::vector<std::uint8_t> valid_frame_stream() {
   wire::append_payload_frame_bf16(bytes, 9, 1, row);
   wire::append_opaque_frame(bytes, 0, 1, 128, 2);
   wire::append_barrier_frame(bytes, 1, 4);
-  wire::append_token_frame(bytes, 0, 3, -2, true, false);
-  wire::append_row_frame(bytes, 5, 1, 2, row);
   wire::append_heartbeat_frame(bytes, 1);
   return bytes;
 }

@@ -3,9 +3,8 @@
 // plan.real_kill raises an ACTUAL SIGKILL inside one forked rank mid-run,
 // and the tests assert on what the rest of the cluster observes:
 //  1. Detection — the survivor's next transport call surfaces
-//     TransportError{kPeerLost} within the configured deadlines, both for
-//     a mid-superstep BSP death and a mid-epoch async death. The victim's
-//     outcome is kDied (it never reached its report), proving the kill was
+//     TransportError{kPeerLost} within the configured deadlines for a
+//     mid-superstep death. The victim's outcome is kDied (it never reached its report), proving the kill was
 //     a real process death and not a thrown exception.
 //  2. Recovery (RIPPLE_TRANSPORT=tcp, ci.sh's dedicated tcp pass) — the
 //     killed cluster left periodic per-rank checkpoints behind; a fresh
@@ -98,9 +97,8 @@ std::vector<std::uint8_t> encode_survivor(bool caught, TransportErrorKind kind,
 // with real_kill and every rank checkpoints every `checkpoint_every`
 // batches into `dir` (empty dir disables checkpointing). Asserts the
 // victim died and returns the survivor's observed error kind.
-void run_kill_drill(const std::string& key, ExecMode mode,
-                    const FaultAction& action, const std::string& dir,
-                    std::size_t checkpoint_every) {
+void run_kill_drill(const std::string& key, const FaultAction& action,
+                    const std::string& dir, std::size_t checkpoint_every) {
   constexpr std::size_t kNumRanks = 2;
   constexpr std::size_t kBatchSize = 9;
   const auto c = make_rmat_case(77);
@@ -122,8 +120,7 @@ void run_kill_drill(const std::string& key, ExecMode mode,
         }
         auto engine = make_dist_engine(key, model, c.snapshot, c.features,
                                        partition, nullptr,
-                                       std::move(transport),
-                                       SchedulerMode::kSteal, mode);
+                                       std::move(transport));
         bool caught = false;
         auto kind = TransportErrorKind::kTimeout;
         std::uint64_t applied = 0;
@@ -160,16 +157,7 @@ void run_kill_drill(const std::string& key, ExecMode mode,
 TEST(RankKill, MidSuperstepBspDeathSurfacesPeerLostToTheSurvivor) {
   // steps_begun reaches 5 a batch or two into the run: the victim dies at
   // the top of a superstep, with the survivor parked at the barrier.
-  run_kill_drill("ripple", ExecMode::kBsp,
-                 {FaultKind::kKillAtStep, /*at_step=*/5, 0, 0},
-                 /*dir=*/"", /*checkpoint_every=*/0);
-}
-
-TEST(RankKill, MidEpochAsyncDeathSurfacesPeerLostToTheSurvivor) {
-  // The victim dies on its 2nd async row send — INSIDE a barrier-free
-  // epoch, the survivor blocked in poll_async waiting to quiesce.
-  run_kill_drill("ripple", ExecMode::kAsync,
-                 {FaultKind::kKillAtRowFrame, 0, /*frame_index=*/1, 0},
+  run_kill_drill("ripple", {FaultKind::kKillAtStep, /*at_step=*/5, 0},
                  /*dir=*/"", /*checkpoint_every=*/0);
 }
 
@@ -201,7 +189,7 @@ DynamicGraph topology_at(const DynamicGraph& snapshot,
   return g;
 }
 
-void run_tcp_recovery_case(const std::string& key, ExecMode mode) {
+void run_tcp_recovery_case(const std::string& key) {
   constexpr std::size_t kNumRanks = 2;
   constexpr std::size_t kBatchSize = 9;
   constexpr std::size_t kCheckpointEvery = 2;
@@ -227,10 +215,9 @@ void run_tcp_recovery_case(const std::string& key, ExecMode mode) {
   const std::string dir = make_temp_dir();
 
   // Act 1: the killed run. Checkpoints land every K batches until the
-  // victim SIGKILLs itself ~2 batches later (BSP supersteps and async
-  // epochs both advance steps_begun, so one trigger serves both modes).
-  run_kill_drill(key, mode, {FaultKind::kKillAtStep, /*at_step=*/12, 0, 0},
-                 dir, kCheckpointEvery);
+  // victim SIGKILLs itself ~2 batches later.
+  run_kill_drill(key, {FaultKind::kKillAtStep, /*at_step=*/12, 0}, dir,
+                 kCheckpointEvery);
   if (::testing::Test::HasFailure()) return;
 
   // Act 2: a fresh cluster recovers from what the dead one left on disk.
@@ -257,8 +244,7 @@ void run_tcp_recovery_case(const std::string& key, ExecMode mode) {
             kNumRanks, TransportOptions{}, cfg);
         auto engine = make_dist_engine(key, model, topo, other_features,
                                        restored_partition, nullptr,
-                                       std::move(transport),
-                                       SchedulerMode::kSteal, mode);
+                                       std::move(transport));
         // COLLECTIVE: the ripple restore runs a halo-refill superstep, so
         // both ranks call it at the same point — over the real wire.
         engine->restore_checkpoint(dir, *cursor);
@@ -290,10 +276,8 @@ TEST(RankKill, KillRestoreReplayIsBitIdenticalOverTcp) {
     GTEST_SKIP() << "set RIPPLE_TRANSPORT=tcp to run the tcp recovery drill";
   }
   for (const char* key : {"ripple", "rc"}) {
-    for (const ExecMode mode : {ExecMode::kBsp, ExecMode::kAsync}) {
-      SCOPED_TRACE(std::string(key) + ", " + exec_mode_name(mode));
-      run_tcp_recovery_case(key, mode);
-    }
+    SCOPED_TRACE(key);
+    run_tcp_recovery_case(key);
   }
 }
 
