@@ -16,8 +16,9 @@
 #     (--transport=tcp, rank 1 in the background): one measured row per
 #     engine ("comm_measured":true), real seconds and real sockets;
 #   * bench_recovery --quick --json (docs/fault_tolerance.md): the
-#     periodic checkpoint tax
-#     (checkpoint_write_sec, checkpoint_bytes) and the recovery cost
+#     periodic checkpoint tax (checkpoint_stall_sec on the stream's path,
+#     checkpoint_write_sec in the background, checkpoint_bytes) and the
+#     recovery cost
 #     (restore_sec + recovery_replay_sec), each row bit-verifying the
 #     recovered embeddings against the uninterrupted run ("exact":true);
 #   * bench_drift_scenario --json (drifting-hot-region scenario,

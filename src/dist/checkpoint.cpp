@@ -3,10 +3,12 @@
 #include <dirent.h>
 #include <unistd.h>
 
+#include <bit>
 #include <cstdio>
 #include <cstring>
 #include <map>
 #include <sstream>
+#include <utility>
 
 #include "common/check.h"
 #include "dist/transport_error.h"
@@ -14,15 +16,23 @@
 namespace ripple {
 namespace {
 
-struct Crc32Table {
-  std::uint32_t entry[256];
-  Crc32Table() {
+// Slicing-by-8: entry[0] is the classic bytewise table, and entry[k][b] is
+// the CRC of byte b followed by k zero bytes, so one step folds 8 bytes.
+struct Crc32Tables {
+  std::uint32_t entry[8][256];
+  Crc32Tables() {
     for (std::uint32_t i = 0; i < 256; ++i) {
       std::uint32_t c = i;
       for (int k = 0; k < 8; ++k) {
         c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
       }
-      entry[i] = c;
+      entry[0][i] = c;
+    }
+    for (std::uint32_t i = 0; i < 256; ++i) {
+      for (int k = 1; k < 8; ++k) {
+        const std::uint32_t prev = entry[k - 1][i];
+        entry[k][i] = entry[0][prev & 0xffu] ^ (prev >> 8);
+      }
     }
   }
 };
@@ -72,12 +82,24 @@ void append(std::vector<std::uint8_t>& out, const T& value) {
 }  // namespace
 
 std::uint32_t crc32(const void* data, std::size_t len, std::uint32_t seed) {
-  static const Crc32Table table;
+  static const Crc32Tables tables;
+  const auto& t = tables.entry;
   std::uint32_t c = seed ^ 0xffffffffu;
   const auto* p = static_cast<const std::uint8_t*>(data);
-  for (std::size_t i = 0; i < len; ++i) {
-    c = table.entry[(c ^ p[i]) & 0xffu] ^ (c >> 8);
+  // The 8-byte step reads two little-endian words; other hosts take the
+  // bytewise loop, which yields the same values.
+  if constexpr (std::endian::native == std::endian::little) {
+    for (; len >= 8; p += 8, len -= 8) {
+      std::uint32_t lo, hi;
+      std::memcpy(&lo, p, 4);
+      std::memcpy(&hi, p + 4, 4);
+      lo ^= c;
+      c = t[7][lo & 0xffu] ^ t[6][(lo >> 8) & 0xffu] ^
+          t[5][(lo >> 16) & 0xffu] ^ t[4][lo >> 24] ^ t[3][hi & 0xffu] ^
+          t[2][(hi >> 8) & 0xffu] ^ t[1][(hi >> 16) & 0xffu] ^ t[0][hi >> 24];
+    }
   }
+  for (; len > 0; ++p, --len) c = t[0][(c ^ *p) & 0xffu] ^ (c >> 8);
   return c ^ 0xffffffffu;
 }
 
@@ -88,49 +110,78 @@ std::string checkpoint_path(const std::string& dir, std::uint64_t cursor,
   return os.str();
 }
 
-void write_checkpoint_file(const std::string& dir,
-                           const CheckpointData& data) {
-  const CheckpointMeta& meta = data.meta;
-  RIPPLE_CHECK_MSG(data.rows.size() ==
-                       data.vertices.size() * std::size_t{meta.row_width},
-                   "checkpoint rows/vertices size mismatch");
-
-  std::vector<std::uint8_t> image;
-  image.reserve(64 + meta.part_of.size() * 4 + data.vertices.size() * 4 +
-                data.rows.size() * 4);
-  append(image, kCheckpointMagic);
-  append(image, kCheckpointFormatVersion);
-  append(image, meta.rank);
-  append(image, meta.num_parts);
-  append(image, meta.row_width);
-  append(image, meta.stream_cursor);
-  append(image, meta.partition_version);
-  append(image, meta.num_vertices);
-  append(image, static_cast<std::uint32_t>(meta.engine_key.size()));
-  image.insert(image.end(), meta.engine_key.begin(), meta.engine_key.end());
-  append(image, static_cast<std::uint64_t>(meta.part_of.size()));
-  for (std::uint32_t p : meta.part_of) append(image, p);
-  append(image, static_cast<std::uint64_t>(data.vertices.size()));
-  for (VertexId v : data.vertices) append(image, v);
-  const auto* rows = reinterpret_cast<const std::uint8_t*>(data.rows.data());
-  image.insert(image.end(), rows, rows + data.rows.size() * sizeof(float));
-  append(image, crc32(image.data(), image.size()));
+CheckpointImage begin_checkpoint_image(const std::string& dir,
+                                       const CheckpointMeta& meta,
+                                       std::span<const VertexId> vertices) {
+  CheckpointImage image;
+  image.path = checkpoint_path(dir, meta.stream_cursor, meta.rank);
+  // One term per field, in the order written below.
+  image.size = sizeof(kCheckpointMagic) + sizeof(kCheckpointFormatVersion) +
+               sizeof(meta.rank) + sizeof(meta.num_parts) +
+               sizeof(meta.row_width) + sizeof(meta.stream_cursor) +
+               sizeof(meta.partition_version) + sizeof(meta.num_vertices) +
+               sizeof(std::uint32_t) + meta.engine_key.size() +
+               sizeof(std::uint64_t) +
+               meta.part_of.size() * sizeof(std::uint32_t) +
+               sizeof(std::uint64_t) + vertices.size() * sizeof(VertexId) +
+               vertices.size() * meta.row_width * sizeof(float) +
+               sizeof(std::uint32_t);
+  image.bytes.reserve(image.size);
+  std::vector<std::uint8_t>& out = image.bytes;
+  append(out, kCheckpointMagic);
+  append(out, kCheckpointFormatVersion);
+  append(out, meta.rank);
+  append(out, meta.num_parts);
+  append(out, meta.row_width);
+  append(out, meta.stream_cursor);
+  append(out, meta.partition_version);
+  append(out, meta.num_vertices);
+  append(out, static_cast<std::uint32_t>(meta.engine_key.size()));
+  out.insert(out.end(), meta.engine_key.begin(), meta.engine_key.end());
+  append(out, static_cast<std::uint64_t>(meta.part_of.size()));
+  const auto* part_of =
+      reinterpret_cast<const std::uint8_t*>(meta.part_of.data());
+  out.insert(out.end(), part_of,
+             part_of + meta.part_of.size() * sizeof(std::uint32_t));
+  append(out, static_cast<std::uint64_t>(vertices.size()));
+  const auto* ids = reinterpret_cast<const std::uint8_t*>(vertices.data());
+  out.insert(out.end(), ids, ids + vertices.size_bytes());
 
   // tmp + fsync + atomic rename: the final name only ever appears with a
   // complete image behind it, so a crash mid-write cannot strand a torn
   // file where latest_checkpoint_cursor() would trust it.
-  const std::string path =
-      checkpoint_path(dir, meta.stream_cursor, meta.rank);
-  const std::string tmp = path + ".tmp";
-  std::FILE* f = std::fopen(tmp.c_str(), "wb");
-  RIPPLE_CHECK_MSG(f != nullptr, "cannot open checkpoint tmp file " + tmp);
-  const std::size_t wrote = std::fwrite(image.data(), 1, image.size(), f);
+  const std::string tmp = image.path + ".tmp";
+  image.tmp.reset(std::fopen(tmp.c_str(), "wb"));
+  RIPPLE_CHECK_MSG(image.tmp != nullptr,
+                   "cannot open checkpoint tmp file " + tmp);
+  return image;
+}
+
+void commit_checkpoint_image(CheckpointImage image) {
+  std::vector<std::uint8_t>& out = image.bytes;
+  RIPPLE_CHECK_MSG(out.size() + sizeof(std::uint32_t) == image.size,
+                   "checkpoint image for " + image.path + " holds " +
+                       std::to_string(out.size()) + " bytes before its CRC");
+  append(out, crc32(out.data(), out.size()));
+  const std::string tmp = image.path + ".tmp";
+  std::FILE* f = image.tmp.get();
+  const std::size_t wrote = std::fwrite(out.data(), 1, out.size(), f);
   const bool flushed = std::fflush(f) == 0 && ::fsync(::fileno(f)) == 0;
-  std::fclose(f);
-  RIPPLE_CHECK_MSG(wrote == image.size() && flushed,
+  const bool closed = std::fclose(image.tmp.release()) == 0;
+  RIPPLE_CHECK_MSG(wrote == out.size() && flushed && closed,
                    "short write for checkpoint tmp file " + tmp);
-  RIPPLE_CHECK_MSG(std::rename(tmp.c_str(), path.c_str()) == 0,
-                   "cannot rename checkpoint into place: " + path);
+  RIPPLE_CHECK_MSG(std::rename(tmp.c_str(), image.path.c_str()) == 0,
+                   "cannot rename checkpoint into place: " + image.path);
+}
+
+void write_checkpoint_file(const std::string& dir,
+                           const CheckpointData& data) {
+  RIPPLE_CHECK_MSG(data.rows.size() ==
+                       data.vertices.size() * std::size_t{data.meta.row_width},
+                   "checkpoint rows/vertices size mismatch");
+  CheckpointImage image = begin_checkpoint_image(dir, data.meta, data.vertices);
+  image.append(data.rows);
+  commit_checkpoint_image(std::move(image));
 }
 
 CheckpointData read_checkpoint_file(const std::string& path) {

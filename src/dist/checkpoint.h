@@ -23,11 +23,20 @@
 // Durability: the file is written to "<path>.tmp", fsync'd, and atomically
 // renamed into place — a crash mid-write can never leave a torn file under
 // the final name, and the CRC rejects torn or bit-rotted content on read
-// (TransportError{kCorrupt}).
+// (TransportError{kCorrupt}). The engine stages each file as a
+// CheckpointImage at the batch boundary and commits it on a background task
+// (DistEngineBase::write_checkpoint), so a file is durable only after
+// flush_checkpoint(), the next write_checkpoint() or the engine's
+// destruction. A rank that dies before then leaves at most a ".tmp" for
+// that cursor, which no reader counts, so recovery falls back to the
+// previous complete cursor.
 #pragma once
 
 #include <cstdint>
+#include <cstdio>
+#include <memory>
 #include <optional>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -55,7 +64,8 @@ struct CheckpointData {
   std::vector<float> rows;         // vertices.size() * row_width floats
 };
 
-// CRC-32 (IEEE 802.3 polynomial, table-driven). `seed` chains calls.
+// CRC-32 (IEEE 802.3 polynomial, slicing-by-8 tables). `seed` chains calls:
+// crc32(b, m, crc32(a, n)) == crc32 of a's n bytes followed by b's m.
 std::uint32_t crc32(const void* data, std::size_t len,
                     std::uint32_t seed = 0);
 
@@ -63,7 +73,38 @@ std::uint32_t crc32(const void* data, std::size_t len,
 std::string checkpoint_path(const std::string& dir, std::uint64_t cursor,
                             std::size_t rank);
 
-// Serializes, checksums, writes to "<final>.tmp", fsyncs, renames.
+// One checkpoint file staged for commit: every byte of its image but the
+// CRC trailer, in a buffer reserved for the whole file, and "<path>.tmp"
+// already open for writing.
+struct CheckpointImage {
+  std::string path;                 // the final name
+  std::size_t size = 0;             // file bytes, CRC trailer included
+  std::vector<std::uint8_t> bytes;  // capacity() >= size
+  struct Close {
+    void operator()(std::FILE* f) const { std::fclose(f); }
+  };
+  std::unique_ptr<std::FILE, Close> tmp;
+
+  // Appends state-row floats after the owned-id table.
+  void append(std::span<const float> row) {
+    const auto* p = reinterpret_cast<const std::uint8_t*>(row.data());
+    bytes.insert(bytes.end(), p, p + row.size_bytes());
+  }
+};
+
+// Opens "<final>.tmp" (check_error when it cannot) and writes the header,
+// the part_of table and the owned ids of `vertices` (ascending) into an
+// image reserved for exactly those, vertices.size() * meta.row_width floats
+// and the CRC. The caller appends the rows in the same vertex order.
+CheckpointImage begin_checkpoint_image(const std::string& dir,
+                                       const CheckpointMeta& meta,
+                                       std::span<const VertexId> vertices);
+
+// Appends the CRC, writes, fsyncs, closes and renames "<path>.tmp" into
+// place. Touches nothing but `image`, so it may run on any thread.
+void commit_checkpoint_image(CheckpointImage image);
+
+// begin_checkpoint_image + data.rows + commit_checkpoint_image.
 void write_checkpoint_file(const std::string& dir,
                            const CheckpointData& data);
 

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/check.h"
+#include "common/log.h"
 #include "common/timer.h"
 #include "dist/checkpoint.h"
 #include "dist/dist_recompute.h"
@@ -297,42 +298,69 @@ std::size_t DistEngineBase::migrate(MigrationPlan plan) {
 double DistEngineBase::write_checkpoint(const std::string& dir,
                                         std::uint64_t stream_cursor) {
   StopWatch watch;
-  const std::size_t width = owned_row_width();
-  CheckpointMeta base;
-  base.engine_key = key_;
-  base.stream_cursor = stream_cursor;
-  base.num_parts = static_cast<std::uint32_t>(partition_.num_parts());
-  base.partition_version = partition_.version();
-  base.num_vertices = graph_.num_vertices();
-  base.row_width = static_cast<std::uint32_t>(width);
-  base.part_of.resize(graph_.num_vertices());
-  for (VertexId v = 0; v < base.part_of.size(); ++v) {
-    base.part_of[v] = owner(v);
+  flush_checkpoint();
+  CheckpointMeta meta;
+  meta.engine_key = key_;
+  meta.stream_cursor = stream_cursor;
+  meta.num_parts = static_cast<std::uint32_t>(partition_.num_parts());
+  meta.partition_version = partition_.version();
+  meta.num_vertices = graph_.num_vertices();
+  meta.row_width = static_cast<std::uint32_t>(owned_row_width());
+  meta.part_of.resize(graph_.num_vertices());
+  for (VertexId v = 0; v < meta.part_of.size(); ++v) {
+    meta.part_of[v] = owner(v);
   }
+  std::vector<CheckpointImage> images;
+  std::vector<VertexId> vertices;
   for (std::size_t p = 0; p < partition_.num_parts(); ++p) {
     if (!hosts(p)) continue;
-    CheckpointData data;
-    data.meta = base;
-    data.meta.rank = static_cast<std::uint32_t>(p);
+    meta.rank = static_cast<std::uint32_t>(p);
+    vertices.clear();
     for (const VertexId v : row_map_.owned(p)) {
-      if (v != kInvalidVertex) data.vertices.push_back(v);
+      if (v != kInvalidVertex) vertices.push_back(v);
     }
     // Canonical ascending-id order: slot order depends on migration
     // history, and the file must not (a restored replacement rank has no
     // such history).
-    std::sort(data.vertices.begin(), data.vertices.end());
-    data.rows.reserve(data.vertices.size() * width);
+    std::sort(vertices.begin(), vertices.end());
+    CheckpointImage image = begin_checkpoint_image(dir, meta, vertices);
     const std::vector<Matrix*> layout = owned_layout(p);
-    for (const VertexId v : data.vertices) {
-      append_rows(layout, local(v), layout.size(), data.rows);
+    for (const VertexId v : vertices) {
+      const std::uint32_t r = local(v);
+      for (const Matrix* m : layout) image.append(m->row(r));
     }
-    write_checkpoint_file(dir, data);
+    images.push_back(std::move(image));
   }
+  // The task owns the images and touches no engine state, so the next
+  // batch may run while it checksums, writes, fsyncs and renames.
+  pending_checkpoint_ = std::async(
+      std::launch::async, [images = std::move(images)]() mutable {
+        StopWatch background;
+        for (CheckpointImage& image : images) {
+          commit_checkpoint_image(std::move(image));
+        }
+        return background.elapsed_sec();
+      });
   return watch.elapsed_sec();
+}
+
+DistEngineBase::~DistEngineBase() {
+  try {
+    flush_checkpoint();
+  } catch (const std::exception& e) {
+    // No caller is left to rethrow to; the cursor stays incomplete, so
+    // recovery falls back to the previous one.
+    LOG_WARN("checkpoint commit failed during engine teardown: " << e.what());
+  }
+}
+
+double DistEngineBase::flush_checkpoint() {
+  return pending_checkpoint_.valid() ? pending_checkpoint_.get() : 0.0;
 }
 
 void DistEngineBase::restore_checkpoint(const std::string& dir,
                                         std::uint64_t stream_cursor) {
+  flush_checkpoint();
   const std::size_t num_parts = partition_.num_parts();
   const std::size_t width = owned_row_width();
   for (std::size_t p = 0; p < num_parts; ++p) {

@@ -25,6 +25,7 @@
 
 #include <algorithm>
 #include <functional>
+#include <future>
 #include <memory>
 #include <span>
 #include <string>
@@ -130,7 +131,8 @@ class InboxCursors {
 
 class DistEngineBase {
  public:
-  virtual ~DistEngineBase() = default;
+  // Waits for a pending checkpoint commit (see write_checkpoint()).
+  virtual ~DistEngineBase();
 
   virtual const char* name() const = 0;
 
@@ -165,23 +167,36 @@ class DistEngineBase {
   // gather_embeddings().
   std::size_t migrate(MigrationPlan plan);
 
-  // Snapshots every HOSTED partition's owned rows to per-rank checkpoint
-  // files in `dir` (dist/checkpoint.h): one file per hosted partition,
+  // Checkpoints every HOSTED partition's owned rows to per-rank files in
+  // `dir` (dist/checkpoint.h): one file per hosted partition,
   // CRC-checksummed and atomically renamed. `stream_cursor` is the number
   // of batches applied so far and names the files. LOCAL — no wire traffic,
-  // callable at any between-batches point. Returns seconds spent writing.
+  // callable at any between-batches point. On the caller's thread it waits
+  // for the previous write (rethrowing its error), snapshots each file's
+  // complete image and opens its "<path>.tmp" (so a bad `dir` throws
+  // here); a background task then checksums, writes, fsyncs and renames
+  // them. The files are durable after flush_checkpoint(), the next
+  // write_checkpoint() or the engine's destruction; a rank that dies
+  // before then falls back to its previous cursor. Returns the seconds the
+  // caller stalled.
   double write_checkpoint(const std::string& dir,
                           std::uint64_t stream_cursor);
 
+  // Blocks until the pending write_checkpoint() files are renamed into
+  // place and rethrows the background task's error. Returns the task's own
+  // seconds (0 when nothing is pending).
+  double flush_checkpoint();
+
   // Restores a freshly constructed engine from the checkpoint at
-  // `stream_cursor`. Precondition: this engine was built over the graph
-  // TOPOLOGY as of the cursor (the driver replays the stream prefix's
-  // structure) with any right-shaped feature matrix, and over a Partition
-  // equal to the checkpointed assignment — every restored bit comes from
-  // the files, not the constructor bootstrap. This is a COLLECTIVE: it runs
-  // exactly one halo-refill superstep (empty for rc) so every rank must
-  // call it at the same point. After it returns, replaying the stream
-  // suffix produces embeddings BIT-identical to a run that never failed
+  // `stream_cursor`, after flushing any write of its own. Precondition:
+  // this engine was built over the graph TOPOLOGY as of the cursor (the
+  // driver replays the stream prefix's structure) with any right-shaped
+  // feature matrix, and over a Partition equal to the checkpointed
+  // assignment — every restored bit comes from the files, not the
+  // constructor bootstrap. This is a COLLECTIVE: it runs exactly one
+  // halo-refill superstep (empty for rc) so every rank must call it at the
+  // same point. After it returns, replaying the stream suffix produces
+  // embeddings BIT-identical to a run that never failed
   // (tests/dist/test_checkpoint.cpp). Throws TransportError{kCorrupt} on a
   // damaged file and on one that is not this engine's, rank's and cursor's
   // snapshot of this topology and assignment.
@@ -313,6 +328,8 @@ class DistEngineBase {
   std::vector<std::size_t> layout_widths();
 
   const char* key_;
+  // The in-flight checkpoint commit (at most one); yields its seconds.
+  std::future<double> pending_checkpoint_;
 };
 
 // Splits `row` into consecutive segments, copying segment i into the span

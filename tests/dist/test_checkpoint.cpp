@@ -14,15 +14,24 @@
 //     (another rank's, another cursor's, another engine's) and the file
 //     reader refuses length fields whose byte counts would overflow — both
 //     as TransportError{kCorrupt}.
+//  4. Background commits: a flushed write_checkpoint() file is byte-identical
+//     to write_checkpoint_file() of the same snapshot, and a rank killed
+//     with a commit still pending leaves no torn file — recovery lands on
+//     the newest or the previous cursor, bit-identically either way.
 #include <gtest/gtest.h>
+#include <sys/wait.h>
+#include <unistd.h>
 
+#include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <optional>
 
 #include "../test_util.h"
+#include "common/check.h"
 #include "core/ripple_engine.h"
 #include "dist/checkpoint.h"
 #include "dist/dist_engine.h"
@@ -220,6 +229,36 @@ TEST(CheckpointFile, LatestCursorRequiresACompleteRankSet) {
   EXPECT_EQ(latest_checkpoint_cursor(dir, 2), 2u);
 }
 
+TEST(CheckpointFile, Crc32MatchesTheBytewiseReference) {
+  EXPECT_EQ(crc32("123456789", 9), 0xCBF43926u);
+  const auto reference = [](const std::uint8_t* p, std::size_t len,
+                            std::uint32_t seed) {
+    std::uint32_t c = seed ^ 0xffffffffu;
+    for (std::size_t i = 0; i < len; ++i) {
+      c ^= p[i];
+      for (int k = 0; k < 8; ++k) {
+        c = (c & 1u) ? 0xedb88320u ^ (c >> 1) : c >> 1;
+      }
+    }
+    return c ^ 0xffffffffu;
+  };
+  Rng rng(41);
+  std::vector<std::uint8_t> buf(4096 + 8);
+  for (std::uint8_t& b : buf) b = static_cast<std::uint8_t>(rng.next_u64());
+  for (int trial = 0; trial < 300; ++trial) {
+    // Misaligned starts and every tail length exercise both loops.
+    const std::size_t len = rng.next_u64() % 4097;
+    const std::uint8_t* p = buf.data() + rng.next_u64() % 8;
+    const auto seed = static_cast<std::uint32_t>(rng.next_u64());
+    SCOPED_TRACE("len " + std::to_string(len));
+    const std::uint32_t whole = crc32(p, len);
+    EXPECT_EQ(whole, reference(p, len, 0));
+    EXPECT_EQ(crc32(p, len, seed), reference(p, len, seed));
+    const std::size_t split = rng.next_u64() % (len + 1);
+    EXPECT_EQ(crc32(p + split, len - split, crc32(p, split)), whole);
+  }
+}
+
 // ---- the recovery property: kill -> restore -> replay == never failed ----
 
 // Structural replay of a stream prefix: recovery rebuilds the topology as
@@ -412,6 +451,113 @@ TEST(CheckpointRecovery, RestoreRejectsAnotherRanksCursorsOrEnginesFile) {
     }
     dump(rank0, valid);
     EXPECT_FALSE(restore_error(key, dir).has_value());
+  }
+}
+
+// ---- background commits ----
+
+TEST(CheckpointCommit, FlushedFileMatchesWriteCheckpointFile) {
+  auto c = make_rmat_case(77);
+  const auto config = workload_config(Workload::gc_s, 8, 4, 2, 12);
+  const auto model = GnnModel::random(config, 79);
+  const auto batches = make_batches(c.stream, 9);
+  const Partition partition = ldg_partition(c.snapshot, 2);
+  for (const std::string key : {"ripple", "rc"}) {
+    SCOPED_TRACE(key);
+    auto engine = make_dist_engine(key, model, c.snapshot, c.features,
+                                   partition);
+    EXPECT_EQ(engine->flush_checkpoint(), 0.0);  // nothing pending yet
+    for (std::size_t b = 0; b < 3; ++b) engine->apply_batch(batches[b]);
+    const std::string dir = make_temp_dir();
+    const std::string again = make_temp_dir();
+    EXPECT_GE(engine->write_checkpoint(dir, 3), 0.0);
+    EXPECT_GE(engine->flush_checkpoint(), 0.0);
+    for (std::uint32_t rank = 0; rank < 2; ++rank) {
+      const std::string path = checkpoint_path(dir, 3, rank);
+      write_checkpoint_file(again, read_checkpoint_file(path));
+      EXPECT_EQ(slurp(path), slurp(checkpoint_path(again, 3, rank)));
+    }
+    // A bad directory fails at the call, not later on the background task.
+    EXPECT_THROW(engine->write_checkpoint(dir + "/missing", 4), check_error);
+    EXPECT_EQ(engine->flush_checkpoint(), 0.0);
+  }
+}
+
+// A forked process checkpoints cursors k-2 and k, then SIGKILLs itself the
+// moment write_checkpoint(dir, k) returns — the commit of cursor k may or
+// may not have reached its rename. Cursor k-2 is complete either way (the
+// second write waited for it), no final-name file may be torn, and
+// recovery from whichever cursor is newest must replay bit-identically.
+void run_pending_write_kill(const std::string& key) {
+  constexpr std::size_t kNumParts = 2;
+  constexpr std::size_t kBatchSize = 9;
+  constexpr std::uint64_t kCursor = 6;
+  auto c = make_rmat_case(77);
+  const auto config = workload_config(Workload::gc_s, 8, 4, 2, 12);
+  const auto model = GnnModel::random(config, 79);
+  const auto batches = make_batches(c.stream, kBatchSize);
+  auto partition = ldg_partition(c.snapshot, kNumParts);
+  refine_partition(c.snapshot, partition, 1);
+  const std::string dir = make_temp_dir();
+
+  const pid_t pid = ::fork();
+  ASSERT_GE(pid, 0);
+  if (pid == 0) {
+    try {
+      auto engine = make_dist_engine(key, model, c.snapshot, c.features,
+                                     partition);
+      for (std::uint64_t b = 1; b <= kCursor; ++b) {
+        engine->apply_batch(batches[b - 1]);
+        if (b == kCursor - 2 || b == kCursor) engine->write_checkpoint(dir, b);
+      }
+      std::raise(SIGKILL);
+    } catch (...) {
+    }
+    std::_Exit(1);
+  }
+  int status = 0;
+  ASSERT_EQ(::waitpid(pid, &status, 0), pid);
+  ASSERT_TRUE(WIFSIGNALED(status) && WTERMSIG(status) == SIGKILL)
+      << "the child did not die by SIGKILL (status " << status << ")";
+
+  std::size_t final_files = 0;
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    const std::string name = entry.path().filename().string();
+    if (name.ends_with(".tmp")) continue;
+    ++final_files;
+    EXPECT_NO_THROW((void)read_checkpoint_file(entry.path().string())) << name;
+  }
+  EXPECT_GE(final_files, kNumParts);
+  const auto cursor = latest_checkpoint_cursor(dir, kNumParts);
+  ASSERT_TRUE(cursor.has_value());
+  ASSERT_TRUE(*cursor == kCursor - 2 || *cursor == kCursor) << *cursor;
+
+  auto ref = make_reference(key, model, c.snapshot, c.features);
+  for (const auto& batch : batches) ref->apply_batch(batch);
+  const DynamicGraph topo = topology_at(
+      c.snapshot,
+      std::span<const GraphUpdate>(c.stream.data(), *cursor * kBatchSize));
+  const Matrix other_features =
+      testing::random_features(c.snapshot.num_vertices(), 8, 991);
+  const CheckpointData rank0 =
+      read_checkpoint_file(checkpoint_path(dir, *cursor, 0));
+  Partition restored_partition(
+      kNumParts, std::vector<std::uint32_t>(rank0.meta.part_of));
+  auto engine = make_dist_engine(key, model, topo, other_features,
+                                 restored_partition);
+  engine->restore_checkpoint(dir, *cursor);
+  for (std::size_t i = *cursor; i < batches.size(); ++i) {
+    engine->apply_batch(batches[i]);
+  }
+  EXPECT_EQ(
+      testing::max_store_diff(ref->embeddings(), engine->gather_embeddings()),
+      0.0f);
+}
+
+TEST(CheckpointCommit, RankKilledWithAWritePendingRecoversBitIdentically) {
+  for (const std::string key : {"ripple", "rc"}) {
+    SCOPED_TRACE(key);
+    run_pending_write_kill(key);
   }
 }
 
