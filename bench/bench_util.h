@@ -42,8 +42,8 @@ struct RunMetrics {
   std::size_t num_threads = 0;
   double mean_apply_phase_sec = 0;    // mailbox drain + blocked GEMMs
   double mean_compute_phase_sec = 0;  // Δh scatter into next-hop mailboxes
-  // Work-stealing scheduler stats summed over the run (all-zero on the
-  // static scheduler); see common/scheduler.h.
+  // Work-stealing scheduler stats summed over the run (width 1 without a
+  // pool); see common/scheduler.h.
   SchedulerStats sched;
   std::vector<double> batch_latencies;
   std::vector<std::size_t> tree_sizes;

@@ -95,6 +95,9 @@ ctest --test-dir build-scalar -L unit --output-on-failure -j "$(nproc)"
 # a real binary, so a dispatch or packing regression cannot hide behind
 # in-process tests.
 ./build/bench_micro_kernels --quick >/dev/null
+# Scheduler smoke: the stealing propagation core through a real binary at
+# one and two pool workers.
+./build/bench_parallel_scaling --quick --threads=1,2 >/dev/null
 
 # Optional -march=native stage (gated on compiler+host support): the widest
 # vector ISA the host has, with auto-vectorization and FMA contraction on

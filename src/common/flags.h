@@ -37,7 +37,7 @@ class Flags {
 
   // Validated enumeration value: dies with a message listing the allowed
   // values when the flag is set to anything else (e.g.
-  // --scheduler=static|steal).
+  // --kernels=auto|scalar).
   std::string get_choice(const std::string& name,
                          const std::vector<std::string>& allowed,
                          const std::string& default_value) const;

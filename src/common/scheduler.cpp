@@ -9,18 +9,6 @@
 
 namespace ripple {
 
-const char* scheduler_mode_name(SchedulerMode mode) {
-  return mode == SchedulerMode::kStatic ? "static" : "steal";
-}
-
-SchedulerMode parse_scheduler_mode(const std::string& name) {
-  if (name == "static") return SchedulerMode::kStatic;
-  if (name == "steal") return SchedulerMode::kSteal;
-  RIPPLE_CHECK_MSG(false, "unknown scheduler '" << name
-                                                << "' (expected static|steal)");
-  return SchedulerMode::kStatic;  // unreachable
-}
-
 // ---------------------------------------------------------------------------
 // ChaseLevDeque
 // ---------------------------------------------------------------------------
@@ -132,6 +120,13 @@ thread_local ParticipantContext tl_participant;
 // is not double-counted (the stolen sub-tasks are depth-1 on the thief).
 thread_local std::size_t tl_task_depth = 0;
 
+// Holds the calling thread inside a task for the scope's lifetime (an
+// exception leaving the body still restores the depth).
+struct TaskDepthScope {
+  TaskDepthScope() { ++tl_task_depth; }
+  ~TaskDepthScope() { --tl_task_depth; }
+};
+
 // Cheap per-participant xorshift for victim selection. Randomness only
 // shapes steal contention, never results.
 std::uint64_t next_rand(std::uint64_t& state) {
@@ -161,12 +156,20 @@ void WorkStealingScheduler::reset_stats() {
 
 void WorkStealingScheduler::run_serial(
     std::size_t n, const std::function<void(std::size_t)>& body) {
+  // Busy time counts only outside any task: a serial region nested in a
+  // task is already inside that task's seconds.
+  const bool top_level = tl_task_depth == 0;
   StopWatch watch;
-  for (std::size_t i = 0; i < n; ++i) body(i);
-  const double sec = watch.elapsed_sec();
+  {
+    const TaskDepthScope scope;
+    for (std::size_t i = 0; i < n; ++i) body(i);
+  }
   stats_.tasks += n;
-  stats_.busy_max_sec += sec;
-  stats_.busy_total_sec += sec;
+  if (top_level) {
+    const double sec = watch.elapsed_sec();
+    stats_.busy_max_sec += sec;
+    stats_.busy_total_sec += sec;
+  }
 }
 
 void WorkStealingScheduler::seed_tasks(std::vector<TaskNode>& nodes,
@@ -343,16 +346,17 @@ void WorkStealingScheduler::parallel_range(
   const std::size_t n = end - begin;
   const std::size_t max_chunks = std::max<std::size_t>(1, n / min_chunk);
   // Mild over-decomposition (2 blocks per participant) so a late-arriving
-  // thief still finds work without per-element task overhead.
-  const std::size_t num_tasks = std::min(width_ * 2, max_chunks);
+  // thief still finds work without per-element task overhead. At width 1
+  // nobody can steal, so splitting would only add calls.
+  const std::size_t num_tasks =
+      width_ > 1 ? std::min(width_ * 2, max_chunks) : 1;
   if (num_tasks <= 1) {
-    StopWatch watch;
-    body(begin, end);
-    const double sec = watch.elapsed_sec();
-    if (tl_participant.scheduler != this) {
-      stats_.tasks += 1;
-      stats_.busy_max_sec += sec;
-      stats_.busy_total_sec += sec;
+    // One inline block: inside a task it is part of that task; at the top
+    // level it counts as one task of its own.
+    if (tl_task_depth > 0) {
+      body(begin, end);
+    } else {
+      run_serial(1, [&](std::size_t) { body(begin, end); });
     }
     return;
   }

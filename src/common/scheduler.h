@@ -1,5 +1,5 @@
-// Work-stealing shard scheduler: the skew-aware alternative to
-// ThreadPool::parallel_for's static contiguous chunking.
+// Work-stealing shard scheduler: the one phase runtime of the engines,
+// pooled or not.
 //
 // Motivation: mailbox shard sizes follow the stream's R-MAT power-law tail,
 // so a static split of the shard range leaves most workers idle while one
@@ -14,20 +14,20 @@
 //    run() opens a parallel region: the caller seeds all deques, submits one
 //    participant job per pool worker, and participates itself (slot 0); the
 //    region closes when every task has executed and the participant jobs
-//    have drained (ThreadPool::wait_all).
+//    have drained (ThreadPool::wait_all). Without a pool the scheduler has
+//    width 1 and runs every region inline on the caller.
 //  * Nested regions — run() or parallel_range() called from INSIDE a task —
 //    push their sub-tasks onto the calling participant's own deque, where
 //    idle participants steal them, and the caller helps (pop own deque,
 //    steal on empty) until the nested region drains. Nested parallel work
 //    is therefore stolen, never serialized, unlike the static
 //    ThreadPool::parallel_for whose nested fallback must inline (see the
-//    deadlock note in common/thread_pool.h — that behavior is preserved for
-//    the static path).
+//    deadlock note in common/thread_pool.h).
 //
 // Determinism: the scheduler never changes WHAT a task computes or the
 // order of work INSIDE a task — engines keep their single-writer-per-shard
 // and fixed within-shard drain order, so embeddings are bit-identical for
-// any scheduler mode, shard count, and thread count (property-tested).
+// any shard count and thread count, pooled or not (property-tested).
 //
 // Stats: per-region task counts, steal counts (a steal = a task executed by
 // a participant other than the one it was seeded to), and per-participant
@@ -42,19 +42,17 @@
 #include <functional>
 #include <memory>
 #include <span>
-#include <string>
 #include <vector>
 
 namespace ripple {
 
 class ThreadPool;
 
-// Scheduler selection, surfaced to benches/examples as --scheduler=... .
-enum class SchedulerMode { kStatic, kSteal };
-
-const char* scheduler_mode_name(SchedulerMode mode);
-// Parses "static" / "steal"; dies with a message on anything else.
-SchedulerMode parse_scheduler_mode(const std::string& name);
+// The engines run one scheduler. SchedulerMode and make_dist_engine's
+// `scheduler` parameter stay only because the end-to-end benchmark
+// (perfbench/src/dist.cpp) passes SchedulerMode::kSteal; both go with the
+// next benchmark change.
+enum class SchedulerMode { kSteal };
 
 // Lock-free work-stealing deque (Chase & Lev 2005; the sequentially
 // consistent formulation — see the memory-ordering note in scheduler.cpp
@@ -97,7 +95,7 @@ class ChaseLevDeque {
 // is also the execution-stats block embedded in BatchResult /
 // DistBatchResult / StreamingServer::Stats / bench RunMetrics — an engine
 // resets per batch, copies the scheduler's stats in, and downstream layers
-// accumulate(). All-zero (width 0) means the static scheduler ran.
+// accumulate(). A no-pool engine reports width 1 and no steals.
 struct SchedulerStats {
   std::uint64_t tasks = 0;   // tasks executed
   std::uint64_t steals = 0;  // executed by a non-seeded participant
@@ -125,8 +123,8 @@ struct SchedulerStats {
 
 class WorkStealingScheduler {
  public:
-  // pool may be null: every region then runs serially inline (the scheduler
-  // stays usable so callers need no branching; stats still count tasks).
+  // pool may be null: the width is then 1 and every region runs serially
+  // inline (callers need no branching; stats still count tasks).
   explicit WorkStealingScheduler(ThreadPool* pool);
   ~WorkStealingScheduler();
 
@@ -147,7 +145,8 @@ class WorkStealingScheduler {
   // runs body(lo, hi) per block. The nested-capable replacement for
   // ThreadPool::parallel_for on the stealing runtime: called from inside a
   // task, the blocks are pushed to the caller's deque and stolen by idle
-  // participants instead of the whole range serializing inline.
+  // participants instead of the whole range serializing inline. At width 1
+  // there is no one to steal, so the range runs as one inline block.
   void parallel_range(std::size_t begin, std::size_t end,
                       const std::function<void(std::size_t, std::size_t)>& body,
                       std::size_t min_chunk = 256);

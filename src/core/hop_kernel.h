@@ -81,8 +81,9 @@ class RankDeltaSink {
 // `scheduler` (optional): when the caller runs as a work-stealing task, the
 // blocked Update GEMM of a hot shard is split into stealable row blocks so
 // idle participants help drain it (nested region, see common/scheduler.h).
-// Null keeps the GEMM serial — the right call for the static runtime, whose
-// nested parallel_for would inline anyway.
+// Null keeps the GEMM serial — the right call for a task whose seconds are
+// billed to one owner (the dist engines' timed_over_part_tasks), where a
+// nested region could run other owners' tasks inside its stopwatch.
 //
 // `local_row` (optional): global→local row remap for partition-owned state.
 // When non-null, agg_cache / h_prev / h_out are indexed with local_row[v]

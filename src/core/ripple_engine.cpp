@@ -17,6 +17,7 @@ RippleEngine::RippleEngine(const GnnModel& model, DynamicGraph snapshot,
                            RippleOptions options)
     : model_(model), graph_(std::move(snapshot)),
       store_(model.config(), graph_.num_vertices()), pool_(pool),
+      stealer_(std::make_unique<WorkStealingScheduler>(pool)),
       options_(options) {
   RIPPLE_CHECK_MSG(is_linear(model_.config().aggregator),
                    "Ripple requires a linear aggregation function (sum, "
@@ -28,9 +29,6 @@ RippleEngine::RippleEngine(const GnnModel& model, DynamicGraph snapshot,
                     : (pool_ != nullptr
                            ? std::max<std::size_t>(8, pool_->size())
                            : 1);
-  if (pool_ != nullptr && options_.scheduler == SchedulerMode::kSteal) {
-    stealer_ = std::make_unique<WorkStealingScheduler>(pool_);
-  }
   const std::size_t num_layers = model_.num_layers();
   agg_cache_.reserve(num_layers);
   mailboxes_.reserve(num_layers);
@@ -175,33 +173,11 @@ void RippleEngine::drain_target_shard(std::size_t l, std::size_t t) {
   }
 }
 
-void RippleEngine::run_phase(std::size_t n,
-                             std::span<const std::size_t> costs,
-                             const std::function<void(std::size_t)>& task) {
-  // One phase = one parallel region. The stealing runtime takes one task
-  // per index, LPT-seeded by the cost hints; the static path covers the
-  // same indices with contiguous parallel_for chunks (cost-blind — exactly
-  // the skew-prone chunking the scheduler refactor targets, kept as the
-  // comparison baseline and the no-pool fallback).
-  if (stealer_ != nullptr) {
-    stealer_->run(n, costs, task);
-  } else if (pool_ != nullptr) {
-    pool_->parallel_for(
-        0, n,
-        [&task](std::size_t lo, std::size_t hi) {
-          for (std::size_t i = lo; i < hi; ++i) task(i);
-        },
-        /*min_chunk=*/1);
-  } else {
-    for (std::size_t i = 0; i < n; ++i) task(i);
-  }
-}
-
 BatchResult RippleEngine::propagate() {
   BatchResult result;
   result.num_shards = num_shards_;
   result.num_threads = pool_ != nullptr ? pool_->size() : 1;
-  if (stealer_ != nullptr) stealer_->reset_stats();
+  stealer_->reset_stats();
   const std::size_t num_layers = model_.num_layers();
   for (std::size_t l = 1; l <= num_layers; ++l) {
     Mailbox& mailbox = mailboxes_[l - 1];
@@ -228,7 +204,7 @@ BatchResult RippleEngine::propagate() {
     // are stealable, so it no longer gates the phase.
     StopWatch apply_watch;
     std::atomic<std::uint64_t> apply_ops{0};
-    run_phase(num_shards_, mailbox.shard_sizes(), [&](std::size_t s) {
+    stealer_->run(num_shards_, mailbox.shard_sizes(), [&](std::size_t s) {
       apply_ops.fetch_add(apply_one_shard(l, s, order),
                           std::memory_order_relaxed);
     });
@@ -245,7 +221,7 @@ BatchResult RippleEngine::propagate() {
         block_costs[b] = (b + 1) * order.size() / num_shards_ -
                          b * order.size() / num_shards_;
       }
-      run_phase(num_shards_, block_costs, [&](std::size_t b) {
+      stealer_->run(num_shards_, block_costs, [&](std::size_t b) {
         messages.fetch_add(bucket_sender_block(l, b, order),
                            std::memory_order_relaxed);
       });
@@ -258,8 +234,8 @@ BatchResult RippleEngine::propagate() {
                             self_buckets_[b * num_shards_ + t].size();
         }
       }
-      run_phase(num_shards_, drain_costs,
-                [&](std::size_t t) { drain_target_shard(l, t); });
+      stealer_->run(num_shards_, drain_costs,
+                    [&](std::size_t t) { drain_target_shard(l, t); });
       incremental_ops_ += messages.load(std::memory_order_relaxed);
       result.compute_phase_sec += scatter_watch.elapsed_sec();
     } else {
@@ -274,7 +250,7 @@ BatchResult RippleEngine::propagate() {
     }
     mailbox.clear();
   }
-  if (stealer_ != nullptr) result.sched = stealer_->stats();
+  result.sched = stealer_->stats();
   return result;
 }
 

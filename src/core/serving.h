@@ -111,8 +111,8 @@ class StreamingServer {
     std::size_t num_threads = 0;
     double apply_phase_sec = 0;
     double compute_phase_sec = 0;
-    // Work-stealing scheduler stats accumulated over all batches (all-zero
-    // on the static scheduler); see common/scheduler.h.
+    // Work-stealing scheduler stats accumulated over all batches (width 1
+    // for a no-pool engine); see common/scheduler.h.
     SchedulerStats sched;
   };
   const Stats& stats() const { return stats_; }

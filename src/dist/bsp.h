@@ -19,7 +19,6 @@
 #include <vector>
 
 #include "common/scheduler.h"
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "dist/transport.h"
 #include "stream/update.h"
@@ -36,10 +35,22 @@ inline BspTiming bsp_timing_of(const Transport& transport) {
                                    : BspTiming::kModeled;
 }
 
-// Runs body(p) for every partition — over the pool when available — and
-// returns the phase cost: the slowest partition's elapsed seconds
-// (kModeled) or the whole dispatch's wall clock (kMeasured). body must only
-// write partition-owned state.
+// Runs a compute phase whose per-partition work decomposes into
+// independent tasks (mailbox shard drains, recompute blocks, one seed pass
+// per partition) and returns its cost. All partitions' tasks run through
+// the stealing scheduler at once — on a multi-core host a hot partition's
+// tasks really do spread over idle workers; without a pool they run inline
+// — and each task's wall seconds are measured.
+//
+// Modeled accounting: in the simulated cluster every partition is a machine
+// with W = scheduler width workers stealing across ITS OWN tasks, so
+// partition p's endpoint is the W-worker makespan lower bound over its
+// measured task times, max(Σ_s t_{p,s} / W, max_s t_{p,s}); the returned
+// phase cost is the slowest endpoint (BSP max rule). With W = 1, or with
+// one task per partition, the endpoint is the partition's serial sum.
+// Measured accounting returns the region's wall clock instead — the real
+// transport runs real machines, so no modeling is needed. See
+// src/dist/README.md.
 //
 // wait_out (optional, modeled only): per-partition barrier-stall
 // accumulator. Under the BSP max rule every machine waits at the phase
@@ -47,49 +58,6 @@ inline BspTiming bsp_timing_of(const Transport& transport) {
 // endpoint) — accumulated here so benches can report how much of a batch
 // was barrier wait. Measured runs skip it: a real rank's stall is observed
 // at the transport barrier instead (Transport::superstep_wait_sec).
-template <typename Body>
-double timed_over_parts(ThreadPool* pool, std::size_t num_parts,
-                        const Body& body,
-                        BspTiming timing = BspTiming::kModeled,
-                        std::vector<double>* wait_out = nullptr) {
-  const StopWatch phase_watch;
-  std::vector<double> elapsed(num_parts, 0.0);
-  const auto timed = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t p = lo; p < hi; ++p) {
-      StopWatch watch;
-      body(p);
-      elapsed[p] = watch.elapsed_sec();
-    }
-  };
-  if (pool != nullptr && num_parts > 1) {
-    pool->parallel_for(0, num_parts, timed, /*min_chunk=*/1);
-  } else {
-    timed(0, num_parts);
-  }
-  if (timing == BspTiming::kMeasured) return phase_watch.elapsed_sec();
-  const double worst = *std::max_element(elapsed.begin(), elapsed.end());
-  if (wait_out != nullptr) {
-    for (std::size_t p = 0; p < num_parts; ++p) {
-      (*wait_out)[p] += worst - elapsed[p];
-    }
-  }
-  return worst;
-}
-
-// Work-stealing variant of timed_over_parts for phases whose per-partition
-// work decomposes into independent sub-tasks (mailbox shard drains,
-// recompute blocks). All partitions' tasks run through the stealing
-// scheduler at once — on a multi-core host a hot partition's shards really
-// do spread over idle workers — and each task's wall seconds are measured.
-//
-// Modeled accounting: in the simulated cluster every partition is a machine
-// with W = scheduler width workers stealing across ITS OWN tasks, so
-// partition p's endpoint is the W-worker makespan lower bound over its
-// measured task times, max(Σ_s t_{p,s} / W, max_s t_{p,s}); the returned
-// phase cost is the slowest endpoint (BSP max rule). With W = 1 this
-// reduces exactly to timed_over_parts' serial-sum endpoint. Measured
-// accounting returns the region's wall clock instead — the real transport
-// runs real machines, so no modeling is needed. See src/dist/README.md.
 //
 // Constraint: body must NOT open a nested scheduler region. The stealing
 // runtime's help-first discipline would let the nesting task execute whole
@@ -142,7 +110,7 @@ double timed_over_part_tasks(WorkStealingScheduler& scheduler,
 // (sender sorts, exchange destination scans) partition-by-partition and
 // bill the max endpoint when modeling, or the loop's real wall clock when
 // measuring. `per_part` receives each partition's measured seconds.
-// wait_out: same modeled barrier-stall accumulator as timed_over_parts.
+// wait_out: same modeled barrier-stall accumulator as timed_over_part_tasks.
 inline double serial_phase_cost(const std::vector<double>& per_part,
                                 double wall_sec, BspTiming timing,
                                 std::vector<double>* wait_out = nullptr) {

@@ -88,15 +88,12 @@ void append_rows(const std::vector<Matrix*>& layout, std::uint32_t r,
 DistEngineBase::DistEngineBase(const char* key, const GnnModel& model,
                                DynamicGraph snapshot, const Matrix& features,
                                Partition partition, ThreadPool* pool,
-                               std::unique_ptr<Transport> transport,
-                               SchedulerMode scheduler)
+                               std::unique_ptr<Transport> transport)
     : model_(model), graph_(std::move(snapshot)),
       partition_(std::move(partition)),
       row_map_(partition_, graph_.num_vertices()),
-      transport_(std::move(transport)), pool_(pool), key_(key) {
-  if (pool_ != nullptr && scheduler == SchedulerMode::kSteal) {
-    stealer_ = std::make_unique<WorkStealingScheduler>(pool_);
-  }
+      transport_(std::move(transport)), pool_(pool),
+      stealer_(std::make_unique<WorkStealingScheduler>(pool)), key_(key) {
   RIPPLE_CHECK(features.rows() == graph_.num_vertices());
   RIPPLE_CHECK_MSG(partition_.num_vertices() <= graph_.num_vertices(),
                    "partition covers more vertices than the snapshot");
@@ -108,7 +105,7 @@ DistEngineBase::BatchAccount DistEngineBase::open_batch(
   result.num_parts = partition_.num_parts();
   result.comm_measured = transport_->measures_time();
   result.barrier_wait_sec.assign(partition_.num_parts(), 0.0);
-  if (stealer_ != nullptr) stealer_->reset_stats();
+  stealer_->reset_stats();
   BatchAccount account;
   account.timing = bsp_timing_of(*transport_);
   if (account.timing == BspTiming::kModeled) {
@@ -136,7 +133,7 @@ void DistEngineBase::close_batch(const BatchAccount& account,
   result.retries = transport_->retries() - account.retries;
   result.timeouts = transport_->timeouts() - account.timeouts;
   result.heartbeats = transport_->heartbeats() - account.heartbeats;
-  if (stealer_ != nullptr) result.sched = stealer_->stats();
+  result.sched = stealer_->stats();
 }
 
 void DistEngineBase::scatter_owned(const std::vector<const Matrix*>& full) {
@@ -434,7 +431,7 @@ std::unique_ptr<DistEngineBase> make_dist_engine(
     const std::string& key, const GnnModel& model,
     const DynamicGraph& snapshot, const Matrix& features,
     const Partition& partition, ThreadPool* pool,
-    std::unique_ptr<Transport> transport, SchedulerMode scheduler,
+    std::unique_ptr<Transport> transport, SchedulerMode /*scheduler*/,
     ExecMode /*mode*/) {
   RIPPLE_CHECK(transport != nullptr);
   RIPPLE_CHECK_MSG(transport->num_parts() == partition.num_parts(),
@@ -442,16 +439,12 @@ std::unique_ptr<DistEngineBase> make_dist_engine(
                                       << " parts but the partition has "
                                       << partition.num_parts());
   if (key == "ripple") {
-    return std::make_unique<DistRippleEngine>(model, snapshot, features,
-                                              partition, pool,
-                                              std::move(transport),
-                                              scheduler);
+    return std::make_unique<DistRippleEngine>(
+        model, snapshot, features, partition, pool, std::move(transport));
   }
   if (key == "rc") {
-    return std::make_unique<DistRecomputeEngine>(model, snapshot, features,
-                                                 partition, pool,
-                                                 std::move(transport),
-                                                 scheduler);
+    return std::make_unique<DistRecomputeEngine>(
+        model, snapshot, features, partition, pool, std::move(transport));
   }
   throw check_error("unknown dist engine '" + key + "' (ripple|rc)");
 }

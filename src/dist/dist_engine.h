@@ -78,9 +78,9 @@ struct DistBatchResult {
   // behind slower endpoints — modeled on sim (slowest endpoint minus own),
   // measured on tcp (only the local rank's slot is filled).
   std::vector<double> barrier_wait_sec;
-  // Work-stealing scheduler stats of the apply phases (all-zero on the
-  // static scheduler): see common/scheduler.h and the BSP accounting note
-  // in src/dist/README.md.
+  // Work-stealing scheduler stats of the apply phases (width 1 without a
+  // pool): see common/scheduler.h and the BSP accounting note in
+  // src/dist/README.md.
   SchedulerStats sched;
   double total_sec() const { return compute_sec + comm_sec; }
   // Per-partition busy seconds this batch: the batch total minus the
@@ -264,8 +264,7 @@ class DistEngineBase {
   DistEngineBase(const char* key, const GnnModel& model,
                  DynamicGraph snapshot, const Matrix& features,
                  Partition partition, ThreadPool* pool,
-                 std::unique_ptr<Transport> transport,
-                 SchedulerMode scheduler);
+                 std::unique_ptr<Transport> transport);
 
   // Fills the result's shape fields, sizes barrier_wait_sec, resets the
   // stealer's stats and snapshots the transport counters. `result` must
@@ -318,10 +317,9 @@ class DistEngineBase {
   LocalRowMap row_map_;  // stable global->local owned-row addressing
   std::unique_ptr<Transport> transport_;  // engine code sees only the iface
   ThreadPool* pool_;
-  // Work-stealing runtime for the apply phases (null = static
-  // per-partition chunks): a hot partition's sub-tasks spread over idle
-  // workers, and its modeled endpoint shrinks to the W-worker makespan
-  // bound (dist/bsp.h).
+  // Work-stealing runtime for the compute phases (inline without a pool):
+  // a hot partition's sub-tasks spread over idle workers, and its modeled
+  // endpoint shrinks to the W-worker makespan bound (dist/bsp.h).
   std::unique_ptr<WorkStealingScheduler> stealer_;
 
  private:
@@ -347,12 +345,9 @@ void split_row(std::span<const float> row, std::size_t count,
 }
 
 // Factory keys used by the dist benches: "ripple" (incremental,
-// delta-shipping) and "rc" (full recompute, halo-pulling). `scheduler`
-// selects the apply-phase runtime: kSteal spreads a hot partition's
-// sub-tasks (mailbox shards / recompute blocks) over idle workers; kStatic
-// keeps the per-partition parallel_for chunking. Embeddings are
-// bit-identical either way. This overload runs over a SimTransport built
-// from `options`.
+// delta-shipping) and "rc" (full recompute, halo-pulling). `scheduler` and
+// `mode` each have one value and are ignored (see SchedulerMode and
+// ExecMode). This overload runs over a SimTransport built from `options`.
 std::unique_ptr<DistEngineBase> make_dist_engine(
     const std::string& key, const GnnModel& model,
     const DynamicGraph& snapshot, const Matrix& features,

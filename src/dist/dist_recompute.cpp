@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "dist/bsp.h"
 #include "infer/affected.h"
@@ -17,13 +16,10 @@ DistRecomputeEngine::DistRecomputeEngine(const GnnModel& model,
                                          DynamicGraph snapshot,
                                          const Matrix& features,
                                          Partition partition, ThreadPool* pool,
-                                         std::unique_ptr<Transport> transport,
-                                         SchedulerMode scheduler)
+                                         std::unique_ptr<Transport> transport)
     : DistEngineBase("rc", model, std::move(snapshot), features,
-                     std::move(partition), pool, std::move(transport),
-                     scheduler) {
+                     std::move(partition), pool, std::move(transport)) {
   const std::size_t num_parts = partition_.num_parts();
-  x_scratch_.resize(num_parts);
   pull_index_.resize(num_parts);
 
   // Transient full bootstrap over the replicated topology, then scatter
@@ -166,63 +162,48 @@ DistBatchResult DistRecomputeEngine::apply_batch(UpdateBatch batch) {
                                  st.layer(l + 1).row(r));
       model_.apply_activation_row(l, st.layer(l + 1).row(r));
     };
-    if (stealer_ != nullptr) {
-      // One stealable task per block of a hosted partition's owned affected
-      // vertices, costed by Σ in-degree — the pull work InkStream observes
-      // is concentrated on a few high-degree vertices. A hot partition's
-      // endpoint is the W-worker makespan bound over its blocks
-      // (dist/bsp.h).
-      std::vector<std::vector<VertexId>> owned(num_parts);
-      for (const VertexId v : affected[l]) {
-        const std::uint32_t p = owner(v);
-        if (hosts(p)) owned[p].push_back(v);
-      }
-      constexpr std::size_t kBlock = 64;
-      struct Block {
-        std::uint32_t part;
-        std::size_t lo, hi;
-      };
-      std::vector<Block> blocks;
-      std::vector<PartTask> tasks;
-      for (std::size_t p = 0; p < num_parts; ++p) {
-        for (std::size_t lo = 0; lo < owned[p].size(); lo += kBlock) {
-          const std::size_t hi = std::min(owned[p].size(), lo + kBlock);
-          std::size_t cost = 0;
-          for (std::size_t i = lo; i < hi; ++i) {
-            cost += graph_.in_degree(owned[p][i]) + 1;
-          }
-          blocks.push_back({static_cast<std::uint32_t>(p), lo, hi});
-          tasks.push_back({static_cast<std::uint32_t>(p), cost});
-        }
-      }
-      if (block_scratch_.size() < blocks.size()) {
-        block_scratch_.resize(blocks.size());
-      }
-      result.compute_sec += timed_over_part_tasks(
-          *stealer_, num_parts, tasks,
-          [&](std::size_t i) {
-            const Block& block = blocks[i];
-            std::vector<float>& x_scratch = block_scratch_[i];
-            x_scratch.assign(model_.config().layer_in_dim(l), 0.0f);
-            for (std::size_t j = block.lo; j < block.hi; ++j) {
-              recompute_row(block.part, owned[block.part][j], x_scratch);
-            }
-          },
-          timing, wait);
-    } else {
-      result.compute_sec += timed_over_parts(
-          pool_, num_parts,
-          [&](std::size_t p) {
-            if (!hosts(p)) return;
-            auto& x_scratch = x_scratch_[p];
-            x_scratch.assign(model_.config().layer_in_dim(l), 0.0f);
-            for (const VertexId v : affected[l]) {
-              if (owner(v) != p) continue;
-              recompute_row(p, v, x_scratch);
-            }
-          },
-          timing, wait);
+    // One stealable task per block of a hosted partition's owned affected
+    // vertices, costed by Σ in-degree — the pull work InkStream observes
+    // is concentrated on a few high-degree vertices. A hot partition's
+    // endpoint is the W-worker makespan bound over its blocks
+    // (dist/bsp.h).
+    std::vector<std::vector<VertexId>> owned(num_parts);
+    for (const VertexId v : affected[l]) {
+      const std::uint32_t p = owner(v);
+      if (hosts(p)) owned[p].push_back(v);
     }
+    constexpr std::size_t kBlock = 64;
+    struct Block {
+      std::uint32_t part;
+      std::size_t lo, hi;
+    };
+    std::vector<Block> blocks;
+    std::vector<PartTask> tasks;
+    for (std::size_t p = 0; p < num_parts; ++p) {
+      for (std::size_t lo = 0; lo < owned[p].size(); lo += kBlock) {
+        const std::size_t hi = std::min(owned[p].size(), lo + kBlock);
+        std::size_t cost = 0;
+        for (std::size_t i = lo; i < hi; ++i) {
+          cost += graph_.in_degree(owned[p][i]) + 1;
+        }
+        blocks.push_back({static_cast<std::uint32_t>(p), lo, hi});
+        tasks.push_back({static_cast<std::uint32_t>(p), cost});
+      }
+    }
+    if (block_scratch_.size() < blocks.size()) {
+      block_scratch_.resize(blocks.size());
+    }
+    result.compute_sec += timed_over_part_tasks(
+        *stealer_, num_parts, tasks,
+        [&](std::size_t i) {
+          const Block& block = blocks[i];
+          std::vector<float>& x_scratch = block_scratch_[i];
+          x_scratch.assign(model_.config().layer_in_dim(l), 0.0f);
+          for (std::size_t j = block.lo; j < block.hi; ++j) {
+            recompute_row(block.part, owned[block.part][j], x_scratch);
+          }
+        },
+        timing, wait);
   }
   result.propagation_tree_size = propagation_tree_size(affected);
   result.affected_final = affected.back().size();

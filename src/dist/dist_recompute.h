@@ -33,8 +33,7 @@ class DistRecomputeEngine : public DistEngineBase {
  public:
   DistRecomputeEngine(const GnnModel& model, DynamicGraph snapshot,
                       const Matrix& features, Partition partition,
-                      ThreadPool* pool, std::unique_ptr<Transport> transport,
-                      SchedulerMode scheduler = SchedulerMode::kSteal);
+                      ThreadPool* pool, std::unique_ptr<Transport> transport);
 
   const char* name() const override { return "dist-RC"; }
   DistBatchResult apply_batch(UpdateBatch batch) override;
@@ -51,10 +50,8 @@ class DistRecomputeEngine : public DistEngineBase {
   // slots stay default-constructed and empty.
   std::vector<EmbeddingStore> states_;
 
-  // Per-partition scratch: the aggregation buffer.
-  std::vector<std::vector<float>> x_scratch_;
-  // Steal-path pull buffers, one per block task (tasks of one region must
-  // not share); grown on demand, capacity reused across batches so the hot
+  // Aggregation buffers, one per block task (tasks of one region must not
+  // share); grown on demand, capacity reused across batches so the hot
   // loop stays allocation-free after warm-up.
   std::vector<std::vector<float>> block_scratch_;
   // Pull bookkeeping, rebuilt per hop: the (vertex, destination) pairs

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <unordered_map>
 
-#include "common/thread_pool.h"
 #include "common/timer.h"
 #include "dist/bsp.h"
 #include "stream/update_apply.h"
@@ -21,11 +20,9 @@ DistRippleEngine::DistRippleEngine(const GnnModel& model,
                                    DynamicGraph snapshot,
                                    const Matrix& features, Partition partition,
                                    ThreadPool* pool,
-                                   std::unique_ptr<Transport> transport,
-                                   SchedulerMode scheduler)
+                                   std::unique_ptr<Transport> transport)
     : DistEngineBase("ripple", model, std::move(snapshot), features,
-                     std::move(partition), pool, std::move(transport),
-                     scheduler) {
+                     std::move(partition), pool, std::move(transport)) {
   RIPPLE_CHECK_MSG(is_linear(model_.config().aggregator),
                    "Ripple requires a linear aggregation function; got "
                        << aggregator_name(model_.config().aggregator));
@@ -330,95 +327,67 @@ DistBatchResult DistRippleEngine::apply_batch(UpdateBatch batch) {
     const bool is_last = l == num_layers;
     const std::size_t delta_dim = model_.config().layer_out_dim(l - 1);
 
+    // Apply prologue (sender sort + delta sizing): its own max-endpoint
+    // mini-phase, every machine sorting its own senders. The last hop
+    // emits no messages, so it skips the sort and the deltas.
+    const StopWatch prologue_watch;
+    std::vector<double> prologue_sec(num_parts, 0.0);
+    for (std::size_t p = 0; p < num_parts; ++p) {
+      if (!hosts(p)) {
+        senders_[p].clear();
+        continue;
+      }
+      StopWatch watch;
+      Mailbox& box = mailbox(p, l);
+      senders_[p] = is_last ? std::vector<VertexId>{} : box.sorted_vertices();
+      if (!is_last) {
+        // no_fill: the shard drains' RankDeltaSink writes every row
+        // before the exchange reads any.
+        delta_[p].resize_no_fill(senders_[p].size(), delta_dim);
+      }
+      prologue_sec[p] = watch.elapsed_sec();
+    }
+    result.compute_sec += serial_phase_cost(
+        prologue_sec, prologue_watch.elapsed_sec(), timing, wait);
     // Apply: every hosted partition drains its own mailbox with the shared
     // hop kernel, addressing its owned rows through the local row map; Δh
     // lands at each vertex's rank in the partition's sorted sender list.
     // Owner-computes: partitions write disjoint rows, and within a
     // partition shards hold disjoint vertices — so the drains are
-    // independent tasks no matter which worker runs them.
-    // No nested GEMM stealing here (scheduler = nullptr): each drain is a
-    // per-task-billed body under timed_over_part_tasks, and a nested region
-    // would let the help-first loop execute OTHER partitions' drains inside
-    // this task's stopwatch, cross-billing their seconds into the wrong
+    // independent tasks no matter which worker runs them. One stealable
+    // task per (hosted partition, shard), LPT-seeded by pending slots; a
+    // partition's endpoint is the W-worker makespan bound over its shard
+    // drains (dist/bsp.h), so a hot partition stops gating the superstep.
+    // No nested GEMM stealing (scheduler = nullptr): a nested region would
+    // let the help-first loop execute OTHER partitions' drains inside this
+    // task's stopwatch, cross-billing their seconds into the wrong
     // endpoint. Intra-partition parallelism is already modeled by the
     // W-worker makespan bound.
-    const auto drain_shard = [&](std::size_t p, std::size_t s) {
-      RankState& st = states_[p];
-      Mailbox& box = st.boxes[l - 1];
-      const Mailbox::Shard& shard = box.shard(s);
-      if (shard.size() == 0) return;
-      const RankDeltaSink sink(senders_[p], delta_[p]);
-      apply_hop_shard(model_, l, graph_, shard, box.dim(),
-                      st.agg_cache[l - 1], st.store.layer(l - 1),
-                      st.store.layer(l), scratch_[p * kShardsPerPart + s],
-                      is_last ? nullptr : &sink, nullptr,
-                      row_map_.local_rows());
-    };
-    if (stealer_ != nullptr) {
-      // Per-partition prologue (sender sort + delta sizing): its own
-      // max-endpoint mini-phase, every machine sorting its own senders.
-      const StopWatch prologue_watch;
-      std::vector<double> prologue_sec(num_parts, 0.0);
-      for (std::size_t p = 0; p < num_parts; ++p) {
-        if (!hosts(p)) {
-          senders_[p].clear();
-          continue;
-        }
-        StopWatch watch;
-        Mailbox& box = mailbox(p, l);
-        senders_[p] =
-            is_last ? std::vector<VertexId>{} : box.sorted_vertices();
-        if (!is_last) {
-          // no_fill: the shard drains' RankDeltaSink writes every row
-          // before the exchange reads any.
-          delta_[p].resize_no_fill(senders_[p].size(), delta_dim);
-        }
-        prologue_sec[p] = watch.elapsed_sec();
+    std::vector<PartTask> tasks;
+    tasks.reserve(num_parts * kShardsPerPart);
+    for (std::size_t p = 0; p < num_parts; ++p) {
+      if (!hosts(p)) continue;
+      for (std::size_t s = 0; s < kShardsPerPart; ++s) {
+        tasks.push_back({static_cast<std::uint32_t>(p),
+                         mailbox(p, l).shard(s).size()});
       }
-      result.compute_sec += serial_phase_cost(
-          prologue_sec, prologue_watch.elapsed_sec(), timing, wait);
-      // One stealable task per (hosted partition, shard), LPT-seeded by
-      // pending slots; a partition's endpoint is the W-worker makespan
-      // bound over its shard drains (dist/bsp.h), so a hot partition stops
-      // gating the superstep.
-      std::vector<PartTask> tasks;
-      tasks.reserve(num_parts * kShardsPerPart);
-      for (std::size_t p = 0; p < num_parts; ++p) {
-        if (!hosts(p)) continue;
-        for (std::size_t s = 0; s < kShardsPerPart; ++s) {
-          tasks.push_back({static_cast<std::uint32_t>(p),
-                           mailbox(p, l).shard(s).size()});
-        }
-      }
-      result.compute_sec += timed_over_part_tasks(
-          *stealer_, num_parts, tasks,
-          [&](std::size_t i) {
-            drain_shard(tasks[i].part, i % kShardsPerPart);
-          },
-          timing, wait);
-    } else {
-      result.compute_sec += timed_over_parts(
-          pool_, num_parts,
-          [&](std::size_t p) {
-            if (!hosts(p)) {
-              senders_[p].clear();
-              return;
-            }
-            Mailbox& box = mailbox(p, l);
-            // The last hop emits no messages: skip sender sort and deltas.
-            senders_[p] =
-                is_last ? std::vector<VertexId>{} : box.sorted_vertices();
-            if (!is_last) {
-              // no_fill: the shard drains' RankDeltaSink writes every row
-              // before the exchange reads any.
-              delta_[p].resize_no_fill(senders_[p].size(), delta_dim);
-            }
-            for (std::size_t s = 0; s < box.num_shards(); ++s) {
-              drain_shard(p, s);
-            }
-          },
-          timing, wait);
     }
+    result.compute_sec += timed_over_part_tasks(
+        *stealer_, num_parts, tasks,
+        [&](std::size_t i) {
+          const std::size_t p = tasks[i].part;
+          const std::size_t s = i % kShardsPerPart;
+          RankState& st = states_[p];
+          Mailbox& box = st.boxes[l - 1];
+          if (box.shard(s).size() == 0) return;
+          const RankDeltaSink sink(senders_[p], delta_[p]);
+          apply_hop_shard(model_, l, graph_, box.shard(s), box.dim(),
+                          st.agg_cache[l - 1], st.store.layer(l - 1),
+                          st.store.layer(l), scratch_[p * kShardsPerPart + s],
+                          is_last ? nullptr : &sink, nullptr,
+                          row_map_.local_rows());
+        },
+        timing, wait);
 
     if (!is_last) {
       // Exchange: each changed vertex's COMMITTED new H^l row goes ONCE to
@@ -467,7 +436,10 @@ DistBatchResult DistRippleEngine::apply_batch(UpdateBatch batch) {
       // exception escaping a worker task would terminate the process): a
       // width that disagrees with the hop's row shape means the frame was
       // corrupted in flight, not a programming bug — typed kCorrupt so the
-      // layers above can recover from checkpoint.
+      // layers above can recover from checkpoint. The seed phase is one
+      // task per hosted partition, costed by the deltas it merges; one
+      // task's makespan bound is its own seconds.
+      std::vector<PartTask> seeds;
       for (std::size_t q = 0; q < num_parts; ++q) {
         if (!hosts(q)) continue;
         const Transport::Inbox& inbox = transport_->inbox(q);
@@ -480,9 +452,10 @@ DistBatchResult DistRippleEngine::apply_batch(UpdateBatch batch) {
                     std::to_string(inbox.payload_of(m).size()));
           }
         }
+        seeds.push_back({static_cast<std::uint32_t>(q),
+                         senders_[q].size() + inbox.messages.size()});
       }
       const auto seed_part = [&](std::size_t q) {
-        if (!hosts(q)) return;
         RankState& st = states_[q];
         const Transport::Inbox& inbox = transport_->inbox(q);
         // no_fill: every row is written by the derivation loop below.
@@ -522,8 +495,9 @@ DistBatchResult DistRippleEngine::apply_batch(UpdateBatch batch) {
           }
         }
       };
-      result.compute_sec +=
-          timed_over_parts(pool_, num_parts, seed_part, timing, wait);
+      result.compute_sec += timed_over_part_tasks(
+          *stealer_, num_parts, seeds,
+          [&](std::size_t i) { seed_part(seeds[i].part); }, timing, wait);
     }
     for (std::size_t p = 0; p < num_parts; ++p) {
       if (hosts(p)) mailbox(p, l).clear();

@@ -30,9 +30,9 @@
 //       single-machine batch order.
 //   hop l — apply: every hosted partition drains its own hop-l mailbox with
 //       the shared hop kernel (core/hop_kernel.h) through the local row
-//       map, producing Δh per owned affected vertex. On the stealing
-//       scheduler the drain is one task per (partition, mailbox shard),
-//       LPT-seeded by pending-slot count (dist/bsp.h);
+//       map, producing Δh per owned affected vertex. The drain is one
+//       stealable task per (partition, mailbox shard), LPT-seeded by
+//       pending-slot count (dist/bsp.h);
 //       exchange: each changed vertex's COMMITTED new H^l row is sent ONCE
 //       to every remote partition owning at least one of its out-neighbors
 //       (the §5.1 stub-combining rule). Shipping the new row — same width
@@ -68,8 +68,7 @@ class DistRippleEngine : public DistEngineBase {
  public:
   DistRippleEngine(const GnnModel& model, DynamicGraph snapshot,
                    const Matrix& features, Partition partition,
-                   ThreadPool* pool, std::unique_ptr<Transport> transport,
-                   SchedulerMode scheduler = SchedulerMode::kSteal);
+                   ThreadPool* pool, std::unique_ptr<Transport> transport);
 
   const char* name() const override { return "dist-Ripple"; }
   DistBatchResult apply_batch(UpdateBatch batch) override;

@@ -42,9 +42,9 @@ struct BatchResult {
   std::size_t num_threads = 0;   // pool width the batch ran with
   double apply_phase_sec = 0;    // Σ hops: mailbox drain + blocked GEMMs
   double compute_phase_sec = 0;  // Σ hops: Δh scatter into next-hop mailbox
-  // Work-stealing scheduler stats for this batch (common/scheduler.h);
-  // all-zero when the static scheduler ran or the engine has no parallel
-  // propagation core (it has no per-participant accounting).
+  // Work-stealing scheduler stats for this batch (common/scheduler.h); a
+  // no-pool Ripple engine reports width 1. All-zero when the engine has no
+  // parallel propagation core (it has no per-participant accounting).
   SchedulerStats sched;
   double total_sec() const { return update_sec + propagate_sec; }
 };

@@ -14,7 +14,7 @@
 //          host without AVX2)
 //
 // The selection is overridable with --kernels=auto|scalar (threaded through
-// Flags by the benches/examples, exactly like --scheduler) and forceable at
+// Flags by the benches/examples via apply_kernel_flag) and forceable at
 // build time with -DRIPPLE_KERNELS=scalar (ci.sh runs a forced-scalar unit
 // tier so the portable path stays tested on SIMD hosts).
 //

@@ -10,9 +10,9 @@
 #include <cstdint>
 #include <numeric>
 #include <thread>
+#include <utility>
 #include <vector>
 
-#include "common/check.h"
 #include "common/thread_pool.h"
 
 namespace ripple {
@@ -140,6 +140,20 @@ TEST(WorkStealingScheduler, SerialWithoutPool) {
   EXPECT_EQ(scheduler.stats().steals, 0u);
 }
 
+TEST(WorkStealingScheduler, ParallelRangeWithoutPoolRunsOneInlineBlock) {
+  // Width 1 has nobody to steal a block, so the whole range is one call.
+  WorkStealingScheduler scheduler(nullptr);
+  std::vector<std::pair<std::size_t, std::size_t>> calls;
+  scheduler.parallel_range(
+      3, 4099,
+      [&](std::size_t lo, std::size_t hi) { calls.push_back({lo, hi}); }, 64);
+  ASSERT_EQ(calls.size(), 1u);
+  EXPECT_EQ(calls[0].first, 3u);
+  EXPECT_EQ(calls[0].second, 4099u);
+  EXPECT_EQ(scheduler.stats().tasks, 1u);
+  EXPECT_EQ(scheduler.stats().width, 1u);
+}
+
 TEST(WorkStealingScheduler, NestedRunExecutesAndStealsSubTasks) {
   // A task that opens a nested region must see every sub-task execute
   // exactly once — and the runtime must stay live (no deadlock) even when
@@ -258,14 +272,6 @@ TEST(WorkStealingScheduler, ManyConsecutiveRegionsStaySound) {
     });
     for (const auto& h : hits) ASSERT_EQ(h.load(), 1) << "round " << round;
   }
-}
-
-TEST(SchedulerMode, ParseAndName) {
-  EXPECT_EQ(parse_scheduler_mode("static"), SchedulerMode::kStatic);
-  EXPECT_EQ(parse_scheduler_mode("steal"), SchedulerMode::kSteal);
-  EXPECT_STREQ(scheduler_mode_name(SchedulerMode::kStatic), "static");
-  EXPECT_STREQ(scheduler_mode_name(SchedulerMode::kSteal), "steal");
-  EXPECT_THROW(parse_scheduler_mode("bogus"), check_error);
 }
 
 }  // namespace

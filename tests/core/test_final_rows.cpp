@@ -136,7 +136,6 @@ std::unique_ptr<InferenceEngine> build(const std::string& key,
   if (key == "ripple-pool") {
     RippleOptions options;
     options.num_shards = 8;
-    options.scheduler = SchedulerMode::kSteal;
     return std::make_unique<RippleEngine>(f.model, f.graph, f.features, &pool,
                                           options);
   }

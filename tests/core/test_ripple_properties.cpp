@@ -178,13 +178,13 @@ TEST(RippleProperties, IncrementalOpsBeatRecomputeOnDenseGraph) {
   EXPECT_LT(engine.incremental_ops(), rc_pull_ops / 2);
 }
 
-TEST(RippleDeterminism, BitIdenticalForAnySchedulerShardAndThreadCount) {
+TEST(RippleDeterminism, BitIdenticalForAnyShardAndThreadCount) {
   // The shard-parallel core fixes float accumulation order (canonical
   // ascending-sender-id message order, single writer per mailbox shard), so
   // embeddings must match the sequential reference EXACTLY — zero
-  // tolerance — for every scheduler mode, shard count, and thread count,
-  // and the BatchResult counters and the incremental-op tally must be
-  // identical too. The scheduler only decides WHICH worker runs a task.
+  // tolerance — for every shard count and thread count, and the
+  // BatchResult counters and the incremental-op tally must be identical
+  // too. The scheduler only decides WHICH worker runs a task.
   // Covers a no-self-term workload (GC), a self-term one (SAGE), and the
   // mean aggregator whose apply phase divides by the live in-degree.
   const std::size_t hardware =
@@ -203,50 +203,42 @@ TEST(RippleDeterminism, BitIdenticalForAnySchedulerShardAndThreadCount) {
     stream_config.seed = 913;
     const auto stream = generate_stream(graph, stream_config);
 
-    // Sequential reference: one shard, no pool, static scheduler.
+    // Sequential reference: one shard, no pool.
     RippleOptions ref_options;
     ref_options.num_shards = 1;
-    ref_options.scheduler = SchedulerMode::kStatic;
     RippleEngine reference(model, graph, features, nullptr, ref_options);
     std::vector<BatchResult> ref_results;
     for (const auto& batch : make_batches(stream, 10)) {
       ref_results.push_back(reference.apply_batch(batch));
     }
 
-    for (const SchedulerMode scheduler :
-         {SchedulerMode::kStatic, SchedulerMode::kSteal}) {
-      for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
-                                       std::size_t{8}}) {
-        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-          RippleOptions options;
-          options.num_shards = shards;
-          options.scheduler = scheduler;
-          RippleEngine engine(model, graph, features, p, options);
-          EXPECT_EQ(engine.num_shards(), shards);
-          const char* tag = scheduler_mode_name(scheduler);
-          std::size_t b = 0;
-          for (const auto& batch : make_batches(stream, 10)) {
-            const BatchResult result = engine.apply_batch(batch);
-            ASSERT_EQ(result.propagation_tree_size,
-                      ref_results[b].propagation_tree_size)
-                << workload_name(workload) << " sched=" << tag
-                << " shards=" << shards << " pooled=" << (p != nullptr)
-                << " batch=" << b;
-            ASSERT_EQ(result.affected_final, ref_results[b].affected_final)
-                << workload_name(workload) << " sched=" << tag
-                << " shards=" << shards << " pooled=" << (p != nullptr)
-                << " batch=" << b;
-            ++b;
-          }
-          EXPECT_EQ(testing::max_store_diff(reference.embeddings(),
-                                            engine.embeddings()),
-                    0.0f)
-              << workload_name(workload) << " sched=" << tag
-              << " shards=" << shards << " pooled=" << (p != nullptr);
-          EXPECT_EQ(engine.incremental_ops(), reference.incremental_ops())
-              << workload_name(workload) << " sched=" << tag
-              << " shards=" << shards << " pooled=" << (p != nullptr);
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
+                                     std::size_t{8}}) {
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        RippleOptions options;
+        options.num_shards = shards;
+        RippleEngine engine(model, graph, features, p, options);
+        EXPECT_EQ(engine.num_shards(), shards);
+        std::size_t b = 0;
+        for (const auto& batch : make_batches(stream, 10)) {
+          const BatchResult result = engine.apply_batch(batch);
+          ASSERT_EQ(result.propagation_tree_size,
+                    ref_results[b].propagation_tree_size)
+              << workload_name(workload) << " shards=" << shards
+              << " pooled=" << (p != nullptr) << " batch=" << b;
+          ASSERT_EQ(result.affected_final, ref_results[b].affected_final)
+              << workload_name(workload) << " shards=" << shards
+              << " pooled=" << (p != nullptr) << " batch=" << b;
+          ++b;
         }
+        EXPECT_EQ(testing::max_store_diff(reference.embeddings(),
+                                          engine.embeddings()),
+                  0.0f)
+            << workload_name(workload) << " shards=" << shards
+            << " pooled=" << (p != nullptr);
+        EXPECT_EQ(engine.incremental_ops(), reference.incremental_ops())
+            << workload_name(workload) << " shards=" << shards
+            << " pooled=" << (p != nullptr);
       }
     }
   }
@@ -256,9 +248,9 @@ TEST(RippleDeterminism, BitIdenticalAcrossKernelModes) {
   // The SIMD kernel tiers (tensor/kernels.h) vectorize across the output
   // axis only and never fuse multiply-add, so --kernels=scalar and
   // --kernels=auto must produce bit-identical embeddings — across shard
-  // counts, scheduler modes, and pool on/off. On a host whose auto
-  // dispatch resolves to scalar this degenerates to the determinism test
-  // above (still worth running: it exercises the mode toggle).
+  // counts and pool on/off. On a host whose auto dispatch resolves to
+  // scalar this degenerates to the determinism test above (still worth
+  // running: it exercises the mode toggle).
   const KernelMode saved = kernel_mode();
   ThreadPool pool(4);
   for (const Workload workload :
@@ -277,33 +269,27 @@ TEST(RippleDeterminism, BitIdenticalAcrossKernelModes) {
     set_kernel_mode(KernelMode::kScalar);
     RippleOptions ref_options;
     ref_options.num_shards = 1;
-    ref_options.scheduler = SchedulerMode::kStatic;
     RippleEngine reference(model, graph, features, nullptr, ref_options);
     for (const auto& batch : make_batches(stream, 9)) {
       reference.apply_batch(batch);
     }
 
     set_kernel_mode(KernelMode::kAuto);
-    for (const SchedulerMode scheduler :
-         {SchedulerMode::kStatic, SchedulerMode::kSteal}) {
-      for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
-                                       std::size_t{8}}) {
-        for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
-          RippleOptions options;
-          options.num_shards = shards;
-          options.scheduler = scheduler;
-          RippleEngine engine(model, graph, features, p, options);
-          for (const auto& batch : make_batches(stream, 9)) {
-            engine.apply_batch(batch);
-          }
-          EXPECT_EQ(testing::max_store_diff(reference.embeddings(),
-                                            engine.embeddings()),
-                    0.0f)
-              << workload_name(workload) << " kernels=auto ("
-              << kernel_isa_name(active_kernel_isa())
-              << ") vs scalar, sched=" << scheduler_mode_name(scheduler)
-              << " shards=" << shards << " pooled=" << (p != nullptr);
+    for (const std::size_t shards : {std::size_t{1}, std::size_t{2},
+                                     std::size_t{8}}) {
+      for (ThreadPool* p : {static_cast<ThreadPool*>(nullptr), &pool}) {
+        RippleOptions options;
+        options.num_shards = shards;
+        RippleEngine engine(model, graph, features, p, options);
+        for (const auto& batch : make_batches(stream, 9)) {
+          engine.apply_batch(batch);
         }
+        EXPECT_EQ(testing::max_store_diff(reference.embeddings(),
+                                          engine.embeddings()),
+                  0.0f)
+            << workload_name(workload) << " kernels=auto ("
+            << kernel_isa_name(active_kernel_isa()) << ") vs scalar, shards="
+            << shards << " pooled=" << (p != nullptr);
       }
     }
   }
@@ -311,8 +297,8 @@ TEST(RippleDeterminism, BitIdenticalAcrossKernelModes) {
 }
 
 TEST(RippleDeterminism, StealSchedulerReportsStealStats) {
-  // Pooled + steal: the batch result must report the scheduler's width and
-  // task counts (the imbalance diagnostics parallel_scaling emits).
+  // Pooled: the batch result must report the scheduler's width and task
+  // counts (the imbalance diagnostics parallel_scaling emits).
   ThreadPool pool(2);
   auto graph = testing::random_graph(60, 500, 930);
   const auto features = testing::random_features(60, 8, 931);
@@ -320,9 +306,7 @@ TEST(RippleDeterminism, StealSchedulerReportsStealStats) {
   const auto model = GnnModel::random(config, 932);
   RippleOptions options;
   options.num_shards = 8;
-  options.scheduler = SchedulerMode::kSteal;
   RippleEngine engine(model, graph, features, &pool, options);
-  EXPECT_EQ(engine.scheduler_mode(), SchedulerMode::kSteal);
 
   StreamConfig stream_config;
   stream_config.num_updates = 40;
@@ -335,15 +319,12 @@ TEST(RippleDeterminism, StealSchedulerReportsStealStats) {
   EXPECT_GT(result.sched.tasks, 0u);
   EXPECT_GT(result.sched.busy_total_sec, 0.0);
   EXPECT_GE(result.sched.imbalance(), 1.0);
-  // Static engines must leave the scheduler stats zeroed.
-  RippleOptions static_options = options;
-  static_options.scheduler = SchedulerMode::kStatic;
-  RippleEngine static_engine(model, graph, features, &pool, static_options);
-  EXPECT_EQ(static_engine.scheduler_mode(), SchedulerMode::kStatic);
-  const BatchResult static_result = static_engine.apply_batch(stream);
-  EXPECT_EQ(static_result.sched.width, 0u);
-  EXPECT_EQ(static_result.sched.tasks, 0u);
-  EXPECT_EQ(static_result.sched.imbalance(), 0.0);
+  // A no-pool engine runs every phase inline on a width-1 scheduler.
+  RippleEngine serial_engine(model, graph, features, nullptr, options);
+  const BatchResult serial_result = serial_engine.apply_batch(stream);
+  EXPECT_EQ(serial_result.sched.width, 1u);
+  EXPECT_GT(serial_result.sched.tasks, 0u);
+  EXPECT_EQ(serial_result.sched.steals, 0u);
 }
 
 TEST(RippleDeterminism, BatchResultReportsShardAndThreadStats) {

@@ -65,38 +65,30 @@ TEST(DistExactness, BitIdenticalToSingleMachineForAnyPartsAndThreads) {
     for (const std::size_t num_parts : {1, 2, 4}) {
       auto partition = ldg_partition(c.snapshot, num_parts);
       refine_partition(c.snapshot, partition, 1);
-      for (const SchedulerMode scheduler :
-           {SchedulerMode::kStatic, SchedulerMode::kSteal}) {
-        for (const bool use_pool : {false, true}) {
-          SCOPED_TRACE(std::to_string(num_parts) + " parts, " +
-                       scheduler_mode_name(scheduler) + ", pool " +
-                       (use_pool ? "on" : "off"));
-          ThreadPool pool(3);
-          ThreadPool* p = use_pool ? &pool : nullptr;
-          auto dist_ripple =
-              make_dist_engine("ripple", model, c.snapshot, c.features,
-                               partition, p, default_transport_options(),
-                               scheduler);
-          auto dist_rc =
-              make_dist_engine("rc", model, c.snapshot, c.features,
-                               partition, p, default_transport_options(),
-                               scheduler);
-          for (const auto& batch : batches) {
-            dist_ripple->apply_batch(batch);
-            dist_rc->apply_batch(batch);
-          }
-          // Bit-identical to the single-machine counterparts...
-          EXPECT_EQ(testing::max_store_diff(ripple_ref.embeddings(),
-                                            dist_ripple->gather_embeddings()),
-                    0.0f);
-          EXPECT_EQ(testing::max_store_diff(rc_ref.embeddings(),
-                                            dist_rc->gather_embeddings()),
-                    0.0f);
-          // ...and cross-engine agreement within FP tolerance.
-          EXPECT_LT(testing::max_store_diff(dist_ripple->gather_embeddings(),
-                                            dist_rc->gather_embeddings()),
-                    1e-3f);
+      for (const bool use_pool : {false, true}) {
+        SCOPED_TRACE(std::to_string(num_parts) + " parts, pool " +
+                     (use_pool ? "on" : "off"));
+        ThreadPool pool(3);
+        ThreadPool* p = use_pool ? &pool : nullptr;
+        auto dist_ripple = make_dist_engine("ripple", model, c.snapshot,
+                                            c.features, partition, p);
+        auto dist_rc =
+            make_dist_engine("rc", model, c.snapshot, c.features, partition, p);
+        for (const auto& batch : batches) {
+          dist_ripple->apply_batch(batch);
+          dist_rc->apply_batch(batch);
         }
+        // Bit-identical to the single-machine counterparts...
+        EXPECT_EQ(testing::max_store_diff(ripple_ref.embeddings(),
+                                          dist_ripple->gather_embeddings()),
+                  0.0f);
+        EXPECT_EQ(testing::max_store_diff(rc_ref.embeddings(),
+                                          dist_rc->gather_embeddings()),
+                  0.0f);
+        // ...and cross-engine agreement within FP tolerance.
+        EXPECT_LT(testing::max_store_diff(dist_ripple->gather_embeddings(),
+                                          dist_rc->gather_embeddings()),
+                  1e-3f);
       }
     }
   }
@@ -165,9 +157,8 @@ TEST(DistExactness, CountersMatchSingleMachine) {
 }
 
 TEST(DistExactness, StealSchedulerReportsStats) {
-  // Pooled dist engines default to the stealing scheduler and must surface
-  // its width/task counters through DistBatchResult; the static scheduler
-  // leaves them zeroed.
+  // Dist engines surface the stealing scheduler's width/task counters
+  // through DistBatchResult; without a pool the scheduler has width 1.
   auto c = make_rmat_case(41);
   const auto config = workload_config(Workload::gc_s, 8, 4, 2, 10);
   const auto model = GnnModel::random(config, 43);
@@ -175,22 +166,27 @@ TEST(DistExactness, StealSchedulerReportsStats) {
   ThreadPool pool(2);
   auto steal = make_dist_engine("ripple", model, c.snapshot, c.features,
                                 partition, &pool);
-  auto stat = make_dist_engine("ripple", model, c.snapshot, c.features,
-                               partition, &pool, default_transport_options(),
-                               SchedulerMode::kStatic);
+  auto serial = make_dist_engine("ripple", model, c.snapshot, c.features,
+                                 partition, nullptr);
   std::uint64_t steal_tasks = 0;
-  std::uint64_t static_tasks = 0;
+  std::uint64_t serial_tasks = 0;
+  std::uint64_t serial_steals = 0;
   std::size_t steal_width = 0;
+  std::size_t serial_width = 0;
   for (const auto& batch : make_batches(c.stream, 10)) {
     const DistBatchResult sr = steal->apply_batch(batch);
-    const DistBatchResult tr = stat->apply_batch(batch);
+    const DistBatchResult nr = serial->apply_batch(batch);
     steal_tasks += sr.sched.tasks;
-    static_tasks += tr.sched.tasks;
+    serial_tasks += nr.sched.tasks;
+    serial_steals += nr.sched.steals;
     steal_width = std::max(steal_width, sr.sched.width);
+    serial_width = std::max(serial_width, nr.sched.width);
   }
   EXPECT_GT(steal_tasks, 0u);
   EXPECT_EQ(steal_width, 3u);  // 2 workers + the driver
-  EXPECT_EQ(static_tasks, 0u);
+  EXPECT_GT(serial_tasks, 0u);
+  EXPECT_EQ(serial_width, 1u);
+  EXPECT_EQ(serial_steals, 0u);
 }
 
 // ---- transport accounting: hand-computed on a 4-vertex 2-part graph ----

@@ -237,10 +237,8 @@ TEST(DistMigration, MigratedRunsBitIdenticalToNeverMigratedSingleMachine) {
       SCOPED_TRACE(std::string(key) + ", " +
                    std::to_string(num_parts) + " parts");
       ThreadPool pool(3);
-      auto engine =
-          make_dist_engine(key, model, c.snapshot, c.features, partition,
-                           &pool, default_transport_options(),
-                           SchedulerMode::kSteal);
+      auto engine = make_dist_engine(key, model, c.snapshot, c.features,
+                                     partition, &pool);
       std::size_t moves = 0;
       std::size_t supersteps = 0;
       for (std::size_t b = 0; b < batches.size(); ++b) {
@@ -288,9 +286,7 @@ TEST(DistMigration, SkewProposedPlansOnDriftStreamStayExact) {
   auto partition = ldg_partition(scenario.snapshot, 4);
   refine_partition(scenario.snapshot, partition, 1);
   auto engine = make_dist_engine("ripple", model, scenario.snapshot,
-                                 features, partition, nullptr,
-                                 default_transport_options(),
-                                 SchedulerMode::kStatic);
+                                 features, partition, nullptr);
   SkewSignal signal;
   MigrationOptions options;
   options.hot_factor = 1.0;  // eager: migrate on any measurable skew
