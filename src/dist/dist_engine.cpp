@@ -419,12 +419,10 @@ std::unique_ptr<DistEngineBase> make_dist_engine(
     const std::string& key, const GnnModel& model,
     const DynamicGraph& snapshot, const Matrix& features,
     const Partition& partition, ThreadPool* pool,
-    const TransportOptions& options, SchedulerMode scheduler,
-    ExecMode mode) {
+    const TransportOptions& options) {
   return make_dist_engine(
       key, model, snapshot, features, partition, pool,
-      std::make_unique<SimTransport>(partition.num_parts(), options),
-      scheduler, mode);
+      std::make_unique<SimTransport>(partition.num_parts(), options));
 }
 
 std::unique_ptr<DistEngineBase> make_dist_engine(

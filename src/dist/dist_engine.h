@@ -345,20 +345,19 @@ void split_row(std::span<const float> row, std::size_t count,
 }
 
 // Factory keys used by the dist benches: "ripple" (incremental,
-// delta-shipping) and "rc" (full recompute, halo-pulling). `scheduler` and
-// `mode` each have one value and are ignored (see SchedulerMode and
-// ExecMode). This overload runs over a SimTransport built from `options`.
+// delta-shipping) and "rc" (full recompute, halo-pulling). This overload
+// runs over a SimTransport built from `options`.
 std::unique_ptr<DistEngineBase> make_dist_engine(
     const std::string& key, const GnnModel& model,
     const DynamicGraph& snapshot, const Matrix& features,
     const Partition& partition, ThreadPool* pool = nullptr,
-    const TransportOptions& options = default_transport_options(),
-    SchedulerMode scheduler = SchedulerMode::kSteal,
-    ExecMode mode = ExecMode::kBsp);
+    const TransportOptions& options = default_transport_options());
 
 // Backend-explicit overload: the caller supplies the transport (e.g. a
 // TcpTransport wired to its rank's peers). transport->num_parts() must
-// equal partition.num_parts(); the engine takes ownership.
+// equal partition.num_parts(); the engine takes ownership. `scheduler` and
+// `mode` each have one value and are ignored (see SchedulerMode and
+// ExecMode).
 std::unique_ptr<DistEngineBase> make_dist_engine(
     const std::string& key, const GnnModel& model,
     const DynamicGraph& snapshot, const Matrix& features,

@@ -166,7 +166,9 @@ DistBatchResult DistRecomputeEngine::apply_batch(UpdateBatch batch) {
     // vertices, costed by Σ in-degree — the pull work InkStream observes
     // is concentrated on a few high-degree vertices. A hot partition's
     // endpoint is the W-worker makespan bound over its blocks
-    // (dist/bsp.h).
+    // (dist/bsp.h). Every machine plans its blocks by scanning the whole
+    // replicated affected set, so the planning bills its wall seconds.
+    const StopWatch plan_watch;
     std::vector<std::vector<VertexId>> owned(num_parts);
     for (const VertexId v : affected[l]) {
       const std::uint32_t p = owner(v);
@@ -193,6 +195,7 @@ DistBatchResult DistRecomputeEngine::apply_batch(UpdateBatch batch) {
     if (block_scratch_.size() < blocks.size()) {
       block_scratch_.resize(blocks.size());
     }
+    result.compute_sec += plan_watch.elapsed_sec();
     result.compute_sec += timed_over_part_tasks(
         *stealer_, num_parts, tasks,
         [&](std::size_t i) {
