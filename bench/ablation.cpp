@@ -1,13 +1,9 @@
-// Ablation benches for the design choices DESIGN.md calls out:
-//   1. Zero-delta pruning (off in the paper — "Ripple does not perform
-//      pruning"): measures what the faithful no-pruning choice costs when
-//      ReLU produces zero deltas.
-//   2. Partitioner quality: hash vs LDG+refine, measured by edge cut and
+// Ablation benches for two design choices of the distributed runtime:
+//   1. Partitioner quality: hash vs LDG+refine, measured by edge cut and
 //      the distributed communication volume it induces.
-//   3. Halo stub message combining (§5.1): stub mailboxes vs a hypothetical
+//   2. Halo stub message combining (§5.1): stub mailboxes vs a hypothetical
 //      per-edge send, estimated from message counts.
 #include "dist_util.h"
-#include "core/ripple_engine.h"
 
 using namespace ripple;
 
@@ -22,31 +18,8 @@ int main(int argc, char** argv) {
   set_transport_options(TransportOptions::from_flags(flags));
 #endif
 
-  // ---- 1. Pruning ablation ----
-  bench::print_header("Ablation 1: zero-delta pruning (paper default: off)");
-  {
-    const auto prepared =
-        bench::prepare("arxiv-s", scale, quick ? 300 : 1500, seed);
-    const auto& ds = prepared.dataset;
-    const auto config = workload_config(Workload::gc_s, ds.spec.feat_dim,
-                                        ds.spec.num_classes, 3, 64);
-    const auto model = GnnModel::random(config, seed);
-    TextTable table({"Variant", "up/s (batch 10)", "Mean tree size"});
-    for (const bool prune : {false, true}) {
-      RippleOptions options;
-      options.prune_unchanged = prune;
-      RippleEngine engine(model, ds.graph, ds.features, nullptr, options);
-      const auto run = bench::run_stream(engine, prepared.stream, 10,
-                                         quick ? 10 : 30);
-      table.add_row({prune ? "prune zero deltas" : "no pruning (paper)",
-                     TextTable::fmt_si(run.throughput_ups),
-                     TextTable::fmt(run.mean_tree_size, 1)});
-    }
-    table.print();
-  }
-
-  // ---- 2. Partitioner ablation ----
-  bench::print_header("Ablation 2: hash vs LDG+refine partitioning");
+  // ---- 1. Partitioner ablation ----
+  bench::print_header("Ablation 1: hash vs LDG+refine partitioning");
 #if RIPPLE_HAS_DIST
   {
     const auto prepared =
@@ -84,9 +57,9 @@ int main(int argc, char** argv) {
               "see ROADMAP.md open items.\n");
 #endif
 
-  // ---- 3. Halo stub combining ----
+  // ---- 2. Halo stub combining ----
   bench::print_header(
-      "Ablation 3: halo stub mailboxes (one combined message per remote "
+      "Ablation 2: halo stub mailboxes (one combined message per remote "
       "target per superstep)");
 #if RIPPLE_HAS_DIST
   {

@@ -34,6 +34,11 @@ RIPPLE_TRANSPORT=tcp ctest --test-dir build -L dist --output-on-failure \
 # the leader gather (a few seconds each).
 ./build/bench_recovery --quick >/dev/null
 ./build/bench_drift_scenario --quick >/dev/null
+# Modeled-accounting and ablation smokes: fig12 drives both dist engines'
+# compute/superstep billing on sim, and the ablation bench runs the
+# partitioner and stub-combining comparisons (well under 2 s each).
+./build/bench_fig12_dist_papers --quick >/dev/null
+./build/bench_ablation --quick >/dev/null
 # Example smoke (about a second each): the quickstart tour runs to the end,
 # and fraud_detection's StreamingServer flip callbacks report the same
 # flips a full scan of every account would.

@@ -52,21 +52,16 @@ class RankDeltaSink {
   void operator()(VertexId v, std::span<const float> new_row,
                   std::span<const float> old_row) const {
     it_ = std::lower_bound(it_, order_.end(), v);
-    rank_ = static_cast<std::size_t>(it_ - order_.begin());
-    auto delta_row = delta_block_.row(rank_);
+    auto delta_row =
+        delta_block_.row(static_cast<std::size_t>(it_ - order_.begin()));
     for (std::size_t j = 0; j < delta_row.size(); ++j) {
       delta_row[j] = new_row[j] - old_row[j];
     }
   }
 
-  // Rank of the most recent vertex (for callers layering extra per-vertex
-  // work on top, e.g. the pruning ablation's send flags).
-  std::size_t last_rank() const { return rank_; }
-
  private:
   const std::vector<VertexId>& order_;
   mutable std::vector<VertexId>::const_iterator it_;
-  mutable std::size_t rank_ = 0;
   Matrix& delta_block_;
 };
 
@@ -82,7 +77,7 @@ class RankDeltaSink {
 // blocked Update GEMM of a hot shard is split into stealable row blocks so
 // idle participants help drain it (nested region, see common/scheduler.h).
 // Null keeps the GEMM serial — the right call for a task whose seconds are
-// billed to one owner (the dist engines' timed_over_part_tasks), where a
+// billed to one owner (DistEngineBase::compute in the dist engines), where a
 // nested region could run other owners' tasks inside its stopwatch.
 //
 // `local_row` (optional): global→local row remap for partition-owned state.

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <cmath>
 
 #include "common/thread_pool.h"
 #include "common/timer.h"
@@ -106,21 +105,8 @@ std::uint64_t RippleEngine::apply_one_shard(std::size_t l, std::size_t s,
 
   const Mailbox::Shard& shard = mailbox.shard(s);
   if (shard.size() == 0) return 0;
-  // Record Δh at each vertex's canonical rank for the compute phase; the
-  // pruning ablation layers its send-flag decision on top.
-  const RankDeltaSink delta_sink(order, delta_block_);
-  const auto sink = [&](VertexId v, std::span<const float> new_row,
-                        std::span<const float> old_row) {
-    delta_sink(v, new_row, old_row);
-    if (options_.prune_unchanged) {
-      const std::size_t rank = delta_sink.last_rank();
-      float linf = 0;
-      for (const float d : delta_block_.row(rank)) {
-        linf = std::max(linf, std::abs(d));
-      }
-      send_flags_[rank] = linf > options_.prune_tolerance ? 1 : 0;
-    }
-  };
+  // Record Δh at each vertex's canonical rank for the compute phase.
+  const RankDeltaSink sink(order, delta_block_);
   return apply_hop_shard(model_, l, graph_, shard, mailbox.dim(),
                          agg_cache_[l - 1], store_.layer(l - 1),
                          store_.layer(l), scratch_[s],
@@ -139,7 +125,6 @@ std::uint64_t RippleEngine::bucket_sender_block(
   const std::size_t rank_lo = b * order.size() / num_blocks;
   const std::size_t rank_hi = (b + 1) * order.size() / num_blocks;
   for (std::size_t r = rank_lo; r < rank_hi; ++r) {
-    if (!send_flags_[r]) continue;
     const VertexId v = order[r];
     for (const Neighbor& nb : graph_.out_neighbors(v)) {
       const std::size_t t = next.shard_of(nb.vertex);
@@ -195,7 +180,6 @@ BatchResult RippleEngine::propagate() {
       // mailbox vertex drains exactly once) before the scatter reads any.
       delta_block_.resize_no_fill(order.size(),
                                   model_.config().layer_out_dim(l - 1));
-      send_flags_.assign(order.size(), 1);
     }
 
     // ---- apply phase: shard-parallel drain + blocked Update GEMMs ----

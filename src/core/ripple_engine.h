@@ -62,12 +62,6 @@
 namespace ripple {
 
 struct RippleOptions {
-  // Ablation knob (off by default, faithful to the paper: "Ripple does not
-  // perform pruning or selective updates"). When on, a vertex whose new
-  // embedding equals its old one (within tolerance) sends no messages.
-  bool prune_unchanged = false;
-  float prune_tolerance = 0.0f;
-
   // Mailbox shards per hop. 0 = auto: 1 without a thread pool, else
   // max(8, pool size) so the apply/compute phases have enough independent
   // work units to balance. Embeddings do not depend on this value (see the
@@ -106,7 +100,7 @@ class RippleEngine : public InferenceEngine {
   Mailbox& mutable_mailbox(std::size_t l) { return mailboxes_[l - 1]; }
 
   // Number of incremental numerical ops performed since construction
-  // (2·k' model of §4.3.3); used by the ablation/benefit analysis bench.
+  // (2·k' model of §4.3.3); the end-to-end benchmark reports it.
   std::uint64_t incremental_ops() const { return incremental_ops_; }
 
  private:
@@ -147,7 +141,6 @@ class RippleEngine : public InferenceEngine {
   // task owns exactly one scratch set, so parallel workers never share).
   std::vector<HopShardScratch> scratch_;  // one per shard
   Matrix delta_block_;                    // rank-major Δh rows for one hop
-  std::vector<std::uint8_t> send_flags_;  // rank-major (pruning ablation)
 
   // Compute-phase message buckets, flat-indexed [block * num_shards_ +
   // target_shard]; cleared (capacity retained) every hop.

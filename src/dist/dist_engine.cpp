@@ -97,48 +97,108 @@ DistEngineBase::DistEngineBase(const char* key, const GnnModel& model,
   RIPPLE_CHECK(features.rows() == graph_.num_vertices());
   RIPPLE_CHECK_MSG(partition_.num_vertices() <= graph_.num_vertices(),
                    "partition covers more vertices than the snapshot");
+  for (std::uint32_t p = 0; p < partition_.num_parts(); ++p) {
+    if (hosts(p)) hosted_.push_back(p);
+  }
 }
 
-DistEngineBase::BatchAccount DistEngineBase::open_batch(
-    std::size_t batch_size, DistBatchResult& result) {
+void DistEngineBase::open_batch(std::size_t batch_size,
+                                DistBatchResult& result) {
   result.batch_size = batch_size;
   result.num_parts = partition_.num_parts();
   result.comm_measured = transport_->measures_time();
   result.barrier_wait_sec.assign(partition_.num_parts(), 0.0);
   stealer_->reset_stats();
-  BatchAccount account;
-  account.timing = bsp_timing_of(*transport_);
-  if (account.timing == BspTiming::kModeled) {
-    account.wait = &result.barrier_wait_sec;
-  }
-  account.wire_bytes = transport_->wire_bytes();
-  account.wire_messages = transport_->wire_messages();
-  account.retries = transport_->retries();
-  account.timeouts = transport_->timeouts();
-  account.heartbeats = transport_->heartbeats();
-  return account;
+  open_.result = &result;
+  open_.wire_bytes = transport_->wire_bytes();
+  open_.wire_messages = transport_->wire_messages();
+  open_.retries = transport_->retries();
+  open_.timeouts = transport_->timeouts();
+  open_.heartbeats = transport_->heartbeats();
 }
 
-void DistEngineBase::add_transport_waits(DistBatchResult& result) const {
-  for (std::size_t p = 0; p < partition_.num_parts(); ++p) {
-    if (!hosts(p)) continue;
+void DistEngineBase::close_batch() {
+  DistBatchResult& result = *open_.result;
+  result.wire_bytes = transport_->wire_bytes() - open_.wire_bytes;
+  result.wire_messages = transport_->wire_messages() - open_.wire_messages;
+  result.retries = transport_->retries() - open_.retries;
+  result.timeouts = transport_->timeouts() - open_.timeouts;
+  result.heartbeats = transport_->heartbeats() - open_.heartbeats;
+  result.sched = stealer_->stats();
+  open_ = {};
+}
+
+void DistEngineBase::compute(const std::vector<PartTask>& tasks,
+                             const std::function<void(std::size_t)>& body) {
+  const StopWatch phase_watch;
+  std::vector<std::size_t> costs(tasks.size());
+  for (std::size_t i = 0; i < tasks.size(); ++i) costs[i] = tasks[i].cost;
+  std::vector<double> task_sec(tasks.size(), 0.0);
+  stealer_->run(tasks.size(), costs, [&](std::size_t i) {
+    StopWatch watch;
+    body(i);
+    task_sec[i] = watch.elapsed_sec();  // single writer per index
+  });
+  DistBatchResult& result = *open_.result;
+  if (result.comm_measured) {
+    result.compute_sec += phase_watch.elapsed_sec();
+    return;
+  }
+  const std::size_t num_parts = partition_.num_parts();
+  const double width = static_cast<double>(stealer_->width());
+  std::vector<double> sum(num_parts, 0.0);
+  std::vector<double> longest(num_parts, 0.0);
+  for (std::size_t i = 0; i < tasks.size(); ++i) {
+    sum[tasks[i].part] += task_sec[i];
+    longest[tasks[i].part] = std::max(longest[tasks[i].part], task_sec[i]);
+  }
+  std::vector<double> endpoint(num_parts, 0.0);
+  double slowest = 0.0;
+  for (std::size_t p = 0; p < num_parts; ++p) {
+    endpoint[p] = std::max(sum[p] / width, longest[p]);
+    slowest = std::max(slowest, endpoint[p]);
+  }
+  for (std::size_t p = 0; p < num_parts; ++p) {
+    result.barrier_wait_sec[p] += slowest - endpoint[p];
+  }
+  result.compute_sec += slowest;
+}
+
+void DistEngineBase::superstep(const std::function<void()>& send) {
+  transport_->begin_superstep();
+  send();
+  DistBatchResult& result = *open_.result;
+  result.comm_sec += transport_->end_superstep();
+  for (const std::uint32_t p : hosted_) {
     result.barrier_wait_sec[p] += transport_->superstep_wait_sec(p);
   }
 }
 
-void DistEngineBase::close_batch(const BatchAccount& account,
-                                 DistBatchResult& result) const {
-  result.wire_bytes = transport_->wire_bytes() - account.wire_bytes;
-  result.wire_messages = transport_->wire_messages() - account.wire_messages;
-  result.retries = transport_->retries() - account.retries;
-  result.timeouts = transport_->timeouts() - account.timeouts;
-  result.heartbeats = transport_->heartbeats() - account.heartbeats;
-  result.sched = stealer_->stats();
+void DistEngineBase::check_hop_inbox(std::size_t width) const {
+  for (const std::uint32_t p : hosted_) {
+    for (const Transport::Message& m : transport_->inbox(p).messages) {
+      if (m.len != width) {
+        throw TransportError(TransportErrorKind::kCorrupt,
+                             "hop row frame width mismatch: expected " +
+                                 std::to_string(width) + " floats, got " +
+                                 std::to_string(m.len));
+      }
+    }
+  }
+}
+
+void DistEngineBase::route_batch(UpdateBatch batch) {
+  const std::size_t num_parts = partition_.num_parts();
+  if (num_parts <= 1 || batch.empty() || !hosts(0)) return;
+  std::size_t batch_bytes = 0;
+  for (const GraphUpdate& update : batch) batch_bytes += update.wire_bytes();
+  for (std::size_t p = 1; p < num_parts; ++p) {
+    transport_->send_opaque(0, p, batch_bytes);
+  }
 }
 
 void DistEngineBase::scatter_owned(const std::vector<const Matrix*>& full) {
-  for (std::size_t p = 0; p < partition_.num_parts(); ++p) {
-    if (!hosts(p)) continue;
+  for (const std::uint32_t p : hosted_) {
     const std::vector<Matrix*> layout = owned_layout(p);
     RIPPLE_CHECK(layout.size() == full.size());
     const std::vector<VertexId>& owned = row_map_.owned(p);
@@ -151,13 +211,10 @@ void DistEngineBase::scatter_owned(const std::vector<const Matrix*>& full) {
 }
 
 std::vector<std::size_t> DistEngineBase::layout_widths() {
-  for (std::size_t p = 0; p < partition_.num_parts(); ++p) {
-    if (!hosts(p)) continue;
-    std::vector<std::size_t> widths;
-    for (const Matrix* m : owned_layout(p)) widths.push_back(m->cols());
-    return widths;
-  }
-  throw check_error("endpoint hosts no partition");
+  if (hosted_.empty()) throw check_error("endpoint hosts no partition");
+  std::vector<std::size_t> widths;
+  for (const Matrix* m : owned_layout(hosted_[0])) widths.push_back(m->cols());
+  return widths;
 }
 
 std::size_t DistEngineBase::owned_row_width() {
@@ -176,12 +233,9 @@ void DistEngineBase::ship_rows(
     const std::function<void()>& before_install,
     const std::function<void(std::size_t, std::span<const float>)>&
         install) {
-  const std::size_t num_parts = partition_.num_parts();
   const std::vector<std::size_t> widths = layout_widths();
-  std::vector<std::vector<Matrix*>> layouts(num_parts);
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    if (hosts(p)) layouts[p] = owned_layout(p);
-  }
+  std::vector<std::vector<Matrix*>> layouts(partition_.num_parts());
+  for (const std::uint32_t p : hosted_) layouts[p] = owned_layout(p);
   transport_->begin_superstep();
   std::vector<float> frame;
   for (const RowShipment& s : schedule) {
@@ -230,8 +284,7 @@ EmbeddingStore DistEngineBase::gather_embeddings() {
   // Hosted partitions contribute their own rows directly (on the hosts-all
   // sim this rewrites the leader's received rows with identical bits).
   std::vector<float> row;
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    if (!hosts(p)) continue;
+  for (const std::uint32_t p : hosted_) {
     const std::vector<Matrix*> layout = owned_layout(p);
     for (const VertexId v : row_map_.owned(p)) {
       if (v == kInvalidVertex) continue;  // slot retired by a migration
@@ -271,8 +324,7 @@ std::size_t DistEngineBase::migrate(MigrationPlan plan) {
         // existing flat row in place — the stability contract extend()
         // relies on.
         row_map_.rehome(plan);
-        for (std::size_t p = 0; p < partition_.num_parts(); ++p) {
-          if (!hosts(p)) continue;
+        for (const std::uint32_t p : hosted_) {
           for (Matrix* m : owned_layout(p)) {
             m->resize_no_fill(row_map_.part_size(p), m->cols());
           }
@@ -309,9 +361,8 @@ double DistEngineBase::write_checkpoint(const std::string& dir,
   }
   std::vector<CheckpointImage> images;
   std::vector<VertexId> vertices;
-  for (std::size_t p = 0; p < partition_.num_parts(); ++p) {
-    if (!hosts(p)) continue;
-    meta.rank = static_cast<std::uint32_t>(p);
+  for (const std::uint32_t p : hosted_) {
+    meta.rank = p;
     vertices.clear();
     for (const VertexId v : row_map_.owned(p)) {
       if (v != kInvalidVertex) vertices.push_back(v);
@@ -360,8 +411,7 @@ void DistEngineBase::restore_checkpoint(const std::string& dir,
   flush_checkpoint();
   const std::size_t num_parts = partition_.num_parts();
   const std::size_t width = owned_row_width();
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    if (!hosts(p)) continue;
+  for (const std::uint32_t p : hosted_) {
     const std::string path = checkpoint_path(dir, stream_cursor, p);
     const CheckpointData data = read_checkpoint_file(path);
     const CheckpointMeta& meta = data.meta;

@@ -32,7 +32,6 @@
 
 #include "common/check.h"
 #include "common/scheduler.h"
-#include "dist/bsp.h"
 #include "dist/transport.h"
 #include "gnn/model.h"
 #include "graph/dynamic_graph.h"
@@ -78,21 +77,22 @@ struct DistBatchResult {
   // behind slower endpoints — modeled on sim (slowest endpoint minus own),
   // measured on tcp (only the local rank's slot is filled).
   std::vector<double> barrier_wait_sec;
-  // Work-stealing scheduler stats of the apply phases (width 1 without a
-  // pool): see common/scheduler.h and the BSP accounting note in
-  // src/dist/README.md.
+  // Work-stealing scheduler stats of every compute phase of the batch
+  // (width 1 without a pool): see common/scheduler.h and the BSP accounting
+  // note in src/dist/README.md.
   SchedulerStats sched;
   double total_sec() const { return compute_sec + comm_sec; }
   // Per-partition busy seconds this batch: the batch total minus the
   // partition's own stall slots. On modeled timing every phase bills the
   // slowest endpoint and barrier_wait_sec[p] is exactly max − own per phase
-  // (compute phases via bsp.h, comm supersteps via superstep_wait_sec), so
-  // the difference recovers each rank's own compute + own wire seconds. The
-  // base must be total_sec() — comm included — because the stall vector
-  // folds in comm-barrier waits: a compute-only base would clamp every
-  // rank but the comm-slowest to zero on comm-dominated runs. This is the
-  // load evidence the skew detector accumulates (partition/SkewSignal) and
-  // the per-rank busy-share column fig12 prints.
+  // (compute phases via DistEngineBase::compute, comm supersteps via
+  // superstep_wait_sec), so the difference recovers each rank's own
+  // compute + own wire seconds. The base must be total_sec() — comm
+  // included — because the stall vector folds in comm-barrier waits: a
+  // compute-only base would clamp every rank but the comm-slowest to zero
+  // on comm-dominated runs. This is the load evidence the skew detector
+  // accumulates (partition/SkewSignal) and the per-rank busy-share column
+  // fig12 prints.
   double busy_share_sec(std::size_t p) const {
     double busy = total_sec();
     if (p < barrier_wait_sec.size()) busy -= barrier_wait_sec[p];
@@ -239,23 +239,11 @@ class DistEngineBase {
     std::function<void(const RowShipment&, std::span<const float>)> install;
   };
 
-  // Per-batch accounting shared by both apply_batch() implementations:
-  // open_batch() runs before the batch's first superstep and close_batch()
-  // after its last; the hop loops in between stay engine-specific.
-  struct BatchAccount {
-    // Modeled timing bills the slowest simulated partition; a measuring
-    // transport (tcp) switches every phase to this rank's real wall clock.
-    BspTiming timing = BspTiming::kModeled;
-    // Modeled runs accumulate per-partition compute-phase stalls through
-    // the bsp.h helpers (their wait_out); null on a measuring transport,
-    // which reports its own rank's stall via add_transport_waits().
-    std::vector<double>* wait = nullptr;
-    // The transport's cumulative counters when the batch opened.
-    std::size_t wire_bytes = 0;
-    std::size_t wire_messages = 0;
-    std::size_t retries = 0;
-    std::size_t timeouts = 0;
-    std::size_t heartbeats = 0;
+  // One task of a compute phase: the partition whose endpoint it bills and
+  // an LPT seeding hint (pending slots, degree sum, row count).
+  struct PartTask {
+    std::uint32_t part = 0;
+    std::size_t cost = 0;
   };
 
   // `key` is the factory key written into checkpoint files. Checks the
@@ -266,17 +254,64 @@ class DistEngineBase {
                  Partition partition, ThreadPool* pool,
                  std::unique_ptr<Transport> transport);
 
-  // Fills the result's shape fields, sizes barrier_wait_sec, resets the
-  // stealer's stats and snapshots the transport counters. `result` must
-  // outlive the returned account (its wait pointer aims into it).
-  BatchAccount open_batch(std::size_t batch_size, DistBatchResult& result);
-  // Adds the transport's stall behind the superstep barrier that just
-  // completed to each hosted partition's barrier_wait_sec slot.
-  void add_transport_waits(DistBatchResult& result) const;
-  // Fills the wire and robustness deltas since open_batch() and copies the
-  // stealer's stats.
-  void close_batch(const BatchAccount& account,
-                   DistBatchResult& result) const;
+  // A batch is a sequence of the three steps below, bracketed by
+  // open_batch() and close_batch(). Two timing modes, selected by
+  // Transport::measures_time(): modeled (sim) bills every phase at the
+  // slowest partition's endpoint, the whole cluster simulated in one
+  // process; measured (tcp) bills this rank's wall clock instead.
+  // Execution is identical in both modes (same dispatch, same bodies,
+  // bit-identical embeddings); only what the stopwatches report changes.
+
+  // Opens `result` as the batch the steps bill: fills its shape fields,
+  // sizes barrier_wait_sec, resets the stealer's stats and snapshots the
+  // transport counters. `result` must outlive close_batch().
+  void open_batch(std::size_t batch_size, DistBatchResult& result);
+  // Fills the open batch's wire and robustness deltas, copies the
+  // stealer's stats and closes it.
+  void close_batch();
+
+  // Compute step: runs every task through the stealing scheduler at once
+  // (a hot partition's tasks really do spread over idle workers; without a
+  // pool they run inline), measuring each task's wall seconds, and bills
+  // the phase to the open batch's compute_sec.
+  //
+  // Modeled accounting: in the simulated cluster every partition is a
+  // machine with W = scheduler width workers stealing across ITS OWN
+  // tasks, so partition p's endpoint is the W-worker makespan lower bound
+  // over its measured task times, max(Σ_s t_{p,s} / W, max_s t_{p,s}); the
+  // phase bills the slowest endpoint (BSP max rule). With W = 1, or with
+  // one task per partition, the endpoint is the partition's serial sum.
+  // Under the max rule every machine waits at the phase barrier for the
+  // slowest one, so partition p also adds (phase max − its own endpoint)
+  // to barrier_wait_sec. Measured accounting bills the phase's wall clock
+  // instead; a real rank's stall is observed at the transport barrier
+  // (Transport::superstep_wait_sec). See src/dist/README.md.
+  //
+  // Constraint: body must NOT open a nested scheduler region. The stealing
+  // runtime's help-first discipline would let the nesting task execute
+  // whole OTHER tasks of this phase inside its own stopwatch,
+  // double-counting their seconds and cross-billing them to the wrong
+  // partition's endpoint.
+  void compute(const std::vector<PartTask>& tasks,
+               const std::function<void(std::size_t)>& body);
+  // Superstep step: begins a superstep, runs `send` (the hosted sources'
+  // transmissions), completes the barrier and bills its cost to the open
+  // batch's comm_sec and each hosted partition's stall behind it to
+  // barrier_wait_sec.
+  void superstep(const std::function<void()>& send);
+  // Checked hop inbox step: every frame in every hosted inbox of the
+  // superstep that just ended must carry exactly `width` floats. Serial,
+  // and run BEFORE the pooled phase that reads the rows (an exception
+  // escaping a worker task would terminate the process): a disagreeing
+  // width means the frame was corrupted in flight, not a programming bug —
+  // typed TransportError{kCorrupt} so the layers above can recover from
+  // checkpoint.
+  void check_hop_inbox(std::size_t width) const;
+  // Ingress routing, sent inside both engines' superstep U: the leader
+  // (partition 0) ships the batch to every other rank, one combined message
+  // per partition. Only the endpoint hosting the leader transmits (owner
+  // routing); with one partition nothing touches the wire.
+  void route_batch(UpdateBatch batch);
 
   // The per-vertex owned-row layout, declared once per engine: the hosted
   // partition's row matrices (local-row indexed) in wire order. Row width,
@@ -319,11 +354,26 @@ class DistEngineBase {
   ThreadPool* pool_;
   // Work-stealing runtime for the compute phases (inline without a pool):
   // a hot partition's sub-tasks spread over idle workers, and its modeled
-  // endpoint shrinks to the W-worker makespan bound (dist/bsp.h).
+  // endpoint shrinks to the W-worker makespan bound (see compute()).
   std::unique_ptr<WorkStealingScheduler> stealer_;
+  // The partitions this endpoint hosts (Transport::hosts()), ascending.
+  std::vector<std::uint32_t> hosted_;
 
  private:
   std::vector<std::size_t> layout_widths();
+
+  // The batch between open_batch() and close_batch(): the result the steps
+  // bill (its comm_measured selects the timing mode) and the transport's
+  // cumulative counters when the batch opened.
+  struct OpenBatch {
+    DistBatchResult* result = nullptr;
+    std::size_t wire_bytes = 0;
+    std::size_t wire_messages = 0;
+    std::size_t retries = 0;
+    std::size_t timeouts = 0;
+    std::size_t heartbeats = 0;
+  };
+  OpenBatch open_;
 
   const char* key_;
   // The in-flight checkpoint commit (at most one); yields its seconds.

@@ -4,7 +4,6 @@
 #include <utility>
 
 #include "common/timer.h"
-#include "dist/bsp.h"
 #include "infer/affected.h"
 #include "infer/layerwise.h"
 #include "stream/update.h"
@@ -29,10 +28,8 @@ DistRecomputeEngine::DistRecomputeEngine(const GnnModel& model,
   full.features() = features;
   layerwise_full_inference(model_, graph_, full, pool_);
   states_.resize(num_parts);
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    if (hosts(p)) {
-      states_[p] = EmbeddingStore(model_.config(), row_map_.part_size(p));
-    }
+  for (const std::uint32_t p : hosted_) {
+    states_[p] = EmbeddingStore(model_.config(), row_map_.part_size(p));
   }
   std::vector<const Matrix*> full_layout;
   for (std::size_t l = 0; l <= model_.num_layers(); ++l) {
@@ -51,42 +48,39 @@ std::vector<Matrix*> DistRecomputeEngine::owned_layout(std::size_t part) {
 
 DistBatchResult DistRecomputeEngine::apply_batch(UpdateBatch batch) {
   DistBatchResult result;
-  const BatchAccount account = open_batch(batch.size(), result);
-  const BspTiming timing = account.timing;
-  std::vector<double>* const wait = account.wait;
+  open_batch(batch.size(), result);
   const std::size_t num_parts = partition_.num_parts();
 
   // ---- superstep U: ingress routing + replica update application ----
   // Every endpoint applies the batch to its topology replica; feature rows
   // commit only into the hosting owner's H^0 (the same guards
   // infer/recompute.cpp's apply_updates_to_graph uses).
-  transport_->begin_superstep();
-  route_batch(*transport_, batch);
-  StopWatch update_watch;
-  for (const GraphUpdate& update : batch) {
-    switch (update.kind) {
-      case UpdateKind::edge_add:
-        graph_.add_edge(update.u, update.v, update.weight);
-        break;
-      case UpdateKind::edge_del:
-        graph_.remove_edge(update.u, update.v);
-        break;
-      case UpdateKind::vertex_feature: {
-        RIPPLE_CHECK_MSG(
-            update.new_features.size() == model_.config().feat_dim,
-            "feature width mismatch");
-        const std::uint32_t pu = owner(update.u);
-        if (hosts(pu)) {
-          vec_copy(update.new_features,
-                   states_[pu].features().row(local(update.u)));
+  superstep([&] {
+    route_batch(batch);
+    const StopWatch update_watch;
+    for (const GraphUpdate& update : batch) {
+      switch (update.kind) {
+        case UpdateKind::edge_add:
+          graph_.add_edge(update.u, update.v, update.weight);
+          break;
+        case UpdateKind::edge_del:
+          graph_.remove_edge(update.u, update.v);
+          break;
+        case UpdateKind::vertex_feature: {
+          RIPPLE_CHECK_MSG(
+              update.new_features.size() == model_.config().feat_dim,
+              "feature width mismatch");
+          const std::uint32_t pu = owner(update.u);
+          if (hosts(pu)) {
+            vec_copy(update.new_features,
+                     states_[pu].features().row(local(update.u)));
+          }
+          break;
         }
-        break;
       }
     }
-  }
-  result.compute_sec += update_watch.elapsed_sec();
-  result.comm_sec += transport_->end_superstep();
-  add_transport_waits(result);
+    result.compute_sec += update_watch.elapsed_sec();
+  });
 
   const bool uses_self = model_.layer(0).uses_self();
   const auto affected = compute_affected_sets(graph_, batch,
@@ -94,45 +88,67 @@ DistBatchResult DistRecomputeEngine::apply_batch(UpdateBatch batch) {
 
   // ---- hops: halo pull + owned recompute, one superstep per layer ----
   for (std::size_t l = 0; l < model_.num_layers(); ++l) {
-    // Halo pulls: every remote in-neighbor of an owned affected vertex is
-    // shipped once per requesting partition this hop — the OWNER pushes its
+    // Plan: one scan of the whole replicated affected set, which every
+    // machine runs, so it bills its wall seconds. It derives the halo
+    // pulls — every remote in-neighbor of an owned affected vertex is
+    // shipped once per requesting partition this hop; the OWNER pushes its
     // committed row (both sides derive the identical pull set from the
-    // replicated topology, so no request round-trip exists).
-    transport_->begin_superstep();
+    // replicated topology, so no request round-trip exists) — and each
+    // hosted partition's owned affected vertices. One stealable recompute
+    // task per block of those, costed by Σ in-degree: the pull work
+    // InkStream observes is concentrated on a few high-degree vertices. A
+    // hot partition's endpoint is the W-worker makespan bound over its
+    // blocks (DistEngineBase::compute).
+    const StopWatch plan_watch;
     pulled_.clear();
+    pulls_.clear();
+    std::vector<std::vector<VertexId>> owned(num_parts);
     for (const VertexId v : affected[l]) {
       const std::uint32_t p = owner(v);
+      if (hosts(p)) owned[p].push_back(v);
       for (const Neighbor& nb : graph_.in_neighbors(v)) {
         const std::uint32_t pu = owner(nb.vertex);
-        if (pu == p) continue;
+        if (pu == p || !hosts(pu)) continue;
         const std::uint64_t key =
             static_cast<std::uint64_t>(nb.vertex) * num_parts + p;
-        if (!pulled_.insert(key).second) continue;
-        if (!hosts(pu)) continue;
-        transport_->send(pu, p, nb.vertex,
-                         states_[pu].layer(l).row(local(nb.vertex)));
+        if (pulled_.insert(key).second) pulls_.push_back({nb.vertex, p});
       }
     }
-    result.comm_sec += transport_->end_superstep();
-    add_transport_waits(result);
+    constexpr std::size_t kBlock = 64;
+    struct Block {
+      std::uint32_t part;
+      std::size_t lo, hi;
+    };
+    std::vector<Block> blocks;
+    std::vector<PartTask> tasks;
+    for (const std::uint32_t p : hosted_) {
+      for (std::size_t lo = 0; lo < owned[p].size(); lo += kBlock) {
+        const std::size_t hi = std::min(owned[p].size(), lo + kBlock);
+        std::size_t cost = 0;
+        for (std::size_t i = lo; i < hi; ++i) {
+          cost += graph_.in_degree(owned[p][i]) + 1;
+        }
+        blocks.push_back({p, lo, hi});
+        tasks.push_back({p, cost});
+      }
+    }
+    if (block_scratch_.size() < blocks.size()) {
+      block_scratch_.resize(blocks.size());
+    }
+    result.compute_sec += plan_watch.elapsed_sec();
 
+    superstep([&] {
+      for (const auto& [u, p] : pulls_) {
+        const std::uint32_t pu = owner(u);
+        transport_->send(pu, p, u, states_[pu].layer(l).row(local(u)));
+      }
+    });
+    check_hop_inbox(model_.config().embedding_dim(l));
     // Index the received rows by sender for the aggregation resolver.
-    // Width validation here, serial and BEFORE the pooled recompute phase
-    // (an exception escaping a worker task would terminate the process):
-    // a truncated frame is wire damage, typed kCorrupt.
-    const std::size_t pull_width = model_.config().embedding_dim(l);
-    for (std::size_t p = 0; p < num_parts; ++p) {
-      if (!hosts(p)) continue;
+    for (const std::uint32_t p : hosted_) {
       pull_index_[p].clear();
       const Transport::Inbox& inbox = transport_->inbox(p);
       for (const Transport::Message& m : inbox.messages) {
-        if (inbox.payload_of(m).size() != pull_width) {
-          throw TransportError(
-              TransportErrorKind::kCorrupt,
-              "pull row frame width mismatch: expected " +
-                  std::to_string(pull_width) + " floats, got " +
-                  std::to_string(inbox.payload_of(m).size()));
-        }
         pull_index_[p][m.sender] = inbox.payload_of(m).data();
       }
     }
@@ -162,55 +178,18 @@ DistBatchResult DistRecomputeEngine::apply_batch(UpdateBatch batch) {
                                  st.layer(l + 1).row(r));
       model_.apply_activation_row(l, st.layer(l + 1).row(r));
     };
-    // One stealable task per block of a hosted partition's owned affected
-    // vertices, costed by Σ in-degree — the pull work InkStream observes
-    // is concentrated on a few high-degree vertices. A hot partition's
-    // endpoint is the W-worker makespan bound over its blocks
-    // (dist/bsp.h). Every machine plans its blocks by scanning the whole
-    // replicated affected set, so the planning bills its wall seconds.
-    const StopWatch plan_watch;
-    std::vector<std::vector<VertexId>> owned(num_parts);
-    for (const VertexId v : affected[l]) {
-      const std::uint32_t p = owner(v);
-      if (hosts(p)) owned[p].push_back(v);
-    }
-    constexpr std::size_t kBlock = 64;
-    struct Block {
-      std::uint32_t part;
-      std::size_t lo, hi;
-    };
-    std::vector<Block> blocks;
-    std::vector<PartTask> tasks;
-    for (std::size_t p = 0; p < num_parts; ++p) {
-      for (std::size_t lo = 0; lo < owned[p].size(); lo += kBlock) {
-        const std::size_t hi = std::min(owned[p].size(), lo + kBlock);
-        std::size_t cost = 0;
-        for (std::size_t i = lo; i < hi; ++i) {
-          cost += graph_.in_degree(owned[p][i]) + 1;
-        }
-        blocks.push_back({static_cast<std::uint32_t>(p), lo, hi});
-        tasks.push_back({static_cast<std::uint32_t>(p), cost});
+    compute(tasks, [&](std::size_t i) {
+      const Block& block = blocks[i];
+      std::vector<float>& x_scratch = block_scratch_[i];
+      x_scratch.assign(model_.config().layer_in_dim(l), 0.0f);
+      for (std::size_t j = block.lo; j < block.hi; ++j) {
+        recompute_row(block.part, owned[block.part][j], x_scratch);
       }
-    }
-    if (block_scratch_.size() < blocks.size()) {
-      block_scratch_.resize(blocks.size());
-    }
-    result.compute_sec += plan_watch.elapsed_sec();
-    result.compute_sec += timed_over_part_tasks(
-        *stealer_, num_parts, tasks,
-        [&](std::size_t i) {
-          const Block& block = blocks[i];
-          std::vector<float>& x_scratch = block_scratch_[i];
-          x_scratch.assign(model_.config().layer_in_dim(l), 0.0f);
-          for (std::size_t j = block.lo; j < block.hi; ++j) {
-            recompute_row(block.part, owned[block.part][j], x_scratch);
-          }
-        },
-        timing, wait);
+    });
   }
   result.propagation_tree_size = propagation_tree_size(affected);
   result.affected_final = affected.back().size();
-  close_batch(account, result);
+  close_batch();
   return result;
 }
 
@@ -219,8 +198,7 @@ std::size_t DistRecomputeEngine::memory_bytes() const {
   // the DistEngineBase contract) plus the shared row map. The replicated
   // topology is deliberately excluded — see src/dist/README.md.
   std::size_t worst = 0;
-  for (std::size_t p = 0; p < states_.size(); ++p) {
-    if (!transport_->hosts(p)) continue;
+  for (const std::uint32_t p : hosted_) {
     worst = std::max(worst, states_[p].bytes());
   }
   return worst + row_map_.bytes();

@@ -23,6 +23,7 @@
 
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
 #include "dist/dist_engine.h"
@@ -55,9 +56,12 @@ class DistRecomputeEngine : public DistEngineBase {
   // loop stays allocation-free after warm-up.
   std::vector<std::vector<float>> block_scratch_;
   // Pull bookkeeping, rebuilt per hop: the (vertex, destination) pairs
-  // already shipped this hop, and — per hosted partition — the received
-  // remote rows keyed by sender for the aggregation resolver.
+  // this endpoint ships, once each — deduplicated through pulled_ and
+  // listed in send order by pulls_ (the vertex's owner sends) — and, per
+  // hosted partition, the received remote rows keyed by sender for the
+  // aggregation resolver.
   std::unordered_set<std::uint64_t> pulled_;
+  std::vector<std::pair<VertexId, std::uint32_t>> pulls_;
   std::vector<std::unordered_map<VertexId, const float*>> pull_index_;
 };
 

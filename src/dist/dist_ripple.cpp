@@ -4,7 +4,6 @@
 #include <unordered_map>
 
 #include "common/timer.h"
-#include "dist/bsp.h"
 #include "stream/update_apply.h"
 
 namespace ripple {
@@ -44,8 +43,7 @@ DistRippleEngine::DistRippleEngine(const GnnModel& model,
     halo_widths[l] = config.embedding_dim(l);
   }
   states_.resize(num_parts);
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    if (!hosts(p)) continue;
+  for (const std::uint32_t p : hosted_) {
     RankState& st = states_[p];
     const std::size_t rows = row_map_.part_size(p);
     st.store = EmbeddingStore(config, rows);
@@ -65,8 +63,7 @@ DistRippleEngine::DistRippleEngine(const GnnModel& model,
   scatter_owned(full_layout);
   // Bootstrap halo: every remote vertex with an edge into p's owned set.
   const HaloIndex halo_index = build_halo_index(graph_, partition_);
-  for (std::size_t p = 0; p < num_parts; ++p) {
-    if (!hosts(p)) continue;
+  for (const std::uint32_t p : hosted_) {
     for (const VertexId u : halo_index.halo_in[p]) {
       states_[p].halo.ensure(u);
       for (std::size_t l = 0; l < num_layers; ++l) {
@@ -82,7 +79,8 @@ DistRippleEngine::DistRippleEngine(const GnnModel& model,
   delta_.resize(num_parts);
   inbox_delta_.resize(num_parts);
   merge_.resize(num_parts);
-  remote_mask_.resize(num_parts);
+  sends_.resize(num_parts);
+  remote_mask_.assign(num_parts, std::vector<std::uint8_t>(num_parts));
 }
 
 std::vector<Matrix*> DistRippleEngine::owned_layout(std::size_t part) {
@@ -198,7 +196,6 @@ void DistRippleEngine::record_feature_op(const GraphUpdate& update) {
 }
 
 void DistRippleEngine::replay_uops() {
-  const std::size_t num_parts = partition_.num_parts();
   const std::size_t num_layers = model_.num_layers();
   const std::size_t feat_dim = model_.config().feat_dim;
   std::size_t fill_width = 0;
@@ -223,8 +220,8 @@ void DistRippleEngine::replay_uops() {
       // Hosted remote sink owners consume the (x_new, x_old) message, seed
       // their cells in recorded walk order, and refresh u's halo H^0 row
       // with the received bits.
-      for (std::size_t q = 0; q < num_parts; ++q) {
-        if (q == pu || !hosts(q)) continue;
+      for (const std::uint32_t q : hosted_) {
+        if (q == pu) continue;
         bool owns_sink = false;
         for (const auto& [sink, alpha] : op.sinks) {
           (void)alpha;
@@ -282,10 +279,7 @@ void DistRippleEngine::replay_uops() {
 
 DistBatchResult DistRippleEngine::apply_batch(UpdateBatch batch) {
   DistBatchResult result;
-  const BatchAccount account = open_batch(batch.size(), result);
-  const BspTiming timing = account.timing;
-  std::vector<double>* const wait = account.wait;
-  const std::size_t num_parts = partition_.num_parts();
+  open_batch(batch.size(), result);
   const std::size_t num_layers = model_.num_layers();
 
   // ---- superstep U: routing + fills/feature rows + hop-0 seeding ----
@@ -294,22 +288,28 @@ DistBatchResult DistRippleEngine::apply_batch(UpdateBatch batch) {
   // barrier, pass 2 replays the record in batch order against the inbox, so
   // each mailbox cell accumulates its seeds in exactly the single-machine
   // order on every backend.
-  transport_->begin_superstep();
-  route_batch(*transport_, batch);
-  StopWatch pass1_watch;
-  uops_.clear();
-  apply_updates_seeding(
-      graph_, batch,
-      [this](VertexId u, VertexId v, EdgeWeight weight, bool is_add) {
-        record_edge_op(u, v, weight, is_add);
-      },
-      [this](const GraphUpdate& update) { record_feature_op(update); });
-  result.compute_sec += pass1_watch.elapsed_sec();
-  result.comm_sec += transport_->end_superstep();
-  add_transport_waits(result);
-  StopWatch pass2_watch;
+  superstep([&] {
+    route_batch(batch);
+    const StopWatch pass1_watch;
+    uops_.clear();
+    apply_updates_seeding(
+        graph_, batch,
+        [this](VertexId u, VertexId v, EdgeWeight weight, bool is_add) {
+          record_edge_op(u, v, weight, is_add);
+        },
+        [this](const GraphUpdate& update) { record_feature_op(update); });
+    result.compute_sec += pass1_watch.elapsed_sec();
+  });
+  const StopWatch pass2_watch;
   replay_uops();
   result.compute_sec += pass2_watch.elapsed_sec();
+
+  // One task per hosted partition, LPT-costed by `cost(p)`.
+  const auto per_part = [&](const auto& cost) {
+    std::vector<PartTask> tasks;
+    for (const std::uint32_t p : hosted_) tasks.push_back({p, cost(p)});
+    return tasks;
+  };
 
   // ---- hops 1..L: apply / exchange / seed supersteps ----
   // Every hop runs its supersteps even when this endpoint has no pending
@@ -318,37 +318,25 @@ DistBatchResult DistRippleEngine::apply_batch(UpdateBatch batch) {
   // (an empty superstep models 0.0 seconds).
   for (std::size_t l = 1; l <= num_layers; ++l) {
     std::size_t hop_cells = 0;
-    for (std::size_t p = 0; p < num_parts; ++p) {
-      if (!hosts(p)) continue;
-      hop_cells += mailbox(p, l).size();
-    }
+    for (const std::uint32_t p : hosted_) hop_cells += mailbox(p, l).size();
     result.propagation_tree_size += hop_cells;
     if (l == num_layers) result.affected_final = hop_cells;
     const bool is_last = l == num_layers;
     const std::size_t delta_dim = model_.config().layer_out_dim(l - 1);
 
-    // Apply prologue (sender sort + delta sizing): its own max-endpoint
-    // mini-phase, every machine sorting its own senders. The last hop
-    // emits no messages, so it skips the sort and the deltas.
-    const StopWatch prologue_watch;
-    std::vector<double> prologue_sec(num_parts, 0.0);
-    for (std::size_t p = 0; p < num_parts; ++p) {
-      if (!hosts(p)) {
-        senders_[p].clear();
-        continue;
-      }
-      StopWatch watch;
-      Mailbox& box = mailbox(p, l);
-      senders_[p] = is_last ? std::vector<VertexId>{} : box.sorted_vertices();
-      if (!is_last) {
+    // Apply prologue (sender sort + delta sizing): every machine sorts its
+    // own senders. The last hop emits no messages, so it skips the phase.
+    if (!is_last) {
+      const auto sorts =
+          per_part([&](std::uint32_t p) { return mailbox(p, l).size(); });
+      compute(sorts, [&](std::size_t i) {
+        const std::uint32_t p = sorts[i].part;
+        senders_[p] = mailbox(p, l).sorted_vertices();
         // no_fill: the shard drains' RankDeltaSink writes every row
         // before the exchange reads any.
         delta_[p].resize_no_fill(senders_[p].size(), delta_dim);
-      }
-      prologue_sec[p] = watch.elapsed_sec();
+      });
     }
-    result.compute_sec += serial_phase_cost(
-        prologue_sec, prologue_watch.elapsed_sec(), timing, wait);
     // Apply: every hosted partition drains its own mailbox with the shared
     // hop kernel, addressing its owned rows through the local row map; Δh
     // lands at each vertex's rank in the partition's sorted sender list.
@@ -357,72 +345,63 @@ DistBatchResult DistRippleEngine::apply_batch(UpdateBatch batch) {
     // independent tasks no matter which worker runs them. One stealable
     // task per (hosted partition, shard), LPT-seeded by pending slots; a
     // partition's endpoint is the W-worker makespan bound over its shard
-    // drains (dist/bsp.h), so a hot partition stops gating the superstep.
-    // No nested GEMM stealing (scheduler = nullptr): a nested region would
-    // let the help-first loop execute OTHER partitions' drains inside this
-    // task's stopwatch, cross-billing their seconds into the wrong
-    // endpoint. Intra-partition parallelism is already modeled by the
-    // W-worker makespan bound.
-    std::vector<PartTask> tasks;
-    tasks.reserve(num_parts * kShardsPerPart);
-    for (std::size_t p = 0; p < num_parts; ++p) {
-      if (!hosts(p)) continue;
+    // drains (DistEngineBase::compute), so a hot partition stops gating the
+    // superstep. No nested GEMM stealing (scheduler = nullptr): a nested
+    // region would let the help-first loop execute OTHER partitions'
+    // drains inside this task's stopwatch, cross-billing their seconds into
+    // the wrong endpoint. Intra-partition parallelism is already modeled by
+    // the W-worker makespan bound.
+    std::vector<PartTask> drains;
+    for (const std::uint32_t p : hosted_) {
       for (std::size_t s = 0; s < kShardsPerPart; ++s) {
-        tasks.push_back({static_cast<std::uint32_t>(p),
-                         mailbox(p, l).shard(s).size()});
+        drains.push_back({p, mailbox(p, l).shard(s).size()});
       }
     }
-    result.compute_sec += timed_over_part_tasks(
-        *stealer_, num_parts, tasks,
-        [&](std::size_t i) {
-          const std::size_t p = tasks[i].part;
-          const std::size_t s = i % kShardsPerPart;
-          RankState& st = states_[p];
-          Mailbox& box = st.boxes[l - 1];
-          if (box.shard(s).size() == 0) return;
-          const RankDeltaSink sink(senders_[p], delta_[p]);
-          apply_hop_shard(model_, l, graph_, box.shard(s), box.dim(),
-                          st.agg_cache[l - 1], st.store.layer(l - 1),
-                          st.store.layer(l), scratch_[p * kShardsPerPart + s],
-                          is_last ? nullptr : &sink, nullptr,
-                          row_map_.local_rows());
-        },
-        timing, wait);
+    compute(drains, [&](std::size_t i) {
+      const std::size_t p = drains[i].part;
+      const std::size_t s = i % kShardsPerPart;
+      RankState& st = states_[p];
+      Mailbox& box = st.boxes[l - 1];
+      if (box.shard(s).size() == 0) return;
+      const RankDeltaSink sink(senders_[p], delta_[p]);
+      apply_hop_shard(model_, l, graph_, box.shard(s), box.dim(),
+                      st.agg_cache[l - 1], st.store.layer(l - 1),
+                      st.store.layer(l), scratch_[p * kShardsPerPart + s],
+                      is_last ? nullptr : &sink, nullptr,
+                      row_map_.local_rows());
+    });
 
     if (!is_last) {
       // Exchange: each changed vertex's COMMITTED new H^l row goes ONCE to
       // every remote partition owning at least one of its out-neighbors —
       // same width as the delta, but carrying the state the receiver needs
-      // to keep its halo coherent. Serial. Only the destination scan is
-      // billed as compute; the inbox copies and the bytes themselves are
-      // the transport's job (the cost model already charges the transfer —
+      // to keep its halo coherent. Only the destination scan is compute
+      // (one task per hosted partition, each filling its own send list);
+      // the sends go out serially inside the superstep, ascending by
+      // partition and then by sender rank, and the bytes themselves are the
+      // transport's job (the cost model already charges the transfer —
       // timing the send too would double-count it).
-      transport_->begin_superstep();
-      const StopWatch scan_watch;
-      std::vector<double> scan_sec(num_parts, 0.0);
-      std::vector<std::pair<std::uint32_t, std::uint32_t>> sends;
-      for (std::size_t p = 0; p < num_parts; ++p) {
-        if (!hosts(p)) continue;
-        StopWatch watch;
-        sends.clear();
+      const auto scans =
+          per_part([&](std::uint32_t p) { return senders_[p].size(); });
+      compute(scans, [&](std::size_t i) {
+        const std::uint32_t p = scans[i].part;
+        sends_[p].clear();
         for (std::size_t r = 0; r < senders_[p].size(); ++r) {
-          for_each_remote_owner(
-              senders_[p][r], static_cast<std::uint32_t>(p),
-              [&](std::size_t q) {
-                sends.push_back({static_cast<std::uint32_t>(r),
+          for_each_remote_owner(senders_[p][r], p, [&](std::size_t q) {
+            sends_[p].push_back({static_cast<std::uint32_t>(r),
                                  static_cast<std::uint32_t>(q)});
-              });
+          });
         }
-        scan_sec[p] = watch.elapsed_sec();
-        for (const auto& [r, q] : sends) {
-          const VertexId u = senders_[p][r];
-          transport_->send(p, q, u, states_[p].store.layer(l).row(local(u)));
+      });
+      superstep([&] {
+        for (const std::uint32_t p : hosted_) {
+          for (const auto& [r, q] : sends_[p]) {
+            const VertexId u = senders_[p][r];
+            transport_->send(p, q, u, states_[p].store.layer(l).row(local(u)));
+          }
         }
-      }
-      result.compute_sec +=
-          serial_phase_cost(scan_sec, scan_watch.elapsed_sec(), timing, wait);
-      result.comm_sec += transport_->end_superstep();
-      add_transport_waits(result);
+      });
+      check_hop_inbox(delta_dim);
 
       // Seed: each hosted partition derives Δh for every received row
       // against its cached copy (bit-equal to the sender's subtraction at
@@ -430,32 +409,14 @@ DistBatchResult DistRippleEngine::apply_batch(UpdateBatch batch) {
       // halo, then merges local and derived deltas in ascending global
       // sender id order and re-expands them over its locally-owned
       // out-edges — reproducing the exact single-machine accumulation
-      // order per cell.
+      // order per cell. One task per hosted partition, costed by the
+      // deltas it merges; one task's makespan bound is its own seconds.
       const bool uses_self = model_.layer(l).uses_self();
-      // Wire-input validation, serial and BEFORE the pooled seed phase (an
-      // exception escaping a worker task would terminate the process): a
-      // width that disagrees with the hop's row shape means the frame was
-      // corrupted in flight, not a programming bug — typed kCorrupt so the
-      // layers above can recover from checkpoint. The seed phase is one
-      // task per hosted partition, costed by the deltas it merges; one
-      // task's makespan bound is its own seconds.
-      std::vector<PartTask> seeds;
-      for (std::size_t q = 0; q < num_parts; ++q) {
-        if (!hosts(q)) continue;
-        const Transport::Inbox& inbox = transport_->inbox(q);
-        for (const Transport::Message& m : inbox.messages) {
-          if (inbox.payload_of(m).size() != delta_dim) {
-            throw TransportError(
-                TransportErrorKind::kCorrupt,
-                "hop row frame width mismatch: expected " +
-                    std::to_string(delta_dim) + " floats, got " +
-                    std::to_string(inbox.payload_of(m).size()));
-          }
-        }
-        seeds.push_back({static_cast<std::uint32_t>(q),
-                         senders_[q].size() + inbox.messages.size()});
-      }
-      const auto seed_part = [&](std::size_t q) {
+      const auto seeds = per_part([&](std::uint32_t q) {
+        return senders_[q].size() + transport_->inbox(q).messages.size();
+      });
+      compute(seeds, [&](std::size_t t) {
+        const std::uint32_t q = seeds[t].part;
         RankState& st = states_[q];
         const Transport::Inbox& inbox = transport_->inbox(q);
         // no_fill: every row is written by the derivation loop below.
@@ -494,17 +455,12 @@ DistBatchResult DistRippleEngine::apply_batch(UpdateBatch batch) {
             next.mark_self_changed(entry.sender);
           }
         }
-      };
-      result.compute_sec += timed_over_part_tasks(
-          *stealer_, num_parts, seeds,
-          [&](std::size_t i) { seed_part(seeds[i].part); }, timing, wait);
+      });
     }
-    for (std::size_t p = 0; p < num_parts; ++p) {
-      if (hosts(p)) mailbox(p, l).clear();
-    }
+    for (const std::uint32_t p : hosted_) mailbox(p, l).clear();
   }
 
-  close_batch(account, result);
+  close_batch();
   return result;
 }
 
@@ -536,8 +492,7 @@ DistEngineBase::HaloPatch DistRippleEngine::halo_patch(
   // Between-batches invariant: every hop clears its mailboxes, so a
   // correctly-placed migrate() never has pending cells to ship. Assert
   // instead of serializing them.
-  for (std::size_t p = 0; p < partition_.num_parts(); ++p) {
-    if (!hosts(p)) continue;
+  for (const std::uint32_t p : hosted_) {
     for (std::size_t l = 1; l <= model_.num_layers(); ++l) {
       RIPPLE_CHECK_MSG(mailbox(p, l).size() == 0,
                        "migrate() must run between batches; partition "
@@ -637,8 +592,7 @@ std::size_t DistRippleEngine::memory_bytes() const {
   // vertices it owns (seeding guards on ownership), so no shard is
   // partially owned and summing Mailbox::bytes() cannot double-count.
   std::size_t worst = 0;
-  for (std::size_t p = 0; p < states_.size(); ++p) {
-    if (!transport_->hosts(p)) continue;
+  for (const std::uint32_t p : hosted_) {
     const RankState& st = states_[p];
     std::size_t bytes = st.store.bytes() + st.halo.bytes();
     for (const Matrix& cache : st.agg_cache) bytes += cache.bytes();

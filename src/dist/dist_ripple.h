@@ -32,7 +32,7 @@
 //       the shared hop kernel (core/hop_kernel.h) through the local row
 //       map, producing Δh per owned affected vertex. The drain is one
 //       stealable task per (partition, mailbox shard), LPT-seeded by
-//       pending-slot count (dist/bsp.h);
+//       pending-slot count (DistEngineBase::compute);
 //       exchange: each changed vertex's COMMITTED new H^l row is sent ONCE
 //       to every remote partition owning at least one of its out-neighbors
 //       (the §5.1 stub-combining rule). Shipping the new row — same width
@@ -129,17 +129,18 @@ class DistRippleEngine : public DistEngineBase {
   // Invokes fn(q) once per remote partition q that owns at least one
   // out-neighbor of u, in ascending partition order. Routing decisions all
   // flow through here so the destination rule cannot diverge between the
-  // feature path and the exchange phase. Serial phases only: reuses one
-  // shared mask buffer.
+  // feature path and the exchange phase. Uses u's owner pu's mask buffer,
+  // so one task per partition may scan concurrently.
   template <typename Fn>
   void for_each_remote_owner(VertexId u, std::uint32_t pu, const Fn& fn) {
-    std::fill(remote_mask_.begin(), remote_mask_.end(), 0);
+    std::vector<std::uint8_t>& mask = remote_mask_[pu];
+    std::fill(mask.begin(), mask.end(), 0);
     for (const Neighbor& nb : graph_.out_neighbors(u)) {
       const std::uint32_t pv = owner(nb.vertex);
-      if (pv != pu) remote_mask_[pv] = 1;
+      if (pv != pu) mask[pv] = 1;
     }
-    for (std::size_t q = 0; q < remote_mask_.size(); ++q) {
-      if (remote_mask_[q]) fn(q);
+    for (std::size_t q = 0; q < mask.size(); ++q) {
+      if (mask[q]) fn(q);
     }
   }
 
@@ -170,9 +171,13 @@ class DistRippleEngine : public DistEngineBase {
     const float* delta;
   };
   std::vector<std::vector<MergeEntry>> merge_;  // one per partition
-  std::vector<std::uint8_t> remote_mask_;       // for_each_remote_owner
-  std::vector<UOp> uops_;                       // superstep U record
-  std::vector<float> wire_frame_;               // send-side concat scratch
+  // Exchange send list per partition: (sender rank, destination), in scan
+  // order.
+  std::vector<std::vector<std::pair<std::uint32_t, std::uint32_t>>> sends_;
+  // for_each_remote_owner's mask, one per source partition.
+  std::vector<std::vector<std::uint8_t>> remote_mask_;
+  std::vector<UOp> uops_;          // superstep U record
+  std::vector<float> wire_frame_;  // send-side concat scratch
 };
 
 }  // namespace ripple

@@ -147,7 +147,7 @@ class Transport {
   // Whether end_superstep() returns measured wall-clock seconds (a real
   // networked backend) rather than modeled cost-model seconds. Engines
   // propagate this into DistBatchResult::comm_measured and switch their
-  // compute accounting to wall clock alongside it (dist/bsp.h).
+  // compute accounting to wall clock alongside it (DistEngineBase).
   virtual bool measures_time() const = 0;
 
   // Stall behind the barrier of the LAST completed superstep: modeled on

@@ -173,29 +173,5 @@ TEST(RippleEngine, IncrementalOpsCounterAdvances) {
   EXPECT_GT(engine.incremental_ops(), before);
 }
 
-TEST(RippleEngine, PruningAblationStaysExactOnRelu) {
-  // With prune_unchanged on, zero deltas (common after ReLU clamping) skip
-  // message sends; results must remain exact because a zero delta carries no
-  // information.
-  auto graph = testing::random_graph(40, 300, 27);
-  const auto features = testing::random_features(40, 6, 28);
-  const auto config = workload_config(Workload::gc_s, 6, 3, 3, 8);
-  const auto model = GnnModel::random(config, 29);
-  RippleOptions options;
-  options.prune_unchanged = true;
-  options.prune_tolerance = 0.0f;
-  RippleEngine engine(model, graph, features, nullptr, options);
-  auto truth_graph = graph;
-  for (int i = 0; i < 20; ++i) {
-    const auto edge = truth_graph.edges()[static_cast<std::size_t>(i * 3)];
-    const std::vector<GraphUpdate> batch = {
-        GraphUpdate::edge_del(edge.src, edge.dst)};
-    engine.apply_batch(batch);
-    truth_graph.remove_edge(edge.src, edge.dst);
-  }
-  const auto truth = testing::full_inference_truth(model, truth_graph, features);
-  EXPECT_LT(testing::max_store_diff(engine.embeddings(), truth), 1e-3f);
-}
-
 }  // namespace
 }  // namespace ripple

@@ -3,7 +3,8 @@
 //  1. A seeded kill schedule is deterministic — two runs of the same plan
 //     fail at the same point with the same typed error (kPeerLost).
 //  2. A truncated payload surfaces as TransportError{kCorrupt}, never as
-//     an abort, on both the halo-fill and the delta-seed validation paths.
+//     an abort: on ripple's halo-fill validation and on the checked hop
+//     inbox both engines share (ripple's delta rows, rc's pull rows).
 //  3. Owned-row installs check every frame against the shipping schedule:
 //     a wrong sender, a wrong width, a missing frame and an unclaimed frame
 //     each raise TransportError{kCorrupt}.
@@ -17,7 +18,9 @@
 #include <functional>
 #include <optional>
 #include <random>
+#include <string>
 #include <tuple>
+#include <utility>
 
 #include "../test_util.h"
 #include "dist/dist_engine.h"
@@ -84,8 +87,9 @@ std::optional<TransportErrorKind> thrown_kind(
 }
 
 std::unique_ptr<DistEngineBase> make_faulted_tiny(TinyDist& t,
-                                                  const FaultPlan& plan) {
-  return make_dist_engine("ripple", t.model, t.graph, t.features, t.partition,
+                                                  const FaultPlan& plan,
+                                                  const std::string& key) {
+  return make_dist_engine(key, t.model, t.graph, t.features, t.partition,
                           nullptr,
                           make_fault_inject_sim(2, TransportOptions{}, plan));
 }
@@ -142,15 +146,19 @@ TEST(FaultInject, SeededKillIsDeterministicAndTyped) {
 // ---- corrupt payload: surfaces as its documented typed error ----
 
 TEST(FaultInject, CorruptBspPayloadRaisesCorrupt) {
-  // Payload send 0 is the halo fetch (validated by the replay-phase
-  // halo-fill width check), send 1 the hop-1 delta row (validated by the
-  // BSP seed phase) — both corruption sites must surface kCorrupt.
-  for (const std::uint64_t frame_index : {0ull, 1ull}) {
-    SCOPED_TRACE("payload send " + std::to_string(frame_index));
+  // ripple: payload send 0 is the halo fetch (validated by the
+  // replay-phase halo-fill width check), send 1 the hop-1 delta row
+  // (validated by the checked hop inbox). rc: payload send 0 is the first
+  // hop-0 pull row (vertex 1's h^0 -> partition 1, validated by the same
+  // checked hop inbox). Every corruption site must surface kCorrupt.
+  const std::vector<std::pair<std::string, std::uint64_t>> cases = {
+      {"ripple", 0}, {"ripple", 1}, {"rc", 0}};
+  for (const auto& [key, frame_index] : cases) {
+    SCOPED_TRACE(key + " payload send " + std::to_string(frame_index));
     TinyDist t(2, {0, 0, 1, 1});
     FaultPlan plan;
     plan.actions.push_back({FaultKind::kCorruptPayload, 0, frame_index});
-    auto engine = make_faulted_tiny(t, plan);
+    auto engine = make_faulted_tiny(t, plan, key);
     const std::vector<GraphUpdate> batch = {GraphUpdate::edge_add(0, 2)};
     const auto kind = thrown_kind([&] { engine->apply_batch(batch); });
     ASSERT_TRUE(kind.has_value());
