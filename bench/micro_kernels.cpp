@@ -150,15 +150,31 @@ void bench_aggregate(bool quick) {
 }
 
 void bench_mailbox() {
+  // Fill/clear cycle: first-touch K of n cells (strided, so every touch
+  // allocates a slot), then clear() — the per-hop lifecycle the engines
+  // run, which mailbox_accumulate's warm re-hits never exercise. Reported
+  // per accumulate, the clear amortized over its K cells.
+  constexpr std::size_t kRows = 65536;
+  constexpr std::size_t kCells = 4096;
   for (const auto& variant : kernel_variants()) {
     set_kernel_mode(variant.mode);
-    Mailbox box(64);
+    Mailbox box(64, kRows);
     std::vector<float> h_new(64, 1.0f);
     std::vector<float> h_old(64, 0.5f);
     VertexId v = 0;
     emit("mailbox_accumulate", 64, variant.label, -1,
          time_per_iter([&] { box.accumulate(v++ % 1024, 1.0f, h_new, h_old); }),
          0, 1);
+    Mailbox cycle(64, kRows);
+    const double cycle_sec = time_per_iter([&] {
+      for (std::size_t i = 0; i < kCells; ++i) {
+        cycle.accumulate(static_cast<VertexId>(i * 7919 % kRows), 1.0f, h_new,
+                         h_old);
+      }
+      cycle.clear();
+    });
+    emit("mailbox_fill_clear", 64, variant.label, -1,
+         cycle_sec / static_cast<double>(kCells), 0, 1);
   }
 }
 

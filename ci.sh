@@ -58,14 +58,16 @@ ctest --test-dir build-tsan -L unit --output-on-failure -j "$(nproc)"
 # TSan also sweeps the dist engine suite, whose apply phases run stealing
 # workers over per-partition shards. The migration suite rides along: its
 # supersteps run between batches on the same stealing pool, so a racy
-# rehome would surface here. The fault-injection and checkpoint suites
+# rehome would surface here, and so would a mailbox index left stale after
+# one: the migration suite and the transport suite's migration conformance
+# pass are the two that catch it. The fault-injection and checkpoint suites
 # join the sweep: injected kills and corruption unwind typed errors out of
 # the same stealing pool, and a race there would be invisible in a normal
 # build. (The forked rank-kill drills stay out:
 # fork + SIGKILL under TSan's runtime is noise, and the ASan fault pass
 # below covers them.)
 ctest --test-dir build-tsan \
-  -R "dist_engine|dist_migration|dist_fault_inject|dist_checkpoint" \
+  -R "dist_engine|dist_migration|dist_transport|dist_fault_inject|dist_checkpoint" \
   --output-on-failure -j "$(nproc)"
 
 # AddressSanitizer + UndefinedBehaviorSanitizer pass over the unit and

@@ -1,24 +1,63 @@
 #include "core/mailbox.h"
 
 #include <algorithm>
+#include <array>
+#include <utility>
 
 #include "common/check.h"
 
 namespace ripple {
 
-Mailbox::Mailbox(std::size_t dim, std::size_t num_shards) : dim_(dim) {
+namespace {
+
+// LSD radix sort of `keys` by their 32-bit field `key >> shift`, 8-bit
+// digits. Passes stop at the largest field's top nonzero digit, so ids
+// below 65536 take two passes. Stable, though mailbox ids are distinct
+// anyway: the result equals std::sort's.
+template <typename Key>
+void radix_sort(std::vector<Key>& keys, unsigned shift) {
+  if (keys.size() < 2) return;
+  std::uint32_t top = 0;
+  for (const Key key : keys) {
+    top = std::max(top, static_cast<std::uint32_t>(key >> shift));
+  }
+  std::vector<Key> buf(keys.size());
+  for (unsigned d = 0; d < 32 && (top >> d) != 0; d += 8) {
+    std::array<std::size_t, 256> start{};
+    for (const Key key : keys) ++start[(key >> (shift + d)) & 0xFF];
+    std::size_t sum = 0;
+    for (std::size_t& count : start) sum += std::exchange(count, sum);
+    for (const Key key : keys) buf[start[(key >> (shift + d)) & 0xFF]++] = key;
+    keys.swap(buf);
+  }
+}
+
+}  // namespace
+
+Mailbox::Mailbox(std::size_t dim, std::size_t rows, std::size_t num_shards,
+                 const std::uint32_t* local_row)
+    : dim_(dim), local_row_(local_row), slot_(rows, kAbsent) {
   RIPPLE_CHECK_MSG(num_shards >= 1, "mailbox needs at least one shard");
   shards_.resize(num_shards);
 }
 
 std::vector<std::uint32_t> Mailbox::Shard::sorted_slots() const {
-  std::vector<std::uint32_t> slots(vertices.size());
-  for (std::uint32_t i = 0; i < slots.size(); ++i) slots[i] = i;
-  std::sort(slots.begin(), slots.end(),
-            [this](std::uint32_t a, std::uint32_t b) {
-              return vertices[a] < vertices[b];
-            });
+  // (vertex << 32 | slot) keys, sorted on the vertex half.
+  std::vector<std::uint64_t> keys(vertices.size());
+  for (std::uint32_t i = 0; i < keys.size(); ++i) {
+    keys[i] = (static_cast<std::uint64_t>(vertices[i]) << 32) | i;
+  }
+  radix_sort(keys, 32);
+  std::vector<std::uint32_t> slots(keys.size());
+  for (std::size_t i = 0; i < keys.size(); ++i) {
+    slots[i] = static_cast<std::uint32_t>(keys[i]);
+  }
   return slots;
+}
+
+void Mailbox::resize_rows(std::size_t rows) {
+  RIPPLE_CHECK_MSG(empty(), "mailbox index resized with pending cells");
+  slot_.resize(rows, kAbsent);
 }
 
 std::size_t Mailbox::size() const {
@@ -35,15 +74,18 @@ bool Mailbox::empty() const {
 }
 
 std::uint32_t Mailbox::slot_of(Shard& shard, VertexId v) {
-  const auto [it, inserted] =
-      shard.index.try_emplace(v, static_cast<std::uint32_t>(shard.size()));
-  if (inserted) {
+  const std::size_t row = row_of(v);
+  RIPPLE_CHECK_MSG(row < slot_.size(), "mailbox row " << row << " of vertex "
+                                           << v << " beyond " << slot_.size());
+  std::uint32_t& slot = slot_[row];
+  if (slot == kAbsent) {
+    slot = static_cast<std::uint32_t>(shard.size());
     shard.vertices.push_back(v);
     shard.deltas.resize(shard.deltas.size() + dim_, 0.0f);
     shard.touched.push_back(0);
     shard.self.push_back(0);
   }
-  return it->second;
+  return slot;
 }
 
 void Mailbox::accumulate(VertexId v, float alpha,
@@ -69,8 +111,12 @@ void Mailbox::mark_self_changed(VertexId v) {
 }
 
 bool Mailbox::contains(VertexId v) const {
+  const std::size_t row = row_of(v);
+  if (row >= slot_.size()) return false;
+  // A remapped row can name another vertex's cell; the slot's vertex decides.
   const Shard& shard = shards_[shard_of(v)];
-  return shard.index.find(v) != shard.index.end();
+  const std::uint32_t slot = slot_[row];
+  return slot < shard.size() && shard.vertices[slot] == v;
 }
 
 Mailbox::EntryView Mailbox::entry(VertexId v) {
@@ -97,13 +143,13 @@ std::vector<VertexId> Mailbox::sorted_vertices() const {
   for (const Shard& shard : shards_) {
     order.insert(order.end(), shard.vertices.begin(), shard.vertices.end());
   }
-  std::sort(order.begin(), order.end());
+  radix_sort(order, 0);
   return order;
 }
 
 void Mailbox::clear() {
   for (Shard& shard : shards_) {
-    shard.index.clear();
+    for (const VertexId v : shard.vertices) slot_[row_of(v)] = kAbsent;
     shard.vertices.clear();
     shard.deltas.clear();
     shard.touched.clear();
@@ -112,20 +158,13 @@ void Mailbox::clear() {
 }
 
 std::size_t Mailbox::bytes() const {
-  std::size_t total = sizeof(Shard) * shards_.size();
+  // Capacity, not size: the memory is resident.
+  std::size_t total = slot_.capacity() * sizeof(std::uint32_t) +
+                      sizeof(Shard) * shards_.size();
   for (const Shard& shard : shards_) {
-    // Dense slot-major buffers (capacity, not size: the memory is resident).
     total += shard.vertices.capacity() * sizeof(VertexId);
     total += shard.deltas.capacity() * sizeof(float);
     total += shard.touched.capacity() + shard.self.capacity();
-    // unordered_map overhead: one heap node per element (key/value pair plus
-    // the next pointer and cached hash libstdc++ stores per node) and the
-    // bucket pointer array.
-    constexpr std::size_t kNodeBytes =
-        sizeof(std::pair<const VertexId, std::uint32_t>) +
-        2 * sizeof(void*);
-    total += shard.index.size() * kNodeBytes;
-    total += shard.index.bucket_count() * sizeof(void*);
   }
   return total;
 }

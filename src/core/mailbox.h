@@ -10,15 +10,20 @@
 // no in-neighbor message arrived.
 //
 // Sharded layout: the mailbox is split into N shards keyed by a vertex-id
-// hash. Each shard owns a flat index map (vertex → slot) plus dense
-// slot-major buffers: a delta buffer (slot · dim floats) and per-slot
-// touched/self flags. The layout serves the shard-parallel propagation core
+// hash. Each shard owns dense slot-major buffers: its vertex list, a delta
+// buffer (slot · dim floats) and per-slot touched/self flags. One dense
+// index, shared by every shard, maps a vertex's row to its slot in
+// shard_of(v) (absent cells hold kAbsent). A row is the vertex id on a
+// single machine; the distributed engine passes its LocalRowMap table, so a
+// rank's index is sized to its owned rows, not to the whole graph. The
+// layout serves the shard-parallel propagation core
 // (core/ripple_engine.cpp):
 //   * the seed/update phase accumulates into shards without any global
 //     structure growing a hot lock;
 //   * the compute phase scatters messages owner-computes style — the worker
-//     that owns target shard s is the only writer of shard s, so no locks
-//     are needed;
+//     that owns target shard s is the only writer of shard s, and — since
+//     shard_of partitions the vertices and each vertex has its own row —
+//     of their index entries, so no locks are needed;
 //   * the apply phase drains shards in deterministic order: slots sorted by
 //     vertex id within each shard, shards in index order, giving
 //     reproducible float accumulation for any shard/thread count.
@@ -27,7 +32,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <span>
-#include <unordered_map>
 #include <vector>
 
 #include "graph/types.h"
@@ -37,9 +41,9 @@ namespace ripple {
 
 class Mailbox {
  public:
-  // One hash shard: flat vertex→slot index plus dense slot-major storage.
+  // One hash shard: dense slot-major storage (the vertex → slot index is
+  // the mailbox's shared row array).
   struct Shard {
-    std::unordered_map<VertexId, std::uint32_t> index;
     std::vector<VertexId> vertices;     // slot → vertex (insertion order)
     std::vector<float> deltas;          // slot-major, dim floats per slot
     std::vector<std::uint8_t> touched;  // any aggregate-changing message
@@ -59,8 +63,13 @@ class Mailbox {
   };
 
   // dim: width of the previous-layer embeddings this hop aggregates.
+  // rows: size of the dense index; every cell's row must be below it.
   // num_shards: hash shards; 1 reproduces a single flat mailbox.
-  explicit Mailbox(std::size_t dim, std::size_t num_shards = 1);
+  // local_row (optional): global→row remap, the same table
+  // apply_hop_shard's `local_row` takes; it must outlive the mailbox. Null
+  // means a vertex's row is its id.
+  Mailbox(std::size_t dim, std::size_t rows, std::size_t num_shards = 1,
+          const std::uint32_t* local_row = nullptr);
 
   std::size_t dim() const { return dim_; }
   std::size_t num_shards() const { return shards_.size(); }
@@ -74,10 +83,15 @@ class Mailbox {
     return fib_spread(v, shards_.size());
   }
 
+  // Resizes the index to `rows` rows — for a row count that changed since
+  // construction (a migration's re-home). Only while empty.
+  void resize_rows(std::size_t rows);
+
   // Accumulates alpha * (h_new - h_old) into v's cell. h_old may be empty
   // (edge addition: no prior contribution); h_new may be empty (deletion).
   // Thread-safety: safe to call concurrently for vertices of DIFFERENT
-  // shards (single writer per shard); never for the same shard.
+  // shards (single writer per shard); never for the same shard. Throws
+  // check_error when v's row is beyond the index.
   void accumulate(VertexId v, float alpha, std::span<const float> h_new,
                   std::span<const float> h_old);
 
@@ -85,6 +99,7 @@ class Mailbox {
   // thread-safety contract as accumulate().
   void mark_self_changed(VertexId v);
 
+  // False for a row beyond the index.
   bool contains(VertexId v) const;
 
   // Creates v's cell if absent and returns a view of it.
@@ -102,19 +117,26 @@ class Mailbox {
   // is identical for every shard/thread count.
   std::vector<VertexId> sorted_vertices() const;
 
-  // Drops all cells; retains shard/bucket capacity for the next hop.
+  // Drops all cells: resets only the index entries the shards' vertex
+  // lists name (O(cells)) and retains shard capacity for the next hop.
   void clear();
 
-  // Resident bytes including dense buffers and hash-map node + bucket
-  // overhead (the index maps allocate one node per cell plus a bucket
-  // array; ignoring them undercounts by ~40% at small dims).
+  // Resident bytes: the dense index plus each shard's slot buffers.
   std::size_t bytes() const;
 
  private:
   Shard& mutable_shard(VertexId v) { return shards_[shard_of(v)]; }
+  std::size_t row_of(VertexId v) const {
+    return local_row_ != nullptr ? local_row_[v] : v;
+  }
   std::uint32_t slot_of(Shard& shard, VertexId v);
 
+  // Index entry of a row without a cell.
+  static constexpr std::uint32_t kAbsent = UINT32_MAX;
+
   std::size_t dim_;
+  const std::uint32_t* local_row_;
+  std::vector<std::uint32_t> slot_;  // row → slot in shard_of(v), or kAbsent
   std::vector<Shard> shards_;
 };
 

@@ -34,7 +34,7 @@ RippleEngine::RippleEngine(const GnnModel& model, DynamicGraph snapshot,
   for (std::size_t l = 0; l < num_layers; ++l) {
     const std::size_t dim = model_.config().layer_in_dim(l);
     agg_cache_.emplace_back(graph_.num_vertices(), dim);
-    mailboxes_.emplace_back(dim, num_shards_);
+    mailboxes_.emplace_back(dim, graph_.num_vertices(), num_shards_);
   }
   scratch_.resize(num_shards_);
   msg_buckets_.resize(num_shards_ * num_shards_);

@@ -51,7 +51,8 @@ DistRippleEngine::DistRippleEngine(const GnnModel& model,
     st.boxes.reserve(num_layers);
     for (std::size_t l = 0; l < num_layers; ++l) {
       st.agg_cache.emplace_back(rows, config.layer_in_dim(l));
-      st.boxes.emplace_back(config.layer_in_dim(l), kShardsPerPart);
+      st.boxes.emplace_back(config.layer_in_dim(l), rows, kShardsPerPart,
+                            row_map_.local_rows());
     }
     st.halo = HaloCache(halo_widths);
   }
@@ -281,6 +282,14 @@ DistBatchResult DistRippleEngine::apply_batch(UpdateBatch batch) {
   DistBatchResult result;
   open_batch(batch.size(), result);
   const std::size_t num_layers = model_.num_layers();
+  // Each mailbox index spans its partition's local rows, whose count a
+  // migration's re-home may have changed; the boxes are empty between
+  // batches, and an unchanged count makes this a no-op.
+  for (const std::uint32_t p : hosted_) {
+    for (Mailbox& box : states_[p].boxes) {
+      box.resize_rows(row_map_.part_size(p));
+    }
+  }
 
   // ---- superstep U: routing + fills/feature rows + hop-0 seeding ----
   // Pass 1 walks the batch (every replica applies it to its topology copy)
@@ -589,8 +598,8 @@ std::size_t DistRippleEngine::memory_bytes() const {
   // the DistEngineBase contract) plus the shared row map. The replicated
   // topology is deliberately excluded — see src/dist/README.md. Mailboxes
   // are counted whole: each partition's boxes only ever hold cells for
-  // vertices it owns (seeding guards on ownership), so no shard is
-  // partially owned and summing Mailbox::bytes() cannot double-count.
+  // vertices it owns (seeding guards on ownership) and index only its
+  // owned rows, so summing Mailbox::bytes() cannot double-count.
   std::size_t worst = 0;
   for (const std::uint32_t p : hosted_) {
     const RankState& st = states_[p];

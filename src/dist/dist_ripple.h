@@ -4,7 +4,10 @@
 // Each hosted partition stores ONLY its owned vertices' state — embedding
 // rows per layer, aggregate-cache rows, and one sharded Mailbox per hop —
 // addressed through a stable global→local row map (partition/LocalRowMap),
-// plus a halo cache (dist/halo_cache.h) of remote boundary rows. Topology
+// plus a halo cache (dist/halo_cache.h) of remote boundary rows. Each
+// mailbox's dense index is sized to the partition's owned rows and
+// addressed by local row; apply_batch resizes it after a migration's
+// re-home changed the row count. Topology
 // stays replicated, so routing and fill decisions are computed identically
 // on both sides of the wire without request round-trips. A batch runs as a
 // sequence of BSP supersteps:
