@@ -1,6 +1,7 @@
 // Microbenchmarks for the kernels on Ripple's hot paths: GEMM/GEMV across
 // the kernel-variant axis (scalar vs dispatched SIMD tier, packed vs
-// unpacked B panels), neighborhood aggregation, mailbox accumulation,
+// unpacked B panels), neighborhood aggregation, mailbox accumulation, the
+// pull scatter's gathered axpy (axpy_rows vs one vec_axpy per row),
 // edge-list mutation vs CSR rebuild (the DGL-emulation contrast), and the
 // end-to-end single-update apply for RC vs Ripple.
 //
@@ -30,6 +31,7 @@
 #include "graph/csr.h"
 #include "graph/generators.h"
 #include "infer/recompute.h"
+#include "tensor/kernels.h"
 #include "tensor/ops.h"
 
 using namespace ripple;
@@ -178,6 +180,47 @@ void bench_mailbox() {
   }
 }
 
+void bench_scatter_gather() {
+  // The pull scatter's inner step (core/ripple_engine.cpp): 22 random Δh
+  // rows of a 3-MB rank-major block (12288 rows of 64 floats) added into
+  // one 64-wide mailbox cell — once as one axpy_rows call that keeps the
+  // cell in registers, once as 22 vec_axpy read-modify-writes (the push
+  // drain's per-message cost). Identical output bits; reported per call,
+  // items = rows gathered.
+  constexpr std::size_t kDim = 64;
+  constexpr std::size_t kBlockRows = 3 * 1024 * 1024 / (kDim * sizeof(float));
+  constexpr std::size_t kRowsPerCell = 22;
+  constexpr std::size_t kCells = 1024;
+  set_kernel_mode(KernelMode::kAuto);
+  const KernelOps& ops = kernels();
+  Rng rng(8);
+  const Matrix block = Matrix::random_uniform(kBlockRows, kDim, rng);
+  std::vector<std::uint32_t> rows(kCells * kRowsPerCell);
+  std::vector<float> alphas(rows.size());
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    rows[i] = static_cast<std::uint32_t>(rng.next_below(kBlockRows));
+    alphas[i] = rng.next_float(0.5f, 1.5f);
+  }
+  std::vector<float> cell(kDim, 0.0f);
+  std::size_t c = 0;
+  emit("scatter_gather_axpy_rows", kDim, kernel_isa_name(ops.isa), -1,
+       time_per_iter([&] {
+         const std::size_t at = (c++ % kCells) * kRowsPerCell;
+         ops.axpy_rows(cell.data(), kDim, block.data(), kDim, &rows[at],
+                       &alphas[at], kRowsPerCell);
+       }),
+       0, kRowsPerCell);
+  emit("scatter_gather_vec_axpy", kDim, kernel_isa_name(ops.isa), -1,
+       time_per_iter([&] {
+         const std::size_t at = (c++ % kCells) * kRowsPerCell;
+         for (std::size_t i = at; i < at + kRowsPerCell; ++i) {
+           ops.vec_axpy(cell.data(), alphas[i], block.data() + rows[i] * kDim,
+                        kDim);
+         }
+       }),
+       0, kRowsPerCell);
+}
+
 void bench_graph_mutation() {
   Rng rng(4);
   auto graph = erdos_renyi(20000, 200000, rng);
@@ -251,6 +294,7 @@ int main(int argc, char** argv) {
   bench_gemv_row(dims);
   bench_aggregate(quick);
   bench_mailbox();
+  bench_scatter_gather();
   if (!quick) {
     bench_graph_mutation();
     bench_csr_rebuild();

@@ -88,13 +88,17 @@ std::uint32_t Mailbox::slot_of(Shard& shard, VertexId v) {
   return slot;
 }
 
-void Mailbox::accumulate(VertexId v, float alpha,
-                         std::span<const float> h_new,
-                         std::span<const float> h_old) {
+std::span<float> Mailbox::touched_delta(VertexId v) {
   Shard& shard = mutable_shard(v);
   const std::uint32_t slot = slot_of(shard, v);
   shard.touched[slot] = 1;
-  const std::span<float> delta(shard.deltas.data() + slot * dim_, dim_);
+  return {shard.deltas.data() + slot * dim_, dim_};
+}
+
+void Mailbox::accumulate(VertexId v, float alpha,
+                         std::span<const float> h_new,
+                         std::span<const float> h_old) {
+  const std::span<float> delta = touched_delta(v);
   if (!h_new.empty()) {
     RIPPLE_CHECK(h_new.size() == dim_);
     vec_axpy(delta, alpha, h_new);

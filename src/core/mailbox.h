@@ -95,6 +95,12 @@ class Mailbox {
   void accumulate(VertexId v, float alpha, std::span<const float> h_new,
                   std::span<const float> h_old);
 
+  // Creates v's cell if absent, flags it touched, and returns its Δagg row
+  // for the caller to add messages into — the pull scatter's entry point
+  // (accumulate() is this plus one axpy per side). Same shard-owner
+  // thread-safety contract as accumulate().
+  std::span<float> touched_delta(VertexId v);
+
   // Marks the self channel without touching the aggregate. Same shard-owner
   // thread-safety contract as accumulate().
   void mark_self_changed(VertexId v);

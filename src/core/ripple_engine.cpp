@@ -8,6 +8,7 @@
 #include "core/hop_kernel.h"
 #include "infer/layerwise.h"
 #include "stream/update_apply.h"
+#include "tensor/kernels.h"
 
 namespace ripple {
 
@@ -38,7 +39,8 @@ RippleEngine::RippleEngine(const GnnModel& model, DynamicGraph snapshot,
   }
   scratch_.resize(num_shards_);
   msg_buckets_.resize(num_shards_ * num_shards_);
-  self_buckets_.resize(num_shards_ * num_shards_);
+  rank_of_.assign(graph_.num_vertices(), kNoRank);
+  target_flag_.assign(graph_.num_vertices(), 0);
   bootstrap(features);
 }
 
@@ -113,31 +115,78 @@ std::uint64_t RippleEngine::apply_one_shard(std::size_t l, std::size_t s,
                          is_last ? nullptr : &sink, stealer_.get());
 }
 
-std::uint64_t RippleEngine::bucket_sender_block(
-    std::size_t l, std::size_t b, const std::vector<VertexId>& order) {
+namespace {
+
+// First rank of sender block b when `size` senders split into `blocks`
+// contiguous blocks.
+std::size_t block_begin(std::size_t b, std::size_t size, std::size_t blocks) {
+  return b * size / blocks;
+}
+
+// Direction switch: a hop pulls when its senders' out-edges M exceed
+// kPullFraction · |E|. Set from a recorded per-hop push/pull sweep
+// (single-threaded, 4-core Xeon; table in CHANGES.md). The crossover
+// depends on degree: on products-s (in-degree ~25) pull is even at
+// M/|E| = 20% and faster from 33% up; on arxiv-s (in-degree ~6.9) push is
+// faster up to 39% (by 1.17x) and the two are even from 53% up. 0.4 keeps
+// every measured arxiv-s hop on its faster or an even side — serve-arxiv's
+// hops (M/|E| ~ 0.2%) push — and pulls both bulk-products hops (70% and
+// 99.5%); products-s hops between 20% and 40% stay on the slower push.
+constexpr double kPullFraction = 0.4;
+
+// In-neighbor hits gathered per axpy_rows call of the pull scatter; a hub
+// target takes several calls, each continuing the same rounding chain.
+constexpr std::size_t kPullChunk = 64;
+
+}  // namespace
+
+void RippleEngine::bucket_sender_block(std::size_t l, std::size_t b,
+                                       const std::vector<VertexId>& order) {
   const Mailbox& next = mailboxes_[l];
-  const bool uses_self = model_.layer(l).uses_self();
-  const std::size_t num_blocks = num_shards_;
-  std::uint64_t messages = 0;
   // Each block is a contiguous rank range of the canonical sender list; the
   // buckets it fills are appended in ascending-rank order, so draining
   // blocks in index order reconstructs the global ascending-sender order.
-  const std::size_t rank_lo = b * order.size() / num_blocks;
-  const std::size_t rank_hi = (b + 1) * order.size() / num_blocks;
-  for (std::size_t r = rank_lo; r < rank_hi; ++r) {
-    const VertexId v = order[r];
-    for (const Neighbor& nb : graph_.out_neighbors(v)) {
+  const std::size_t rank_hi = block_begin(b + 1, order.size(), num_shards_);
+  for (std::size_t r = block_begin(b, order.size(), num_shards_); r < rank_hi;
+       ++r) {
+    for (const Neighbor& nb : graph_.out_neighbors(order[r])) {
       const std::size_t t = next.shard_of(nb.vertex);
       msg_buckets_[b * num_shards_ + t].push_back(
           {static_cast<std::uint32_t>(r), nb.vertex,
            edge_alpha(nb.weight)});
-      ++messages;
-    }
-    if (uses_self) {
-      self_buckets_[b * num_shards_ + next.shard_of(v)].push_back(v);
     }
   }
-  return messages;
+}
+
+void RippleEngine::mark_sender_block(std::size_t b,
+                                     const std::vector<VertexId>& order) {
+  const std::size_t rank_hi = block_begin(b + 1, order.size(), num_shards_);
+  for (std::size_t r = block_begin(b, order.size(), num_shards_); r < rank_hi;
+       ++r) {
+    const VertexId v = order[r];
+    rank_of_[v] = static_cast<std::uint32_t>(r);
+    // Blocks flag shared targets concurrently with relaxed atomics; every
+    // store writes the same value and the phase barrier orders them before
+    // any read. Loading first skips the store for an already-flagged
+    // target, so the flag lines stay shared instead of bouncing between
+    // workers (a dense hop flags each target many times).
+    for (const Neighbor& nb : graph_.out_neighbors(v)) {
+      std::atomic_ref<std::uint8_t> flag(target_flag_[nb.vertex]);
+      if (flag.load(std::memory_order_relaxed) == 0) {
+        flag.store(1, std::memory_order_relaxed);
+      }
+    }
+  }
+}
+
+void RippleEngine::mark_self_targets(std::size_t l, std::size_t t) {
+  // Every mailbox shares num_shards_ and shard_of, so the senders of hop l's
+  // shard t are exactly hop-(l+1) shard t's self marks.
+  if (!model_.layer(l).uses_self()) return;
+  Mailbox& next = mailboxes_[l];
+  for (const VertexId v : mailboxes_[l - 1].shard(t).vertices) {
+    next.mark_self_changed(v);
+  }
 }
 
 void RippleEngine::drain_target_shard(std::size_t l, std::size_t t) {
@@ -152,10 +201,81 @@ void RippleEngine::drain_target_shard(std::size_t l, std::size_t t) {
       next.accumulate(m.target, m.alpha, delta_block_.row(m.rank), {});
     }
     msgs.clear();
-    std::vector<VertexId>& selfs = self_buckets_[b * num_shards_ + t];
-    for (const VertexId v : selfs) next.mark_self_changed(v);
-    selfs.clear();
   }
+  mark_self_targets(l, t);
+}
+
+void RippleEngine::pull_target_shard(std::size_t l, std::size_t t) {
+  Mailbox& next = mailboxes_[l];
+  const KernelOps& ops = kernels();
+  const std::size_t dim = delta_block_.cols();
+  std::uint32_t rows[kPullChunk];
+  float alphas[kPullChunk];
+  // Owner-computes like the push drain: targets of shard t in ascending id,
+  // each cell's in-list walked in ascending source id — the ascending-sender
+  // order the push scatter delivers, so both directions are bit-identical.
+  for (VertexId v = 0; v < target_flag_.size(); ++v) {
+    if (next.shard_of(v) != t || target_flag_[v] == 0) continue;
+    target_flag_[v] = 0;
+    float* cell = next.touched_delta(v).data();
+    std::size_t count = 0;
+    for (const Neighbor& nb : graph_.in_neighbors(v)) {
+      const std::uint32_t rank = rank_of_[nb.vertex];
+      if (rank == kNoRank) continue;
+      rows[count] = rank;
+      alphas[count] = edge_alpha(nb.weight);
+      if (++count == kPullChunk) {
+        ops.axpy_rows(cell, dim, delta_block_.data(), dim, rows, alphas,
+                      count);
+        count = 0;
+      }
+    }
+    ops.axpy_rows(cell, dim, delta_block_.data(), dim, rows, alphas, count);
+  }
+  mark_self_targets(l, t);
+}
+
+std::uint64_t RippleEngine::scatter(std::size_t l,
+                                    const std::vector<VertexId>& order) {
+  // One message per out-edge of a sender, in either direction.
+  std::uint64_t messages = 0;
+  for (const VertexId v : order) messages += graph_.out_degree(v);
+  std::vector<std::size_t> block_costs(num_shards_);
+  for (std::size_t b = 0; b < num_shards_; ++b) {
+    block_costs[b] = block_begin(b + 1, order.size(), num_shards_) -
+                     block_begin(b, order.size(), num_shards_);
+  }
+
+  if (static_cast<double>(messages) >
+      kPullFraction * static_cast<double>(graph_.num_edges())) {
+    // Dense hop — pull. Stage 1: one task per sender block records ranks
+    // and flags targets. Stage 2: one task per target shard gathers each
+    // flagged target's in-neighbor Δh rows.
+    stealer_->run(num_shards_, block_costs,
+                  [&](std::size_t b) { mark_sender_block(b, order); });
+    stealer_->run(num_shards_, {},
+                  [&](std::size_t t) { pull_target_shard(l, t); });
+    for (const VertexId v : order) rank_of_[v] = kNoRank;
+    return messages;
+  }
+
+  // Sparse hop — push. Stage 1: one task per sender block, costed by its
+  // sender count, buckets the block's messages per target shard.
+  stealer_->run(num_shards_, block_costs,
+                [&](std::size_t b) { bucket_sender_block(l, b, order); });
+  // Stage 2: one task per target shard, costed by its pending messages and
+  // self marks (known exactly now that stage 1 filled the buckets).
+  const bool uses_self = model_.layer(l).uses_self();
+  std::vector<std::size_t> drain_costs(num_shards_, 0);
+  for (std::size_t t = 0; t < num_shards_; ++t) {
+    if (uses_self) drain_costs[t] = mailboxes_[l - 1].shard(t).size();
+    for (std::size_t b = 0; b < num_shards_; ++b) {
+      drain_costs[t] += msg_buckets_[b * num_shards_ + t].size();
+    }
+  }
+  stealer_->run(num_shards_, drain_costs,
+                [&](std::size_t t) { drain_target_shard(l, t); });
+  return messages;
 }
 
 BatchResult RippleEngine::propagate() {
@@ -195,32 +315,10 @@ BatchResult RippleEngine::propagate() {
     incremental_ops_ += apply_ops.load(std::memory_order_relaxed);
     result.apply_phase_sec += apply_watch.elapsed_sec();
 
-    // ---- compute phase: bucket Δh messages, then owner-computes drain ----
+    // ---- compute phase: Δh scatter into the hop-(l+1) mailbox ----
     if (!is_last) {
       StopWatch scatter_watch;
-      std::atomic<std::uint64_t> messages{0};
-      // Stage 1: one task per sender block, costed by its sender count.
-      std::vector<std::size_t> block_costs(num_shards_);
-      for (std::size_t b = 0; b < num_shards_; ++b) {
-        block_costs[b] = (b + 1) * order.size() / num_shards_ -
-                         b * order.size() / num_shards_;
-      }
-      stealer_->run(num_shards_, block_costs, [&](std::size_t b) {
-        messages.fetch_add(bucket_sender_block(l, b, order),
-                           std::memory_order_relaxed);
-      });
-      // Stage 2: one task per target shard, costed by its pending messages
-      // (known exactly now that stage 1 filled the buckets).
-      std::vector<std::size_t> drain_costs(num_shards_, 0);
-      for (std::size_t t = 0; t < num_shards_; ++t) {
-        for (std::size_t b = 0; b < num_shards_; ++b) {
-          drain_costs[t] += msg_buckets_[b * num_shards_ + t].size() +
-                            self_buckets_[b * num_shards_ + t].size();
-        }
-      }
-      stealer_->run(num_shards_, drain_costs,
-                    [&](std::size_t t) { drain_target_shard(l, t); });
-      incremental_ops_ += messages.load(std::memory_order_relaxed);
+      incremental_ops_ += scatter(l, order);
       result.compute_phase_sec += scatter_watch.elapsed_sec();
     } else {
       // The hop-L mailbox is exactly the set of H^L rows the apply phase
@@ -255,6 +353,8 @@ std::size_t RippleEngine::memory_bytes() const {
   std::size_t total = store_.bytes() + graph_.bytes();
   for (const auto& cache : agg_cache_) total += cache.bytes();
   for (const auto& mailbox : mailboxes_) total += mailbox.bytes();
+  total += rank_of_.capacity() * sizeof(std::uint32_t) +
+           target_flag_.capacity();
   return total;
 }
 

@@ -26,26 +26,52 @@
 //    Every vertex lives in exactly one shard, so workers write disjoint
 //    rows and no synchronization is needed.
 //
-//  * Compute phase — two lock-free stages. (1) Bucket build: the canonical
-//    sender list (the affected set in ascending id order) is split into
-//    fixed contiguous blocks; workers scan each block's out-edges ONCE and
-//    bucket (sender rank, target, α) tuples per (block, target shard).
-//    (2) Owner-computes drain: the worker that owns target shard s is the
-//    only writer of s; it drains s's buckets in block order — and within a
-//    block in the ascending-rank order the build stage appended — so every
-//    cell accumulates its Δh messages in global ascending-sender order.
-//    No locks, no atomics, and the edge list is traversed exactly once
-//    regardless of shard or thread count.
+//  * Compute phase — the Δh scatter into the hop-(l+1) mailbox, in one of
+//    two directions chosen per hop (Beamer et al.'s direction-optimizing
+//    traversal). The switch compares the senders' out-edge count
+//    M = Σ out_degree(u), O(|senders|) to sum, against |E|: a hop whose
+//    M exceeds kPullFraction · |E| (ripple_engine.cpp, with the sweep that
+//    set it) pulls, every other hop pushes. Both directions run two
+//    lock-free stages of one task per sender block, then one task per
+//    target shard.
+//    - Push (sparse hops). (1) Bucket build: the canonical sender list
+//      (the affected set in ascending id order) is split into fixed
+//      contiguous blocks; workers scan each block's out-edges ONCE and
+//      bucket (sender rank, target, α) tuples per (block, target shard).
+//      (2) Owner-computes drain: the worker that owns target shard s is the
+//      only writer of s; it drains s's buckets in block order — and within
+//      a block in the ascending-rank order the build stage appended — so
+//      every cell accumulates its Δh messages in global ascending-sender
+//      order.
+//    - Pull (dense hops, where most cells of the graph receive messages
+//      and a per-message mailbox read-modify-write dominates). (1) Each
+//      sender block records its senders' ranks in a dense row → rank array
+//      and flags their out-neighbors in a dense byte array (relaxed atomic
+//      load-then-store; every store writes the same value). (2) The owner
+//      of target shard s walks its flagged targets in ascending id; per
+//      target it walks the in-list, keeps the in-neighbors that have a
+//      rank, and adds their α·Δh rows with KernelOps::axpy_rows, which
+//      holds the cell in registers.
+//    Pull is bit-identical to push because DynamicGraph keeps every in-list
+//    sorted by source id (graph/dynamic_graph.h): the in-neighbors that are
+//    senders appear in ascending id — the canonical rank order — which is
+//    exactly the order push delivers, and axpy_rows keeps vec_axpy's
+//    per-term rounding chain. In both directions the target-shard task also
+//    sets the self marks of shard s: every mailbox shares num_shards and
+//    shard_of, so they are hop l's shard-s vertices. No locks, and the
+//    edge lists are traversed a fixed number of times regardless of shard
+//    or thread count.
 //
 // Determinism guarantee: float accumulation order is fixed — each mailbox
 // cell has a single writer and receives its messages in ascending
-// sender-id order (contiguous blocks drained in order reconstruct the
-// global sort, independent of how senders block or targets hash to
-// shards). Embeddings are therefore bit-identical for ANY shard count
-// and ANY thread count, including the sequential
-// 1-shard/1-thread configuration — the scheduler only decides WHICH worker
-// runs a task, never what it computes or in what within-task order
-// (property-tested in tests/core/test_ripple_properties.cpp).
+// sender-id order (contiguous blocks drained in order, or an id-sorted
+// in-list, reconstruct the global sort, independent of how senders block
+// or targets hash to shards, and of the direction). Embeddings are
+// therefore bit-identical for ANY shard count and ANY thread count,
+// including the sequential 1-shard/1-thread configuration — the scheduler
+// only decides WHICH worker runs a task, never what it computes or in what
+// within-task order (property-tested in
+// tests/core/test_ripple_properties.cpp).
 // Per-phase timings, shard and thread counts are reported through
 // BatchResult.
 #pragma once
@@ -114,14 +140,26 @@ class RippleEngine : public InferenceEngine {
   // written at each vertex's rank in it.
   std::uint64_t apply_one_shard(std::size_t l, std::size_t s,
                                 const std::vector<VertexId>& order);
-  // Compute-phase stage-1 task of hop l: scan sender block b (a contiguous
-  // rank range of `order`) and bucket its messages per (block, target
-  // shard); returns the block's message count.
-  std::uint64_t bucket_sender_block(std::size_t l, std::size_t b,
-                                    const std::vector<VertexId>& order);
-  // Compute-phase stage-2 task of hop l: drain target shard t of the
-  // hop-(l+1) mailbox in block order.
+  // Compute phase of hop l: scatters the hop's Δh rows (delta_block_, one
+  // per rank of `order`) into the hop-(l+1) mailbox, pushing or pulling;
+  // returns the message count (one per sender out-edge).
+  std::uint64_t scatter(std::size_t l, const std::vector<VertexId>& order);
+  // Push stage-1 task: scan sender block b (a contiguous rank range of
+  // `order`) and bucket its messages per (block, target shard).
+  void bucket_sender_block(std::size_t l, std::size_t b,
+                           const std::vector<VertexId>& order);
+  // Push stage-2 task: drain target shard t of the hop-(l+1) mailbox in
+  // block order.
   void drain_target_shard(std::size_t l, std::size_t t);
+  // Pull stage-1 task: record sender block b's ranks in rank_of_ and flag
+  // its out-neighbors in target_flag_.
+  void mark_sender_block(std::size_t b, const std::vector<VertexId>& order);
+  // Pull stage-2 task: gather every flagged target of shard t from its
+  // in-neighbors' Δh rows, ascending target id.
+  void pull_target_shard(std::size_t l, std::size_t t);
+  // Sets the hop-(l+1) self marks of shard t (self-term layers only); both
+  // stage-2 tasks end with it.
+  void mark_self_targets(std::size_t l, std::size_t t);
 
   GnnModel model_;
   DynamicGraph graph_;
@@ -142,7 +180,7 @@ class RippleEngine : public InferenceEngine {
   std::vector<HopShardScratch> scratch_;  // one per shard
   Matrix delta_block_;                    // rank-major Δh rows for one hop
 
-  // Compute-phase message buckets, flat-indexed [block * num_shards_ +
+  // Push-scatter message buckets, flat-indexed [block * num_shards_ +
   // target_shard]; cleared (capacity retained) every hop.
   struct ScatterMsg {
     std::uint32_t rank;  // sender's rank in the canonical order
@@ -150,7 +188,13 @@ class RippleEngine : public InferenceEngine {
     float alpha;
   };
   std::vector<std::vector<ScatterMsg>> msg_buckets_;
-  std::vector<std::vector<VertexId>> self_buckets_;
+
+  // Pull-scatter state, both indexed by vertex id and at rest between hops:
+  // a sender's rank in the canonical order (kNoRank for non-senders), and
+  // a byte per vertex flagging a target of the hop.
+  static constexpr std::uint32_t kNoRank = UINT32_MAX;
+  std::vector<std::uint32_t> rank_of_;
+  std::vector<std::uint8_t> target_flag_;
 };
 
 }  // namespace ripple

@@ -1,11 +1,30 @@
 // Mutable directed graph backed by per-vertex edge lists.
 //
 // This is the "lightweight edge list structure designed to efficiently
-// handle streaming updates" from the paper (§6): edge insertion/removal is
-// O(out_degree(u) + in_degree(v)) with no global rebuild, unlike CSR-based
-// stores (see infer/dgl_emu for the contrast). Both out- and in-adjacency
-// are maintained because update propagation pushes along out-edges while
-// recompute baselines pull along in-edges.
+// handle streaming updates" from the paper (§6): edges are inserted and
+// removed in place with no global rebuild, unlike CSR-based stores (see
+// infer/dgl_emu for the contrast). Both out- and in-adjacency are
+// maintained because update propagation pushes along out-edges while
+// recompute baselines — and RippleEngine's dense hops — pull along
+// in-edges.
+//
+// Sorted in-list invariant: every in-list is strictly ascending by source
+// id. RippleEngine's pull scatter (core/ripple_engine.h) walks a target's
+// in-list and must meet its senders in the same ascending-id order the push
+// scatter delivers them, which is what keeps the two directions
+// bit-identical. Costs:
+//   * add_edge: O(log in_degree(v)) search (it is also the duplicate check)
+//     plus an O(in_degree(v)) shift for a middle insert — an append when
+//     sources arrive in ascending order. Inserting a hub's edges in random
+//     source order costs O(in_degree²), so bulk builders dedup into
+//     out-lists and call from_out_lists(), which fills every in-list in
+//     ascending source order in O(|E|) (graph/generators.cpp);
+//   * remove_edge: O(log in_degree(v)) search plus an O(in_degree(v)) erase
+//     shift, and an O(out_degree(u)) find + swap-erase on the out-list;
+//   * has_edge / edge_weight: O(log in_degree(v)).
+// Out-lists stay in insertion order (swap-erase on removal): that order is
+// observable, since generators and streams sample out-neighbors by
+// position.
 #pragma once
 
 #include <cstddef>
@@ -22,10 +41,17 @@ class DynamicGraph {
   explicit DynamicGraph(std::size_t num_vertices)
       : out_(num_vertices), in_(num_vertices) {}
 
+  // Bulk build: adopts `out` as the out-lists (out[u] = u's out-edges, in
+  // their given order; no parallel edges) and derives the in-lists in one
+  // ascending-source pass, so every in-list insert is an append. Checks
+  // vertex ids and rejects a parallel edge.
+  static DynamicGraph from_out_lists(std::vector<std::vector<Neighbor>> out);
+
   std::size_t num_vertices() const { return out_.size(); }
   std::size_t num_edges() const { return num_edges_; }
 
-  // Inserts directed edge (u, v). Returns false (and leaves the graph
+  // Inserts directed edge (u, v): appended to u's out-list, inserted at its
+  // id-sorted place in v's in-list. Returns false (and leaves the graph
   // unchanged) if the edge already exists. Self-loops are allowed; parallel
   // edges are not.
   bool add_edge(VertexId u, VertexId v, EdgeWeight weight = 1.0f);
@@ -47,6 +73,7 @@ class DynamicGraph {
   std::span<const Neighbor> out_neighbors(VertexId u) const {
     return out_[u];
   }
+  // Ascending by source id (the sorted in-list invariant above).
   std::span<const Neighbor> in_neighbors(VertexId v) const { return in_[v]; }
 
   double avg_in_degree() const {

@@ -1,11 +1,47 @@
 #include "graph/generators.h"
 
 #include <cmath>
+#include <utility>
 
 #include "common/check.h"
 #include "common/rng.h"
 
 namespace ripple {
+
+namespace {
+
+// Bulk edge-set builder shared by the generators. It dedups through
+// out-lists in arrival order, exactly as a sequential add_edge loop would
+// (same accepted edges, same out-list order), then hands the out-lists to
+// DynamicGraph::from_out_lists, which fills the id-sorted in-lists in one
+// ascending-source pass instead of shifting into a hub's in-list per edge.
+class OutListBuilder {
+ public:
+  explicit OutListBuilder(std::size_t num_vertices) : out_(num_vertices) {}
+
+  std::size_t num_edges() const { return num_edges_; }
+
+  // Same contract as DynamicGraph::add_edge: false for a duplicate.
+  bool add_edge(VertexId u, VertexId v, EdgeWeight weight = 1.0f) {
+    std::vector<Neighbor>& list = out_[u];
+    for (const Neighbor& nb : list) {
+      if (nb.vertex == v) return false;
+    }
+    list.push_back({v, weight});
+    ++num_edges_;
+    return true;
+  }
+
+  DynamicGraph build() && {
+    return DynamicGraph::from_out_lists(std::move(out_));
+  }
+
+ private:
+  std::vector<std::vector<Neighbor>> out_;
+  std::size_t num_edges_ = 0;
+};
+
+}  // namespace
 
 DynamicGraph erdos_renyi(std::size_t num_vertices, std::size_t num_edges,
                          Rng& rng) {
@@ -13,21 +49,21 @@ DynamicGraph erdos_renyi(std::size_t num_vertices, std::size_t num_edges,
   RIPPLE_CHECK_MSG(
       num_edges <= num_vertices * (num_vertices - 1),
       "too many edges requested for a simple directed graph");
-  DynamicGraph graph(num_vertices);
+  OutListBuilder graph(num_vertices);
   while (graph.num_edges() < num_edges) {
     const auto u = static_cast<VertexId>(rng.next_below(num_vertices));
     const auto v = static_cast<VertexId>(rng.next_below(num_vertices));
     if (u == v) continue;
     graph.add_edge(u, v);
   }
-  return graph;
+  return std::move(graph).build();
 }
 
 DynamicGraph barabasi_albert(std::size_t num_vertices,
                              std::size_t edges_per_vertex, Rng& rng) {
   RIPPLE_CHECK(num_vertices > edges_per_vertex);
   RIPPLE_CHECK(edges_per_vertex >= 1);
-  DynamicGraph graph(num_vertices);
+  OutListBuilder graph(num_vertices);
   // Repeated-vertex list trick: picking a uniform entry from `targets`
   // realizes the (in_degree + 1)-proportional attachment distribution.
   std::vector<VertexId> targets;
@@ -54,7 +90,7 @@ DynamicGraph barabasi_albert(std::size_t num_vertices,
     }
     targets.push_back(u);
   }
-  return graph;
+  return std::move(graph).build();
 }
 
 DynamicGraph rmat(std::size_t num_vertices, std::size_t num_edges, double a,
@@ -64,7 +100,7 @@ DynamicGraph rmat(std::size_t num_vertices, std::size_t num_edges, double a,
                    "rmat probabilities must sum to 1");
   std::size_t scale = 0;
   while ((std::size_t{1} << scale) < num_vertices) ++scale;
-  DynamicGraph graph(num_vertices);
+  OutListBuilder graph(num_vertices);
   std::size_t failures = 0;
   const std::size_t max_failures = num_edges * 64 + 1024;
   while (graph.num_edges() < num_edges && failures < max_failures) {
@@ -91,7 +127,7 @@ DynamicGraph rmat(std::size_t num_vertices, std::size_t num_edges, double a,
       ++failures;
     }
   }
-  return graph;
+  return std::move(graph).build();
 }
 
 DynamicGraph stochastic_block_model(std::size_t num_vertices,
@@ -100,7 +136,7 @@ DynamicGraph stochastic_block_model(std::size_t num_vertices,
                                     std::vector<std::uint32_t>* labels) {
   RIPPLE_CHECK(num_blocks >= 1 && num_vertices >= num_blocks);
   RIPPLE_CHECK(p_in >= 0 && p_in <= 1 && p_out >= 0 && p_out <= 1);
-  DynamicGraph graph(num_vertices);
+  OutListBuilder graph(num_vertices);
   std::vector<std::uint32_t> block_of(num_vertices);
   for (std::size_t v = 0; v < num_vertices; ++v) {
     block_of[v] = static_cast<std::uint32_t>(v % num_blocks);
@@ -131,7 +167,7 @@ DynamicGraph stochastic_block_model(std::size_t num_vertices,
   sample_pairs(p_in, /*same_block=*/true);
   sample_pairs(p_out, /*same_block=*/false);
   if (labels != nullptr) *labels = std::move(block_of);
-  return graph;
+  return std::move(graph).build();
 }
 
 }  // namespace ripple

@@ -26,7 +26,8 @@
 //     b[1][j]) + ... — ascending k, one rounding per multiply and per add.
 //     SIMD tiers vectorize across the OUTPUT COLUMN axis only, so lanes
 //     hold different output elements and no element's chain is reordered.
-//   * Elementwise ops (add/sub/axpy/scale/relu) are trivially order-free.
+//   * Elementwise ops (add/sub/axpy/scale/relu) are trivially order-free;
+//     axpy_rows keeps each element's terms in ascending row-list order.
 //   * vec_dot reduces ALONG the vector, so a canonical 8-lane-split order
 //     is specified (see vec_dot below) and implemented identically by all
 //     three tiers.
@@ -48,6 +49,7 @@
 #pragma once
 
 #include <cstddef>
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -136,6 +138,15 @@ struct KernelOps {
   void (*vec_sub)(float* dst, const float* src, std::size_t n);
   void (*vec_axpy)(float* dst, float alpha, const float* src, std::size_t n);
   void (*vec_scale)(float* dst, float alpha, std::size_t n);
+  // Gathered axpy: for i in [0, count), dst += alphas[i] · base[rows[i]·ld
+  // .. + n) — bit-identical to `count` vec_axpy calls in that order (one
+  // mul rounding and one add rounding per term, ascending i). The SIMD
+  // tiers hold a strip of dst in registers across all `count` rows instead
+  // of a load/store round trip per row. dst must not alias any source row;
+  // rows may repeat; count may be 0 (dst untouched).
+  void (*axpy_rows)(float* dst, std::size_t n, const float* base,
+                    std::size_t ld, const std::uint32_t* rows,
+                    const float* alphas, std::size_t count);
   // relu(x) = x > 0 ? x : +0 (maps -0 and NaN to +0; all tiers agree).
   void (*relu)(float* p, std::size_t n);
 

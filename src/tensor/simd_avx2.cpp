@@ -52,6 +52,44 @@ void v_vec_axpy(float* dst, float alpha, const float* src, std::size_t n) {
   for (; i < n; ++i) dst[i] += alpha * src[i];
 }
 
+// axpy_rows over one strip of kVecs·8 columns: the strip
+// stays in registers while every listed row is added in order.
+template <std::size_t kVecs>
+inline void axpy_rows_strip(float* dst, const float* base, std::size_t ld,
+                            const std::uint32_t* rows, const float* alphas,
+                            std::size_t count) {
+  __m256 acc[kVecs];
+  for (std::size_t q = 0; q < kVecs; ++q) acc[q] = _mm256_loadu_ps(dst + 8 * q);
+  for (std::size_t i = 0; i < count; ++i) {
+    const __m256 va = _mm256_set1_ps(alphas[i]);
+    const float* src = base + rows[i] * ld;
+    for (std::size_t q = 0; q < kVecs; ++q) {
+      acc[q] = _mm256_add_ps(acc[q],
+                             _mm256_mul_ps(va, _mm256_loadu_ps(src + 8 * q)));
+    }
+  }
+  for (std::size_t q = 0; q < kVecs; ++q) _mm256_storeu_ps(dst + 8 * q, acc[q]);
+}
+
+void v_axpy_rows(float* dst, std::size_t n, const float* base, std::size_t ld,
+                 const std::uint32_t* rows, const float* alphas,
+                 std::size_t count) {
+  std::size_t j = 0;
+  for (; j + 64 <= n; j += 64) {
+    axpy_rows_strip<8>(dst + j, base + j, ld, rows, alphas, count);
+  }
+  for (; j + 8 <= n; j += 8) {
+    axpy_rows_strip<1>(dst + j, base + j, ld, rows, alphas, count);
+  }
+  for (; j < n; ++j) {
+    float acc = dst[j];
+    for (std::size_t i = 0; i < count; ++i) {
+      acc += alphas[i] * base[rows[i] * ld + j];
+    }
+    dst[j] = acc;
+  }
+}
+
 void v_vec_scale(float* dst, float alpha, std::size_t n) {
   const __m256 va = _mm256_set1_ps(alpha);
   std::size_t i = 0;
@@ -207,6 +245,7 @@ const KernelOps kAvx2Ops = {
     .vec_sub = v_vec_sub,
     .vec_axpy = v_vec_axpy,
     .vec_scale = v_vec_scale,
+    .axpy_rows = v_axpy_rows,
     .relu = v_relu,
     .vec_dot = v_vec_dot,
     .gemv_accum = v_gemv_accum,

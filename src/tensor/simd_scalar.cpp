@@ -25,6 +25,14 @@ void s_vec_axpy(float* dst, float alpha, const float* src, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] += alpha * src[i];
 }
 
+void s_axpy_rows(float* dst, std::size_t n, const float* base, std::size_t ld,
+                 const std::uint32_t* rows, const float* alphas,
+                 std::size_t count) {
+  for (std::size_t i = 0; i < count; ++i) {
+    s_vec_axpy(dst, alphas[i], base + rows[i] * ld, n);
+  }
+}
+
 void s_vec_scale(float* dst, float alpha, std::size_t n) {
   for (std::size_t i = 0; i < n; ++i) dst[i] *= alpha;
 }
@@ -108,6 +116,7 @@ const KernelOps kScalarOps = {
     .vec_sub = s_vec_sub,
     .vec_axpy = s_vec_axpy,
     .vec_scale = s_vec_scale,
+    .axpy_rows = s_axpy_rows,
     .relu = s_relu,
     .vec_dot = s_vec_dot,
     .gemv_accum = s_gemv_accum,

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "../test_util.h"
+#include "common/thread_pool.h"
 
 namespace ripple {
 namespace {
@@ -171,6 +174,52 @@ TEST(RippleEngine, IncrementalOpsCounterAdvances) {
       GraphUpdate::edge_del(edge.src, edge.dst)};
   engine.apply_batch(batch);
   EXPECT_GT(engine.incremental_ops(), before);
+}
+
+// Both scatter directions against full recompute, on a pooled multi-shard
+// engine with a self-term model. A batch of one edge and one feature row on
+// a 400-vertex graph keeps every hop's sender out-edges far below the pull
+// threshold (push); a whole-graph feature batch makes every vertex a hop-1
+// sender, so the senders' out-edges are all of |E| (pull). Vertex 0 has no
+// in-edges: after its feature changes, its hop-2 cell comes only from the
+// self mark the scatter must set, in either direction.
+TEST(RippleEngine, SparseAndDenseHopsMatchRecompute) {
+  auto graph = testing::random_graph(400, 1600, 30);
+  std::vector<VertexId> sources;
+  for (const Neighbor& nb : graph.in_neighbors(0)) sources.push_back(nb.vertex);
+  for (const VertexId u : sources) graph.remove_edge(u, 0);
+  ASSERT_GT(graph.out_degree(0), 0u);
+  Matrix features = testing::random_features(400, 6, 31);
+  const auto model =
+      GnnModel::random(workload_config(Workload::gs_s, 6, 3, 3, 8), 32);
+  ThreadPool pool(2);
+  RippleEngine engine(model, graph, features, &pool, {.num_shards = 4});
+
+  VertexId u = 1;
+  while (graph.has_edge(u, 2) || u == 2) ++u;
+  const std::vector<float> row0 = {0.5f, -0.25f, 1.0f, 0.0f, -1.0f, 0.75f};
+  const std::vector<GraphUpdate> sparse = {
+      GraphUpdate::edge_add(u, 2), GraphUpdate::vertex_feature(0, row0)};
+  engine.apply_batch(sparse);
+  graph.add_edge(u, 2);
+  std::copy(row0.begin(), row0.end(), features.row(0).begin());
+  EXPECT_LT(testing::max_store_diff(
+                engine.embeddings(),
+                testing::full_inference_truth(model, graph, features)),
+            1e-4f);
+
+  const Matrix fresh = testing::random_features(400, 6, 33);
+  std::vector<GraphUpdate> dense;
+  for (VertexId v = 0; v < 400; ++v) {
+    const auto row = fresh.row(v);
+    dense.push_back(GraphUpdate::vertex_feature(
+        v, std::vector<float>(row.begin(), row.end())));
+  }
+  engine.apply_batch(dense);
+  EXPECT_LT(testing::max_store_diff(
+                engine.embeddings(),
+                testing::full_inference_truth(model, graph, fresh)),
+            1e-4f);
 }
 
 }  // namespace

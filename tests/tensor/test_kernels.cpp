@@ -12,6 +12,8 @@
 #include <cmath>
 #include <cstdint>
 #include <cstring>
+#include <iterator>
+#include <limits>
 #include <vector>
 
 #include "common/rng.h"
@@ -204,6 +206,69 @@ TEST(KernelTiers, ElementwiseOpsBitIdenticalWithSpecials) {
       const float dot_ref = ref->vec_dot(dst0.data(), d2.data(), n);
       const float dot_tier = tier->vec_dot(dst0.data(), d2.data(), n);
       EXPECT_TRUE(bits_equal(&dot_ref, &dot_tier, 1, "vec_dot"));
+    }
+  }
+}
+
+// axpy_rows keeps the cell in registers across its rows but must round
+// exactly like one vec_axpy call per row, in row-list order — on every tier
+// and against the scalar reference. Rows repeat and ld exceeds n, so a
+// row's tail is never read as the next row's head. Finite data pins the
+// order (any reordering changes the rounding); the specials pass puts ±0,
+// NaN and ±inf in the sources and alphas.
+TEST(KernelTiers, AxpyRowsEqualsRepeatedAxpy) {
+  static const float kSpecialAlphas[] = {
+      -0.0f, 0.0f, std::numeric_limits<float>::infinity(),
+      std::bit_cast<float>(0x7fc01234u)};
+  std::vector<const KernelOps*> tiers = simd_tiers();
+  tiers.insert(tiers.begin(), scalar_kernel_ops());
+  for (const bool specials : {false, true}) {
+    for (const std::size_t n : {1u, 15u, 16u, 17u, 63u, 64u, 65u, 130u}) {
+      const std::size_t ld = n + 3;
+      constexpr std::size_t kBaseRows = 9;
+      const auto base = specials ? special_data(kBaseRows * ld, 400 + n)
+                                 : finite_data(kBaseRows * ld, 400 + n);
+      const auto dst0 =
+          specials ? special_data(n, 500 + n) : finite_data(n, 500 + n);
+      for (const std::size_t count : {0u, 1u, 23u}) {
+        std::vector<std::uint32_t> rows(count);
+        std::vector<float> alphas(count);
+        Rng rng(600 + n + count);
+        for (std::size_t i = 0; i < count; ++i) {
+          // Row 4 appears at least twice in the 23-row list.
+          rows[i] = i % 5 == 0 ? 4u
+                               : static_cast<std::uint32_t>(
+                                     rng.next_below(kBaseRows));
+          alphas[i] = rng.next_float(-2.0f, 2.0f);
+        }
+        if (specials && count > 1) {
+          // One special alpha per call, so NaN/inf reach some checks
+          // without masking every element of the rest.
+          alphas[count / 2] = kSpecialAlphas[n % std::size(kSpecialAlphas)];
+        }
+        auto reference = dst0;
+        for (std::size_t i = 0; i < count; ++i) {
+          scalar_kernel_ops()->vec_axpy(reference.data(), alphas[i],
+                                        base.data() + rows[i] * ld, n);
+        }
+        for (const KernelOps* tier : tiers) {
+          SCOPED_TRACE(::testing::Message()
+                       << kernel_isa_name(tier->isa) << " n=" << n
+                       << " count=" << count << " specials=" << specials);
+          auto repeated = dst0;
+          for (std::size_t i = 0; i < count; ++i) {
+            tier->vec_axpy(repeated.data(), alphas[i],
+                           base.data() + rows[i] * ld, n);
+          }
+          auto gathered = dst0;
+          tier->axpy_rows(gathered.data(), n, base.data(), ld, rows.data(),
+                          alphas.data(), count);
+          EXPECT_TRUE(
+              bits_equal(repeated.data(), gathered.data(), n, "axpy_rows"));
+          EXPECT_TRUE(bits_equal(reference.data(), gathered.data(), n,
+                                 "axpy_rows vs scalar"));
+        }
+      }
     }
   }
 }
