@@ -39,6 +39,28 @@ Mailbox::Mailbox(std::size_t dim, std::size_t rows, std::size_t num_shards,
     : dim_(dim), local_row_(local_row), slot_(rows, kAbsent) {
   RIPPLE_CHECK_MSG(num_shards >= 1, "mailbox needs at least one shard");
   shards_.resize(num_shards);
+  span_rows();
+}
+
+void Mailbox::span_rows() {
+  // row · row_scale_ < num_shards · 2^32 for every row below rows, so the
+  // product fits 64 bits.
+  row_scale_ = slot_.empty()
+                   ? 0
+                   : (static_cast<std::uint64_t>(shards_.size()) << 32) /
+                         slot_.size();
+}
+
+std::pair<std::size_t, std::size_t> Mailbox::row_range(std::size_t s) const {
+  // shard_of_row(row) >= s  <=>  row · row_scale_ >= s · 2^32.
+  const auto first_row = [&](std::size_t shard) -> std::size_t {
+    if (row_scale_ == 0) return 0;
+    const std::uint64_t row =
+        ((static_cast<std::uint64_t>(shard) << 32) + row_scale_ - 1) /
+        row_scale_;
+    return std::min<std::uint64_t>(row, slot_.size());
+  };
+  return {first_row(s), first_row(s + 1)};
 }
 
 std::vector<std::uint32_t> Mailbox::Shard::sorted_slots() const {
@@ -58,6 +80,7 @@ std::vector<std::uint32_t> Mailbox::Shard::sorted_slots() const {
 void Mailbox::resize_rows(std::size_t rows) {
   RIPPLE_CHECK_MSG(empty(), "mailbox index resized with pending cells");
   slot_.resize(rows, kAbsent);
+  span_rows();
 }
 
 std::size_t Mailbox::size() const {
@@ -73,10 +96,11 @@ bool Mailbox::empty() const {
   return true;
 }
 
-std::uint32_t Mailbox::slot_of(Shard& shard, VertexId v) {
+Mailbox::Cell Mailbox::cell_of(VertexId v) {
   const std::size_t row = row_of(v);
   RIPPLE_CHECK_MSG(row < slot_.size(), "mailbox row " << row << " of vertex "
                                            << v << " beyond " << slot_.size());
+  Shard& shard = shards_[shard_of_row(row)];
   std::uint32_t& slot = slot_[row];
   if (slot == kAbsent) {
     slot = static_cast<std::uint32_t>(shard.size());
@@ -85,14 +109,13 @@ std::uint32_t Mailbox::slot_of(Shard& shard, VertexId v) {
     shard.touched.push_back(0);
     shard.self.push_back(0);
   }
-  return slot;
+  return {shard, slot};
 }
 
 std::span<float> Mailbox::touched_delta(VertexId v) {
-  Shard& shard = mutable_shard(v);
-  const std::uint32_t slot = slot_of(shard, v);
-  shard.touched[slot] = 1;
-  return {shard.deltas.data() + slot * dim_, dim_};
+  const Cell cell = cell_of(v);
+  cell.shard.touched[cell.slot] = 1;
+  return {cell.shard.deltas.data() + cell.slot * dim_, dim_};
 }
 
 void Mailbox::accumulate(VertexId v, float alpha,
@@ -110,26 +133,26 @@ void Mailbox::accumulate(VertexId v, float alpha,
 }
 
 void Mailbox::mark_self_changed(VertexId v) {
-  Shard& shard = mutable_shard(v);
-  shard.self[slot_of(shard, v)] = 1;
+  const Cell cell = cell_of(v);
+  cell.shard.self[cell.slot] = 1;
 }
 
 bool Mailbox::contains(VertexId v) const {
   const std::size_t row = row_of(v);
   if (row >= slot_.size()) return false;
   // A remapped row can name another vertex's cell; the slot's vertex decides.
-  const Shard& shard = shards_[shard_of(v)];
+  const Shard& shard = shards_[shard_of_row(row)];
   const std::uint32_t slot = slot_[row];
   return slot < shard.size() && shard.vertices[slot] == v;
 }
 
 Mailbox::EntryView Mailbox::entry(VertexId v) {
-  Shard& shard = mutable_shard(v);
-  const std::uint32_t slot = slot_of(shard, v);
+  const Cell cell = cell_of(v);
   return EntryView{
-      .delta_agg = std::span<float>(shard.deltas.data() + slot * dim_, dim_),
-      .touched_agg = shard.touched[slot] != 0,
-      .self_changed = shard.self[slot] != 0,
+      .delta_agg = std::span<float>(
+          cell.shard.deltas.data() + cell.slot * dim_, dim_),
+      .touched_agg = cell.shard.touched[cell.slot] != 0,
+      .self_changed = cell.shard.self[cell.slot] != 0,
   };
 }
 

@@ -9,29 +9,33 @@
 // re-evaluation of Update functions with a self term (SAGE, GIN) even when
 // no in-neighbor message arrived.
 //
-// Sharded layout: the mailbox is split into N shards keyed by a vertex-id
-// hash. Each shard owns dense slot-major buffers: its vertex list, a delta
-// buffer (slot · dim floats) and per-slot touched/self flags. One dense
-// index, shared by every shard, maps a vertex's row to its slot in
-// shard_of(v) (absent cells hold kAbsent). A row is the vertex id on a
-// single machine; the distributed engine passes its LocalRowMap table, so a
-// rank's index is sized to its owned rows, not to the whole graph. The
-// layout serves the shard-parallel propagation core
-// (core/ripple_engine.cpp):
+// Sharded layout: the mailbox is split into N shards, each a contiguous
+// range of index rows: rows [0, rows) fall into N equal-width ranges in
+// index order (see shard_of_row for the rounding). A row is the vertex id on a single machine; the distributed
+// engine passes its LocalRowMap table, so a rank's index is sized to its
+// owned rows, not to the whole graph, and its shards are local-row ranges.
+// Each shard owns dense slot-major buffers: its vertex list, a delta buffer
+// (slot · dim floats) and per-slot touched/self flags. One dense index,
+// shared by every shard, maps a vertex's row to its slot in shard_of(v)
+// (absent cells hold kAbsent). The layout serves the shard-parallel
+// propagation core (core/ripple_engine.cpp):
 //   * the seed/update phase accumulates into shards without any global
 //     structure growing a hot lock;
 //   * the compute phase scatters messages owner-computes style — the worker
 //     that owns target shard s is the only writer of shard s, and — since
-//     shard_of partitions the vertices and each vertex has its own row —
-//     of their index entries, so no locks are needed;
+//     shard_of partitions the rows — of their index entries, so no locks
+//     are needed; a pulling worker walks exactly its shard's row range;
 //   * the apply phase drains shards in deterministic order: slots sorted by
 //     vertex id within each shard, shards in index order, giving
-//     reproducible float accumulation for any shard/thread count.
+//     reproducible float accumulation for any shard/thread count. A shard's
+//     rows are neighbours in the aggregate cache and the embedding tables,
+//     so its fold, gather and commit walks keep their spatial locality.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "graph/types.h"
@@ -41,8 +45,8 @@ namespace ripple {
 
 class Mailbox {
  public:
-  // One hash shard: dense slot-major storage (the vertex → slot index is
-  // the mailbox's shared row array).
+  // One row-range shard: dense slot-major storage (the vertex → slot index
+  // is the mailbox's shared row array).
   struct Shard {
     std::vector<VertexId> vertices;     // slot → vertex (insertion order)
     std::vector<float> deltas;          // slot-major, dim floats per slot
@@ -64,7 +68,8 @@ class Mailbox {
 
   // dim: width of the previous-layer embeddings this hop aggregates.
   // rows: size of the dense index; every cell's row must be below it.
-  // num_shards: hash shards; 1 reproduces a single flat mailbox.
+  // num_shards: equal-width row ranges; 1 reproduces a single flat
+  // mailbox.
   // local_row (optional): global→row remap, the same table
   // apply_hop_shard's `local_row` takes; it must outlive the mailbox. Null
   // means a vertex's row is its id.
@@ -76,15 +81,19 @@ class Mailbox {
   std::size_t size() const;
   bool empty() const;
 
-  // Owning shard of v: pure function of (v, num_shards), independent of
-  // insertion history — the owner-computes contract of the compute phase.
-  std::size_t shard_of(VertexId v) const {
-    if (shards_.size() == 1) return 0;
-    return fib_spread(v, shards_.size());
-  }
+  // Owning shard of v: the row range holding row_of(v). A pure function of
+  // (row, rows, num_shards), independent of insertion history — the
+  // owner-computes contract of the compute phase. v's row must be below
+  // the index bound.
+  std::size_t shard_of(VertexId v) const { return shard_of_row(row_of(v)); }
+
+  // Rows [first, second) of shard s; the ranges ascend with s and together
+  // cover [0, rows). Empty when rows < num_shards leaves s no row.
+  std::pair<std::size_t, std::size_t> row_range(std::size_t s) const;
 
   // Resizes the index to `rows` rows — for a row count that changed since
-  // construction (a migration's re-home). Only while empty.
+  // construction (a migration's re-home) — and re-spans the shard ranges
+  // over them. Only while empty.
   void resize_rows(std::size_t rows);
 
   // Accumulates alpha * (h_new - h_old) into v's cell. h_old may be empty
@@ -131,11 +140,28 @@ class Mailbox {
   std::size_t bytes() const;
 
  private:
-  Shard& mutable_shard(VertexId v) { return shards_[shard_of(v)]; }
+  // A cell's home: its shard and its slot there.
+  struct Cell {
+    Shard& shard;
+    std::uint32_t slot;
+  };
+
   std::size_t row_of(VertexId v) const {
     return local_row_ != nullptr ? local_row_[v] : v;
   }
-  std::uint32_t slot_of(Shard& shard, VertexId v);
+  // One multiply and shift instead of a division per call: monotone in row
+  // and below num_shards for every row below rows. Each range boundary sits
+  // within one row of s · rows / num_shards while rows² < num_shards · 2^32
+  // (185k rows at 8 shards) and drifts by at most rows² / (num_shards ·
+  // 2^32) rows beyond that.
+  std::size_t shard_of_row(std::size_t row) const {
+    return static_cast<std::size_t>((row * row_scale_) >> 32);
+  }
+  // Sets row_scale_ for the current row and shard counts.
+  void span_rows();
+  // Checks v's row against the index bound BEFORE choosing its shard (a row
+  // past the bound has none), then returns v's cell, created if absent.
+  Cell cell_of(VertexId v);
 
   // Index entry of a row without a cell.
   static constexpr std::uint32_t kAbsent = UINT32_MAX;
@@ -143,6 +169,8 @@ class Mailbox {
   std::size_t dim_;
   const std::uint32_t* local_row_;
   std::vector<std::uint32_t> slot_;  // row → slot in shard_of(v), or kAbsent
+  // floor(num_shards · 2^32 / rows); 0 for a zero-row index.
+  std::uint64_t row_scale_ = 0;
   std::vector<Shard> shards_;
 };
 

@@ -40,7 +40,6 @@ RippleEngine::RippleEngine(const GnnModel& model, DynamicGraph snapshot,
   scratch_.resize(num_shards_);
   msg_buckets_.resize(num_shards_ * num_shards_);
   rank_of_.assign(graph_.num_vertices(), kNoRank);
-  target_flag_.assign(graph_.num_vertices(), 0);
   bootstrap(features);
 }
 
@@ -125,14 +124,17 @@ std::size_t block_begin(std::size_t b, std::size_t size, std::size_t blocks) {
 
 // Direction switch: a hop pulls when its senders' out-edges M exceed
 // kPullFraction · |E|. Set from a recorded per-hop push/pull sweep
-// (single-threaded, 4-core Xeon; table in CHANGES.md). The crossover
-// depends on degree: on products-s (in-degree ~25) pull is even at
-// M/|E| = 20% and faster from 33% up; on arxiv-s (in-degree ~6.9) push is
-// faster up to 39% (by 1.17x) and the two are even from 53% up. 0.4 keeps
-// every measured arxiv-s hop on its faster or an even side — serve-arxiv's
-// hops (M/|E| ~ 0.2%) push — and pulls both bulk-products hops (70% and
-// 99.5%); products-s hops between 20% and 40% stay on the slower push.
-constexpr double kPullFraction = 0.4;
+// (single-threaded, 4-core Xeon; table in CHANGES.md). The pull walks every
+// in-edge of the graph, a cost nearly fixed per hop, while the push grows
+// with M. Pull wins from M/|E| ~ 12% on products-s, papers-s and reddit-s
+// (in-degree 25, 14.5 and 96), but on arxiv-s (in-degree 6.9) push stays
+// faster up to ~40% (by 1.14x at 27%) and the two are even near 49%. 0.15
+// keeps every measured products-s and reddit-s hop on its faster or an
+// even side, serve-arxiv's hops (M/|E| ~ 0.2%) on push and both
+// bulk-products hops (70% and 99.5%) on pull. It leaves papers-s hops at
+// 12-15% on the slower push (by 1.28x at 13%) and arxiv-s hops between 15%
+// and ~45% on the slower pull.
+constexpr double kPullFraction = 0.15;
 
 // In-neighbor hits gathered per axpy_rows call of the pull scatter; a hub
 // target takes several calls, each continuing the same rounding chain.
@@ -154,27 +156,6 @@ void RippleEngine::bucket_sender_block(std::size_t l, std::size_t b,
       msg_buckets_[b * num_shards_ + t].push_back(
           {static_cast<std::uint32_t>(r), nb.vertex,
            edge_alpha(nb.weight)});
-    }
-  }
-}
-
-void RippleEngine::mark_sender_block(std::size_t b,
-                                     const std::vector<VertexId>& order) {
-  const std::size_t rank_hi = block_begin(b + 1, order.size(), num_shards_);
-  for (std::size_t r = block_begin(b, order.size(), num_shards_); r < rank_hi;
-       ++r) {
-    const VertexId v = order[r];
-    rank_of_[v] = static_cast<std::uint32_t>(r);
-    // Blocks flag shared targets concurrently with relaxed atomics; every
-    // store writes the same value and the phase barrier orders them before
-    // any read. Loading first skips the store for an already-flagged
-    // target, so the flag lines stay shared instead of bouncing between
-    // workers (a dense hop flags each target many times).
-    for (const Neighbor& nb : graph_.out_neighbors(v)) {
-      std::atomic_ref<std::uint8_t> flag(target_flag_[nb.vertex]);
-      if (flag.load(std::memory_order_relaxed) == 0) {
-        flag.store(1, std::memory_order_relaxed);
-      }
     }
   }
 }
@@ -211,26 +192,28 @@ void RippleEngine::pull_target_shard(std::size_t l, std::size_t t) {
   const std::size_t dim = delta_block_.cols();
   std::uint32_t rows[kPullChunk];
   float alphas[kPullChunk];
-  // Owner-computes like the push drain: targets of shard t in ascending id,
-  // each cell's in-list walked in ascending source id — the ascending-sender
-  // order the push scatter delivers, so both directions are bit-identical.
-  for (VertexId v = 0; v < target_flag_.size(); ++v) {
-    if (next.shard_of(v) != t || target_flag_[v] == 0) continue;
-    target_flag_[v] = 0;
-    float* cell = next.touched_delta(v).data();
+  // Owner-computes like the push drain: the targets of shard t are its row
+  // range (rows are vertex ids here), walked in ascending id; each in-list
+  // is walked in ascending source id — the ascending-sender order the push
+  // scatter delivers, so both directions are bit-identical. A target's cell
+  // is created at its first sender, so a target without one gets none.
+  const auto [first, last] = next.row_range(t);
+  for (VertexId v = first; v < last; ++v) {
+    float* cell = nullptr;
     std::size_t count = 0;
+    const auto flush = [&] {
+      if (cell == nullptr) cell = next.touched_delta(v).data();
+      ops.axpy_rows(cell, dim, delta_block_.data(), dim, rows, alphas, count);
+      count = 0;
+    };
     for (const Neighbor& nb : graph_.in_neighbors(v)) {
       const std::uint32_t rank = rank_of_[nb.vertex];
       if (rank == kNoRank) continue;
       rows[count] = rank;
       alphas[count] = edge_alpha(nb.weight);
-      if (++count == kPullChunk) {
-        ops.axpy_rows(cell, dim, delta_block_.data(), dim, rows, alphas,
-                      count);
-        count = 0;
-      }
+      if (++count == kPullChunk) flush();
     }
-    ops.axpy_rows(cell, dim, delta_block_.data(), dim, rows, alphas, count);
+    if (count != 0) flush();
   }
   mark_self_targets(l, t);
 }
@@ -240,19 +223,15 @@ std::uint64_t RippleEngine::scatter(std::size_t l,
   // One message per out-edge of a sender, in either direction.
   std::uint64_t messages = 0;
   for (const VertexId v : order) messages += graph_.out_degree(v);
-  std::vector<std::size_t> block_costs(num_shards_);
-  for (std::size_t b = 0; b < num_shards_; ++b) {
-    block_costs[b] = block_begin(b + 1, order.size(), num_shards_) -
-                     block_begin(b, order.size(), num_shards_);
-  }
 
   if (static_cast<double>(messages) >
       kPullFraction * static_cast<double>(graph_.num_edges())) {
-    // Dense hop — pull. Stage 1: one task per sender block records ranks
-    // and flags targets. Stage 2: one task per target shard gathers each
-    // flagged target's in-neighbor Δh rows.
-    stealer_->run(num_shards_, block_costs,
-                  [&](std::size_t b) { mark_sender_block(b, order); });
+    // Dense hop — pull. The senders' ranks go into rank_of_ (O(senders),
+    // serial); then one task per target shard gathers its row range's
+    // in-neighbor Δh rows.
+    for (std::size_t r = 0; r < order.size(); ++r) {
+      rank_of_[order[r]] = static_cast<std::uint32_t>(r);
+    }
     stealer_->run(num_shards_, {},
                   [&](std::size_t t) { pull_target_shard(l, t); });
     for (const VertexId v : order) rank_of_[v] = kNoRank;
@@ -261,6 +240,11 @@ std::uint64_t RippleEngine::scatter(std::size_t l,
 
   // Sparse hop — push. Stage 1: one task per sender block, costed by its
   // sender count, buckets the block's messages per target shard.
+  std::vector<std::size_t> block_costs(num_shards_);
+  for (std::size_t b = 0; b < num_shards_; ++b) {
+    block_costs[b] = block_begin(b + 1, order.size(), num_shards_) -
+                     block_begin(b, order.size(), num_shards_);
+  }
   stealer_->run(num_shards_, block_costs,
                 [&](std::size_t b) { bucket_sender_block(l, b, order); });
   // Stage 2: one task per target shard, costed by its pending messages and
@@ -353,8 +337,7 @@ std::size_t RippleEngine::memory_bytes() const {
   std::size_t total = store_.bytes() + graph_.bytes();
   for (const auto& cache : agg_cache_) total += cache.bytes();
   for (const auto& mailbox : mailboxes_) total += mailbox.bytes();
-  total += rank_of_.capacity() * sizeof(std::uint32_t) +
-           target_flag_.capacity();
+  total += rank_of_.capacity() * sizeof(std::uint32_t);
   return total;
 }
 

@@ -13,10 +13,11 @@
 //
 // Shard-parallel propagation core
 // -------------------------------
-// Each hop's mailbox is sharded by vertex hash (core/mailbox.h), and each
-// hop runs as two phases on the work-stealing runtime: one task per
-// shard / sender block, LPT-seeded by pending-slot counts and stolen on
-// imbalance (common/scheduler.h). Without a pool every task runs inline.
+// Each hop's mailbox is sharded into contiguous vertex-id ranges
+// (core/mailbox.h), and each hop runs as two phases on the work-stealing
+// runtime: one task per shard / sender block, LPT-seeded by pending-slot
+// counts and stolen on imbalance (common/scheduler.h). Without a pool every
+// task runs inline.
 //
 //  * Apply phase — shard-parallel. Each worker drains whole shards: it
 //    folds the shard's accumulated Δagg into the aggregate cache, gathers
@@ -24,16 +25,16 @@
 //    Update function with ONE blocked GEMM (GnnLayer::update_matrix)
 //    instead of per-vertex GEMVs, and scatters the results back into H^l.
 //    Every vertex lives in exactly one shard, so workers write disjoint
-//    rows and no synchronization is needed.
+//    rows and no synchronization is needed; a shard's rows are one id
+//    range, so each worker's walks over the cache and H^l stay local.
 //
 //  * Compute phase — the Δh scatter into the hop-(l+1) mailbox, in one of
 //    two directions chosen per hop (Beamer et al.'s direction-optimizing
 //    traversal). The switch compares the senders' out-edge count
 //    M = Σ out_degree(u), O(|senders|) to sum, against |E|: a hop whose
 //    M exceeds kPullFraction · |E| (ripple_engine.cpp, with the sweep that
-//    set it) pulls, every other hop pushes. Both directions run two
-//    lock-free stages of one task per sender block, then one task per
-//    target shard.
+//    set it) pulls, every other hop pushes. Both directions end in one
+//    lock-free task per target shard.
 //    - Push (sparse hops). (1) Bucket build: the canonical sender list
 //      (the affected set in ascending id order) is split into fixed
 //      contiguous blocks; workers scan each block's out-edges ONCE and
@@ -44,14 +45,13 @@
 //      every cell accumulates its Δh messages in global ascending-sender
 //      order.
 //    - Pull (dense hops, where most cells of the graph receive messages
-//      and a per-message mailbox read-modify-write dominates). (1) Each
-//      sender block records its senders' ranks in a dense row → rank array
-//      and flags their out-neighbors in a dense byte array (relaxed atomic
-//      load-then-store; every store writes the same value). (2) The owner
-//      of target shard s walks its flagged targets in ascending id; per
-//      target it walks the in-list, keeps the in-neighbors that have a
-//      rank, and adds their α·Δh rows with KernelOps::axpy_rows, which
-//      holds the cell in registers.
+//      and a per-message mailbox read-modify-write dominates). The senders'
+//      ranks go serially into a dense row → rank array (O(senders)). Then
+//      the owner of target shard s walks its id range in ascending order;
+//      per target it walks the in-list, keeps the in-neighbors that have a
+//      rank, creates the cell at the first one, and adds their α·Δh rows
+//      with KernelOps::axpy_rows, which holds the cell in registers. A
+//      target with no sender in-neighbor gets no cell.
 //    Pull is bit-identical to push because DynamicGraph keeps every in-list
 //    sorted by source id (graph/dynamic_graph.h): the in-neighbors that are
 //    senders appear in ascending id — the canonical rank order — which is
@@ -66,7 +66,7 @@
 // cell has a single writer and receives its messages in ascending
 // sender-id order (contiguous blocks drained in order, or an id-sorted
 // in-list, reconstruct the global sort, independent of how senders block
-// or targets hash to shards, and of the direction). Embeddings are
+// or targets fall into shards, and of the direction). Embeddings are
 // therefore bit-identical for ANY shard count and ANY thread count,
 // including the sequential 1-shard/1-thread configuration — the scheduler
 // only decides WHICH worker runs a task, never what it computes or in what
@@ -88,7 +88,8 @@
 namespace ripple {
 
 struct RippleOptions {
-  // Mailbox shards per hop. 0 = auto: 1 without a thread pool, else
+  // Mailbox shards per hop, each an equal-width range of vertex ids (the
+  // rows of core/mailbox.h). 0 = auto: 1 without a thread pool, else
   // max(8, pool size) so the apply/compute phases have enough independent
   // work units to balance. Embeddings do not depend on this value (see the
   // determinism note above) — it only shapes parallel granularity.
@@ -151,14 +152,11 @@ class RippleEngine : public InferenceEngine {
   // Push stage-2 task: drain target shard t of the hop-(l+1) mailbox in
   // block order.
   void drain_target_shard(std::size_t l, std::size_t t);
-  // Pull stage-1 task: record sender block b's ranks in rank_of_ and flag
-  // its out-neighbors in target_flag_.
-  void mark_sender_block(std::size_t b, const std::vector<VertexId>& order);
-  // Pull stage-2 task: gather every flagged target of shard t from its
-  // in-neighbors' Δh rows, ascending target id.
+  // Pull task: gather every target in shard t's row range that has a
+  // sender in-neighbor from those senders' Δh rows, ascending target id.
   void pull_target_shard(std::size_t l, std::size_t t);
-  // Sets the hop-(l+1) self marks of shard t (self-term layers only); both
-  // stage-2 tasks end with it.
+  // Sets the hop-(l+1) self marks of shard t (self-term layers only); the
+  // push drain and the pull task end with it.
   void mark_self_targets(std::size_t l, std::size_t t);
 
   GnnModel model_;
@@ -189,12 +187,10 @@ class RippleEngine : public InferenceEngine {
   };
   std::vector<std::vector<ScatterMsg>> msg_buckets_;
 
-  // Pull-scatter state, both indexed by vertex id and at rest between hops:
-  // a sender's rank in the canonical order (kNoRank for non-senders), and
-  // a byte per vertex flagging a target of the hop.
+  // Pull-scatter state, indexed by vertex id and at rest between hops: a
+  // sender's rank in the canonical order (kNoRank for non-senders).
   static constexpr std::uint32_t kNoRank = UINT32_MAX;
   std::vector<std::uint32_t> rank_of_;
-  std::vector<std::uint8_t> target_flag_;
 };
 
 }  // namespace ripple

@@ -9,9 +9,10 @@
 namespace ripple {
 
 namespace {
-// Shards per partition-local mailbox: a small fixed fan-out keeps the
-// sharded drain path exercised without per-partition tuning (embeddings do
-// not depend on this value — see the determinism note in core/mailbox.h).
+// Shards per partition-local mailbox, each an equal-width range of the
+// partition's local rows: a small fixed fan-out keeps the sharded drain
+// path exercised without per-partition tuning (embeddings do not depend on
+// this value — see the determinism note in core/mailbox.h).
 constexpr std::size_t kShardsPerPart = 4;
 }  // namespace
 

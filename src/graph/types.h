@@ -14,10 +14,10 @@ using EdgeWeight = float;
 inline constexpr VertexId kInvalidVertex =
     std::numeric_limits<VertexId>::max();
 
-// Fibonacci multiplicative spread of a dense id across n buckets (n >= 1).
-// Shared by the mailbox shard map and the partition fallback for vertices
-// that join the stream after partitioning, so every component — and every
-// replica of a partition — routes the same id identically.
+// Fibonacci multiplicative spread of a dense id across n buckets (n >= 1):
+// the partition fallback for vertices that join the stream after
+// partitioning, so every replica of a partition routes the same id
+// identically.
 inline std::size_t fib_spread(VertexId v, std::size_t n) {
   const std::uint64_t h =
       static_cast<std::uint64_t>(v) * 0x9E3779B97F4A7C15ull;

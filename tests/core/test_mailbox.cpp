@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <bit>
+#include <cmath>
 #include <cstdint>
 #include <map>
 #include <numeric>
@@ -124,6 +125,83 @@ TEST(Mailbox, RowBoundIsChecked) {
   EXPECT_EQ(box.size(), 1u);
 }
 
+TEST(Mailbox, ZeroRowShardedMailboxRejectsEveryRow) {
+  // No row has a shard, so the bound is checked before any shard lookup.
+  Mailbox box(2, 0, 4);
+  const std::vector<float> h = {1.0f, 2.0f};
+  EXPECT_THROW(box.accumulate(0, 1.0f, h, {}), check_error);
+  EXPECT_THROW(box.mark_self_changed(3), check_error);
+  EXPECT_THROW(box.touched_delta(4000000), check_error);
+  EXPECT_FALSE(box.contains(0));
+  EXPECT_FALSE(box.contains(4000000));
+  EXPECT_TRUE(box.empty());
+  for (std::size_t s = 0; s < box.num_shards(); ++s) {
+    EXPECT_EQ(box.row_range(s).first, box.row_range(s).second);
+  }
+}
+
+// Every shard's rows are one ascending range, the ranges follow shard
+// index order and cover [0, rows) without a gap, each within one row of
+// rows / num_shards, and shard_of agrees with row_range for every row.
+void expect_contiguous_row_ranges(const Mailbox& box, std::size_t rows,
+                                  const std::vector<VertexId>& vertex_of_row) {
+  std::size_t next = 0;
+  const double width =
+      static_cast<double>(rows) / static_cast<double>(box.num_shards());
+  for (std::size_t s = 0; s < box.num_shards(); ++s) {
+    const auto [first, last] = box.row_range(s);
+    EXPECT_EQ(first, next) << "shard " << s;
+    ASSERT_LE(first, last) << "shard " << s;
+    EXPECT_LE(std::abs(static_cast<double>(last - first) - width), 1.0)
+        << "shard " << s;
+    for (std::size_t row = first; row < last; ++row) {
+      EXPECT_EQ(box.shard_of(vertex_of_row[row]), s) << "row " << row;
+    }
+    next = last;
+  }
+  EXPECT_EQ(next, rows);
+}
+
+TEST(Mailbox, ShardsAreContiguousRowRanges) {
+  std::vector<VertexId> ids(4096);
+  std::iota(ids.begin(), ids.end(), 0u);
+  for (const std::size_t rows : {1000u, 7u, 1u}) {
+    SCOPED_TRACE(rows);
+    expect_contiguous_row_ranges(Mailbox(1, rows, 8), rows, ids);
+  }
+
+  // Re-spanned by resize_rows.
+  Mailbox box(1, 1000, 8);
+  box.resize_rows(4096);
+  expect_contiguous_row_ranges(box, 4096, ids);
+  box.resize_rows(30);
+  expect_contiguous_row_ranges(box, 30, ids);
+
+  // With a local-row table the ranges are over local rows, not ids: 600
+  // owned ids spread over [0, 6000) in a shuffled order.
+  std::vector<VertexId> owned(600);
+  for (VertexId i = 0; i < owned.size(); ++i) owned[i] = 10 * i + 3;
+  Rng rng(5);
+  for (std::size_t i = owned.size(); i > 1; --i) {
+    std::swap(owned[i - 1], owned[rng.next_u64() % i]);
+  }
+  std::vector<std::uint32_t> local_row(6000, 0);
+  for (std::uint32_t row = 0; row < owned.size(); ++row) {
+    local_row[owned[row]] = row;
+  }
+  Mailbox remapped(1, owned.size(), 4, local_row.data());
+  expect_contiguous_row_ranges(remapped, owned.size(), owned);
+  for (const VertexId v : owned) remapped.mark_self_changed(v);
+  for (std::size_t s = 0; s < remapped.num_shards(); ++s) {
+    const auto [first, last] = remapped.row_range(s);
+    EXPECT_EQ(remapped.shard(s).size(), last - first);
+    for (const VertexId v : remapped.shard(s).vertices) {
+      EXPECT_GE(local_row[v], first);
+      EXPECT_LT(local_row[v], last);
+    }
+  }
+}
+
 TEST(Mailbox, ResizeRowsOnlyWhileEmpty) {
   Mailbox box(1, 4);
   box.mark_self_changed(3);
@@ -242,7 +320,7 @@ TEST(Mailbox, ShardOfIsStableAndInRange) {
   for (VertexId v = 0; v < 1000; ++v) {
     const auto s = box.shard_of(v);
     EXPECT_LT(s, 8u);
-    EXPECT_EQ(s, box.shard_of(v));  // pure function of (v, num_shards)
+    EXPECT_EQ(s, box.shard_of(v));  // pure function of (row, rows, shards)
   }
 }
 

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <numeric>
+#include <utility>
 
 #include "../test_util.h"
+#include "common/rng.h"
 #include "common/thread_pool.h"
 
 namespace ripple {
@@ -220,6 +223,81 @@ TEST(RippleEngine, SparseAndDenseHopsMatchRecompute) {
                 engine.embeddings(),
                 testing::full_inference_truth(model, graph, fresh)),
             1e-4f);
+}
+
+TEST(RippleEngine, DensePullCreatesCellsOnlyForSenderTargets) {
+  // 300 vertices: F = [0, 10) get new features; every F vertex feeds all of
+  // A = [10, 100); each A vertex feeds 10 of B = [100, 200); C = [250, 280)
+  // hears only from D = [200, 250), which never changes; D, F and
+  // E = [280, 300) have in-degree 0. Hop 1's senders are A ∪ F (the self
+  // channel adds F), whose out-edges are 1800 of the 1890, so hop 1 pulls
+  // and walks every target — C, D and E too.
+  constexpr VertexId kN = 300;
+  DynamicGraph graph(kN);
+  for (VertexId f = 0; f < 10; ++f) {
+    for (VertexId a = 10; a < 100; ++a) graph.add_edge(f, a);
+  }
+  Rng rng(41);
+  for (VertexId a = 10; a < 100; ++a) {
+    while (graph.out_degree(a) < 10) {
+      const auto b = static_cast<VertexId>(100 + rng.next_u64() % 100);
+      if (!graph.has_edge(a, b)) graph.add_edge(a, b);
+    }
+  }
+  for (VertexId c = 250; c < 280; ++c) {
+    for (VertexId k = 0; k < 3; ++k) graph.add_edge(200 + (c + 17 * k) % 50, c);
+  }
+  const Matrix features = testing::random_features(kN, 6, 42);
+  const Matrix fresh = testing::random_features(10, 6, 43);
+  const auto model =
+      GnnModel::random(workload_config(Workload::gs_s, 6, 3, 2, 8), 44);
+  ASSERT_TRUE(model.layer(0).uses_self());
+  ASSERT_TRUE(model.layer(1).uses_self());
+
+  std::vector<GraphUpdate> batch;
+  Matrix updated = features;
+  for (VertexId f = 0; f < 10; ++f) {
+    const auto row = fresh.row(f);
+    batch.push_back(GraphUpdate::vertex_feature(
+        f, std::vector<float>(row.begin(), row.end())));
+    std::copy(row.begin(), row.end(), updated.row(f).begin());
+  }
+
+  // The hop sets, counted from the graph alone: each hop holds its
+  // senders' out-neighbors plus (self channel) the senders themselves.
+  const auto next_hop = [&](const std::vector<VertexId>& senders) {
+    std::vector<VertexId> hop = senders;
+    for (const VertexId u : senders) {
+      for (const Neighbor& nb : graph.out_neighbors(u)) hop.push_back(nb.vertex);
+    }
+    std::sort(hop.begin(), hop.end());
+    hop.erase(std::unique(hop.begin(), hop.end()), hop.end());
+    return hop;
+  };
+  std::vector<VertexId> hop0(10);
+  std::iota(hop0.begin(), hop0.end(), 0u);
+  const std::vector<VertexId> hop1 = next_hop(hop0);
+  const std::vector<VertexId> hop2 = next_hop(hop1);
+  ASSERT_EQ(hop1.size(), 100u);
+  ASSERT_EQ(hop2.size(), 200u);
+  std::size_t hop1_messages = 0;
+  for (const VertexId u : hop1) hop1_messages += graph.out_degree(u);
+  ASSERT_GT(hop1_messages * 10, graph.num_edges() * 4);  // a pull hop
+
+  const auto truth = testing::full_inference_truth(model, graph, updated);
+  ThreadPool pool(2);
+  for (const auto& [threads, shards] :
+       {std::pair<ThreadPool*, std::size_t>{nullptr, 1}, {&pool, 4},
+        {&pool, 7}}) {
+    SCOPED_TRACE(shards);
+    RippleEngine engine(model, graph, features, threads,
+                        {.num_shards = shards});
+    BatchResult result = engine.apply_batch(batch);
+    std::sort(result.final_rows.begin(), result.final_rows.end());
+    EXPECT_EQ(result.final_rows, hop2);
+    EXPECT_EQ(result.propagation_tree_size, hop1.size() + hop2.size());
+    EXPECT_LT(testing::max_store_diff(engine.embeddings(), truth), 1e-4f);
+  }
 }
 
 }  // namespace
