@@ -103,8 +103,16 @@ ctest --test-dir build-scalar -L unit --output-on-failure -j "$(nproc)"
 # in-process tests.
 ./build/bench_micro_kernels --quick >/dev/null
 # Scheduler smoke: the stealing propagation core through a real binary at
-# one and two pool workers.
-./build/bench_parallel_scaling --quick --threads=1,2 >/dev/null
+# one and two pool workers. Exactness at the surface: both rows must carry
+# the same final-embedding hash and mean tree size.
+scaling="$(./build/bench_parallel_scaling --quick --threads=1,2 2>/dev/null)"
+if [[ "$(grep -c '"bench":"parallel_scaling"' <<<"$scaling")" != 2 ||
+      "$(grep -o '"mean_tree_size":[^,]*,"embedding_hash":"[0-9a-f]*"' \
+           <<<"$scaling" | sort -u | wc -l)" != 1 ]]; then
+  echo "ci.sh: bench_parallel_scaling rows differ across thread counts:" >&2
+  echo "$scaling" >&2
+  exit 1
+fi
 
 # Optional -march=native stage (gated on compiler+host support): the widest
 # vector ISA the host has, with auto-vectorization and FMA contraction on

@@ -312,8 +312,8 @@ void WorkStealingScheduler::run(std::size_t n,
   }
   // Serial fallbacks: no pool, a single task, or a caller that is a pool
   // worker without being a participant (opening a region there would block
-  // a worker in wait_all behind its own queue — same hazard the static
-  // parallel_for inlines around).
+  // a worker in wait_all behind its own queue, a deadlock once every worker
+  // does it).
   if (pool_ == nullptr || width_ <= 1 || n == 1 || pool_->on_worker_thread()) {
     run_serial(n, body);
     return;

@@ -1,5 +1,5 @@
-// Work-stealing shard scheduler: the one phase runtime of the engines,
-// pooled or not.
+// Work-stealing shard scheduler: the one parallel runtime of the engines and
+// the kernels (bootstrap GEMMs included), pooled or not.
 //
 // Motivation: mailbox shard sizes follow the stream's R-MAT power-law tail,
 // so a static split of the shard range leaves most workers idle while one
@@ -20,9 +20,8 @@
 //    push their sub-tasks onto the calling participant's own deque, where
 //    idle participants steal them, and the caller helps (pop own deque,
 //    steal on empty) until the nested region drains. Nested parallel work
-//    is therefore stolen, never serialized, unlike the static
-//    ThreadPool::parallel_for whose nested fallback must inline (see the
-//    deadlock note in common/thread_pool.h).
+//    is therefore stolen, never serialized, and never blocks a worker in
+//    ThreadPool::wait_all behind its own queued jobs.
 //
 // Determinism: the scheduler never changes WHAT a task computes or the
 // order of work INSIDE a task — engines keep their single-writer-per-shard
@@ -142,11 +141,10 @@ class WorkStealingScheduler {
            const std::function<void(std::size_t)>& body);
 
   // Range region: splits [begin, end) into >= min_chunk stealable blocks and
-  // runs body(lo, hi) per block. The nested-capable replacement for
-  // ThreadPool::parallel_for on the stealing runtime: called from inside a
-  // task, the blocks are pushed to the caller's deque and stolen by idle
-  // participants instead of the whole range serializing inline. At width 1
-  // there is no one to steal, so the range runs as one inline block.
+  // runs body(lo, hi) per block. Called from inside a task, the blocks are
+  // pushed to the caller's deque and stolen by idle participants instead of
+  // the whole range serializing inline. At width 1 there is no one to
+  // steal, so the range runs as one inline block.
   void parallel_range(std::size_t begin, std::size_t end,
                       const std::function<void(std::size_t, std::size_t)>& body,
                       std::size_t min_chunk = 256);

@@ -69,38 +69,4 @@ void ThreadPool::worker_loop() {
   }
 }
 
-void ThreadPool::parallel_for(
-    std::size_t begin, std::size_t end,
-    const std::function<void(std::size_t, std::size_t)>& body,
-    std::size_t min_chunk) {
-  if (begin >= end) return;
-  if (on_worker_thread()) {
-    // Nested use from inside a pool task: run inline. Submitting chunks and
-    // blocking in wait_all() here would park this worker behind its own
-    // tasks and deadlock once all workers do the same.
-    body(begin, end);
-    return;
-  }
-  const std::size_t n = end - begin;
-  const std::size_t max_chunks = std::max<std::size_t>(1, n / min_chunk);
-  const std::size_t num_chunks = std::min(workers_.size(), max_chunks);
-  if (num_chunks <= 1) {
-    body(begin, end);
-    return;
-  }
-  const std::size_t chunk = (n + num_chunks - 1) / num_chunks;
-  for (std::size_t c = 0; c < num_chunks; ++c) {
-    const std::size_t lo = begin + c * chunk;
-    const std::size_t hi = std::min(end, lo + chunk);
-    if (lo >= hi) break;
-    submit([&body, lo, hi] { body(lo, hi); });
-  }
-  wait_all();
-}
-
-ThreadPool& ThreadPool::global() {
-  static ThreadPool pool;
-  return pool;
-}
-
 }  // namespace ripple

@@ -1,6 +1,6 @@
-// Small fixed-size thread pool with a parallel_for helper.
-// Used by the tensor kernels and batch engines; sized to hardware
-// concurrency by default.
+// Small fixed-size thread pool: the worker substrate of the work-stealing
+// scheduler (common/scheduler.h), which submits one participant job per
+// worker for each parallel region. Sized to hardware concurrency by default.
 #pragma once
 
 #include <condition_variable>
@@ -28,22 +28,8 @@ class ThreadPool {
   void submit(std::function<void()> task);
   void wait_all();
 
-  // Splits [begin, end) into roughly equal contiguous chunks, runs
-  // body(chunk_begin, chunk_end) across the pool, and blocks until done.
-  // Falls back to inline execution for tiny ranges, a 1-thread pool, or
-  // when called from one of this pool's own workers — a nested
-  // parallel_for would otherwise block a worker on wait_all() while the
-  // tasks it is waiting for sit behind it in the queue (deadlock once
-  // every worker does this).
-  void parallel_for(std::size_t begin, std::size_t end,
-                    const std::function<void(std::size_t, std::size_t)>& body,
-                    std::size_t min_chunk = 256);
-
   // True when the calling thread is one of this pool's workers.
   bool on_worker_thread() const;
-
-  // Process-wide shared pool (lazily constructed).
-  static ThreadPool& global();
 
  private:
   void worker_loop();

@@ -4,7 +4,8 @@ namespace ripple {
 
 void bootstrap_with_caches(const GnnModel& model, const DynamicGraph& graph,
                            EmbeddingStore& store,
-                           std::vector<Matrix>& agg_cache, ThreadPool* pool) {
+                           std::vector<Matrix>& agg_cache,
+                           WorkStealingScheduler* scheduler) {
   const AggregatorKind cache_kind =
       model.config().aggregator == AggregatorKind::weighted_sum
           ? AggregatorKind::weighted_sum
@@ -26,7 +27,7 @@ void bootstrap_with_caches(const GnnModel& model, const DynamicGraph& graph,
       x = &x_actual;
     }
     model.layer(l).update_matrix(store.layer(l), *x, store.layer(l + 1),
-                                 pool);
+                                 scheduler);
     model.apply_activation_matrix(l, store.layer(l + 1));
   }
 }

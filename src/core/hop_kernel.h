@@ -151,9 +151,11 @@ std::uint64_t apply_hop_shard(const GnnModel& model, std::size_t l,
 // Layer-wise full inference that also fills the per-layer raw-sum aggregate
 // caches incremental engines maintain (mean's 1/deg normalization stays at
 // apply time so degree changes never invalidate a cache). store.features()
-// must already hold H^0. agg_cache is resized to one matrix per layer.
+// must already hold H^0. agg_cache is resized to one matrix per layer. The
+// Update GEMMs run on `scheduler` (the engine's stealer).
 void bootstrap_with_caches(const GnnModel& model, const DynamicGraph& graph,
                            EmbeddingStore& store,
-                           std::vector<Matrix>& agg_cache, ThreadPool* pool);
+                           std::vector<Matrix>& agg_cache,
+                           WorkStealingScheduler* scheduler);
 
 }  // namespace ripple

@@ -16,7 +16,7 @@ RippleEngine::RippleEngine(const GnnModel& model, DynamicGraph snapshot,
                            const Matrix& features, ThreadPool* pool,
                            RippleOptions options)
     : model_(model), graph_(std::move(snapshot)),
-      store_(model.config(), graph_.num_vertices()), pool_(pool),
+      store_(model.config(), graph_.num_vertices()),
       stealer_(std::make_unique<WorkStealingScheduler>(pool)),
       options_(options) {
   RIPPLE_CHECK_MSG(is_linear(model_.config().aggregator),
@@ -26,8 +26,8 @@ RippleEngine::RippleEngine(const GnnModel& model, DynamicGraph snapshot,
   RIPPLE_CHECK(features.rows() == graph_.num_vertices());
   num_shards_ = options_.num_shards != 0
                     ? options_.num_shards
-                    : (pool_ != nullptr
-                           ? std::max<std::size_t>(8, pool_->size())
+                    : (pool != nullptr
+                           ? std::max<std::size_t>(8, pool->size())
                            : 1);
   const std::size_t num_layers = model_.num_layers();
   agg_cache_.reserve(num_layers);
@@ -51,7 +51,7 @@ float RippleEngine::edge_alpha(EdgeWeight weight) const {
 
 void RippleEngine::bootstrap(const Matrix& features) {
   store_.features() = features;
-  bootstrap_with_caches(model_, graph_, store_, agg_cache_, pool_);
+  bootstrap_with_caches(model_, graph_, store_, agg_cache_, stealer_.get());
 }
 
 void RippleEngine::seed_edge_messages(VertexId u, VertexId v,
@@ -265,7 +265,9 @@ std::uint64_t RippleEngine::scatter(std::size_t l,
 BatchResult RippleEngine::propagate() {
   BatchResult result;
   result.num_shards = num_shards_;
-  result.num_threads = pool_ != nullptr ? pool_->size() : 1;
+  // Pool workers (the stealer's width less the caller), or 1 without a pool.
+  result.num_threads = std::max<std::size_t>(1, stealer_->width() - 1);
+  // Per-batch stats: this also drops the bootstrap GEMMs' regions.
   stealer_->reset_stats();
   const std::size_t num_layers = model_.num_layers();
   for (std::size_t l = 1; l <= num_layers; ++l) {

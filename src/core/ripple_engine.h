@@ -164,11 +164,11 @@ class RippleEngine : public InferenceEngine {
   EmbeddingStore store_;
   std::vector<Matrix> agg_cache_;   // [l-1] -> n x layer_in_dim(l-1) sums
   std::vector<Mailbox> mailboxes_;  // [l-1] -> hop-l mailbox
-  ThreadPool* pool_;
-  // Work-stealing runtime for the propagation phases: one task per shard /
-  // sender block, LPT-seeded by pending-slot counts, so a power-law hot
-  // shard no longer gates the phase. Without a pool it runs every phase
-  // inline. Reset per batch so BatchResult reports per-batch stats.
+  // Work-stealing runtime for the bootstrap GEMMs and the propagation
+  // phases: one task per shard / sender block, LPT-seeded by pending-slot
+  // counts, so a power-law hot shard no longer gates the phase. Without a
+  // pool it runs every region inline. Reset per batch so BatchResult
+  // reports per-batch stats.
   std::unique_ptr<WorkStealingScheduler> stealer_;
   RippleOptions options_;
   std::size_t num_shards_ = 1;

@@ -92,7 +92,7 @@ DistEngineBase::DistEngineBase(const char* key, const GnnModel& model,
     : model_(model), graph_(std::move(snapshot)),
       partition_(std::move(partition)),
       row_map_(partition_, graph_.num_vertices()),
-      transport_(std::move(transport)), pool_(pool),
+      transport_(std::move(transport)),
       stealer_(std::make_unique<WorkStealingScheduler>(pool)), key_(key) {
   RIPPLE_CHECK(features.rows() == graph_.num_vertices());
   RIPPLE_CHECK_MSG(partition_.num_vertices() <= graph_.num_vertices(),

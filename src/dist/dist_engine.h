@@ -351,10 +351,10 @@ class DistEngineBase {
   Partition partition_;
   LocalRowMap row_map_;  // stable global->local owned-row addressing
   std::unique_ptr<Transport> transport_;  // engine code sees only the iface
-  ThreadPool* pool_;
-  // Work-stealing runtime for the compute phases (inline without a pool):
-  // a hot partition's sub-tasks spread over idle workers, and its modeled
-  // endpoint shrinks to the W-worker makespan bound (see compute()).
+  // Work-stealing runtime for the bootstrap GEMMs and the compute phases
+  // (inline without a pool): a hot partition's sub-tasks spread over idle
+  // workers, and its modeled endpoint shrinks to the W-worker makespan
+  // bound (see compute()).
   std::unique_ptr<WorkStealingScheduler> stealer_;
   // The partitions this endpoint hosts (Transport::hosts()), ascending.
   std::vector<std::uint32_t> hosted_;

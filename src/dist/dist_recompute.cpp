@@ -26,7 +26,7 @@ DistRecomputeEngine::DistRecomputeEngine(const GnnModel& model,
   // constructor returns, so steady-state residency is per-rank.
   EmbeddingStore full(model_.config(), graph_.num_vertices());
   full.features() = features;
-  layerwise_full_inference(model_, graph_, full, pool_);
+  layerwise_full_inference(model_, graph_, full, stealer_.get());
   states_.resize(num_parts);
   for (const std::uint32_t p : hosted_) {
     states_[p] = EmbeddingStore(model_.config(), row_map_.part_size(p));

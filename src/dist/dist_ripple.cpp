@@ -37,7 +37,7 @@ DistRippleEngine::DistRippleEngine(const GnnModel& model,
   EmbeddingStore full(config, graph_.num_vertices());
   full.features() = features;
   std::vector<Matrix> full_cache;
-  bootstrap_with_caches(model_, graph_, full, full_cache, pool_);
+  bootstrap_with_caches(model_, graph_, full, full_cache, stealer_.get());
 
   std::vector<std::size_t> halo_widths(num_layers);
   for (std::size_t l = 0; l < num_layers; ++l) {

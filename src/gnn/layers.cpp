@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "common/rng.h"
-#include "common/thread_pool.h"
 #include "tensor/ops.h"
 
 namespace ripple {
@@ -83,14 +82,13 @@ void weight_gemv(std::span<const float> x, const Matrix& w,
   }
 }
 
-template <typename Par>
 void weight_gemm(const Matrix& a, const Matrix& w,
                  const std::vector<PackedMatrix>* packed, std::size_t wi,
-                 Matrix& c, Par* par) {
+                 Matrix& c, WorkStealingScheduler* scheduler) {
   if (packed != nullptr) {
-    gemm(a, (*packed)[wi], c, par);
+    gemm(a, (*packed)[wi], c, scheduler);
   } else {
-    gemm(a, w, c, par);
+    gemm(a, w, c, scheduler);
   }
 }
 
@@ -130,68 +128,44 @@ void GnnLayer::update_row(std::span<const float> h_self,
   weight_gemv(q, gin.w2, packed, 1, out);
 }
 
-namespace {
-
-// One body for both parallel backends: `Par` is ThreadPool (static chunked
-// gemm) or WorkStealingScheduler (stealable, nested-safe row blocks) — the
-// gemm overload set picks the right runtime. Row results are backend
-// independent, so the bits match across all three (incl. par == nullptr).
-template <typename Par>
-void update_matrix_impl(const GnnLayer::Params& params, std::size_t in_dim,
-                        const std::vector<PackedMatrix>* packed,
-                        const Matrix& h_prev, const Matrix& x_agg,
-                        Matrix& h_out, Par* par) {
-  RIPPLE_CHECK(x_agg.cols() == in_dim);
-  if (const auto* gc = std::get_if<GraphConvParams>(&params)) {
-    weight_gemm(x_agg, gc->weight, packed, 0, h_out, par);
+void GnnLayer::update_matrix(const Matrix& h_prev, const Matrix& x_agg,
+                             Matrix& h_out,
+                             WorkStealingScheduler* scheduler) const {
+  RIPPLE_CHECK(x_agg.cols() == in_dim_);
+  const auto* packed = has_packed_weights() ? &packed_ : nullptr;
+  if (const auto* gc = std::get_if<GraphConvParams>(&params_)) {
+    weight_gemm(x_agg, gc->weight, packed, 0, h_out, scheduler);
     add_bias_rows(h_out, gc->bias);
     return;
   }
-  RIPPLE_CHECK(h_prev.cols() == in_dim && h_prev.rows() == x_agg.rows());
-  if (const auto* sage = std::get_if<SageParams>(&params)) {
-    weight_gemm(h_prev, sage->w_self, packed, 0, h_out, par);
+  RIPPLE_CHECK(h_prev.cols() == in_dim_ && h_prev.rows() == x_agg.rows());
+  if (const auto* sage = std::get_if<SageParams>(&params_)) {
+    weight_gemm(h_prev, sage->w_self, packed, 0, h_out, scheduler);
     Matrix neigh_part;
-    weight_gemm(x_agg, sage->w_neigh, packed, 1, neigh_part, par);
+    weight_gemm(x_agg, sage->w_neigh, packed, 1, neigh_part, scheduler);
     for (std::size_t r = 0; r < h_out.rows(); ++r) {
       vec_add(h_out.row(r), neigh_part.row(r));
     }
     add_bias_rows(h_out, sage->bias);
     return;
   }
-  const auto& gin = std::get<GinParams>(params);
+  const auto& gin = std::get<GinParams>(params_);
   Matrix z;
-  z.resize_no_fill(h_prev.rows(), in_dim);
+  z.resize_no_fill(h_prev.rows(), in_dim_);
   for (std::size_t r = 0; r < z.rows(); ++r) {
     auto zr = z.row(r);
     const auto hr = h_prev.row(r);
     const auto xr = x_agg.row(r);
-    for (std::size_t j = 0; j < in_dim; ++j) {
+    for (std::size_t j = 0; j < in_dim_; ++j) {
       zr[j] = (1.0f + gin.eps) * hr[j] + xr[j];
     }
   }
   Matrix q;
-  weight_gemm(z, gin.w1, packed, 0, q, par);
+  weight_gemm(z, gin.w1, packed, 0, q, scheduler);
   add_bias_rows(q, gin.b1);
   relu_inplace(q);
-  weight_gemm(q, gin.w2, packed, 1, h_out, par);
+  weight_gemm(q, gin.w2, packed, 1, h_out, scheduler);
   add_bias_rows(h_out, gin.b2);
-}
-
-}  // namespace
-
-void GnnLayer::update_matrix(const Matrix& h_prev, const Matrix& x_agg,
-                             Matrix& h_out, ThreadPool* pool) const {
-  update_matrix_impl(params_, in_dim_,
-                     has_packed_weights() ? &packed_ : nullptr, h_prev, x_agg,
-                     h_out, pool);
-}
-
-void GnnLayer::update_matrix(const Matrix& h_prev, const Matrix& x_agg,
-                             Matrix& h_out,
-                             WorkStealingScheduler* scheduler) const {
-  update_matrix_impl(params_, in_dim_,
-                     has_packed_weights() ? &packed_ : nullptr, h_prev, x_agg,
-                     h_out, scheduler);
 }
 
 std::size_t GnnLayer::num_parameters() const {

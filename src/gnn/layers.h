@@ -21,7 +21,6 @@
 namespace ripple {
 
 class Rng;
-class ThreadPool;
 class WorkStealingScheduler;
 
 enum class LayerKind { graph_conv, sage, gin };
@@ -75,15 +74,12 @@ class GnnLayer {
                   std::span<float> out) const;
 
   // Whole-graph: h_out = Update(h_prev, x_agg) row-wise (pre-activation).
-  void update_matrix(const Matrix& h_prev, const Matrix& x_agg, Matrix& h_out,
-                     ThreadPool* pool = nullptr) const;
-
-  // Work-stealing variant: the GEMM row blocks become stealable tasks, so a
-  // hot shard's blocked Update spreads across idle participants even when
+  // With a scheduler the GEMM row blocks become stealable tasks, so a hot
+  // shard's blocked Update spreads across idle participants even when
   // called from inside a scheduler task (nested region). Bit-identical to
-  // the serial/pool paths — rows are computed independently either way.
+  // the serial path — rows are computed independently either way.
   void update_matrix(const Matrix& h_prev, const Matrix& x_agg, Matrix& h_out,
-                     WorkStealingScheduler* scheduler) const;
+                     WorkStealingScheduler* scheduler = nullptr) const;
 
   const Params& params() const { return params_; }
 

@@ -1,5 +1,6 @@
 #include "infer/dgl_emu.h"
 
+#include "common/scheduler.h"
 #include "common/timer.h"
 #include "infer/affected.h"
 #include "infer/layerwise.h"
@@ -12,10 +13,11 @@ DglEmuEngine::DglEmuEngine(const GnnModel& model, DynamicGraph snapshot,
                            const Matrix& features, ThreadPool* pool)
     : model_(model), mirror_(std::move(snapshot)),
       csr_(Csr::from_graph(mirror_)),
-      store_(model.config(), mirror_.num_vertices()), pool_(pool) {
+      store_(model.config(), mirror_.num_vertices()) {
   RIPPLE_CHECK(features.rows() == mirror_.num_vertices());
   store_.features() = features;
-  layerwise_full_inference(model_, csr_, store_, pool_);
+  WorkStealingScheduler scheduler(pool);
+  layerwise_full_inference(model_, csr_, store_, &scheduler);
 }
 
 BatchResult DglEmuEngine::apply_batch(UpdateBatch batch) {

@@ -35,7 +35,6 @@ class DglEmuEngine : public InferenceEngine {
   DynamicGraph mirror_;  // edge-list mirror used to regenerate the CSR
   Csr csr_;
   EmbeddingStore store_;
-  ThreadPool* pool_;
 };
 
 }  // namespace ripple

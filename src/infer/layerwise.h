@@ -7,19 +7,20 @@
 
 namespace ripple {
 
-class ThreadPool;
+class WorkStealingScheduler;
 
-// store.features() must already hold H^0; fills H^1..H^L.
-// GraphT: DynamicGraph or Csr.
+// store.features() must already hold H^0; fills H^1..H^L. With a scheduler
+// each layer's Update GEMM runs as stealable row blocks (bit-identical to
+// the serial path). GraphT: DynamicGraph or Csr.
 template <typename GraphT>
 void layerwise_full_inference(const GnnModel& model, const GraphT& graph,
                               EmbeddingStore& store,
-                              ThreadPool* pool = nullptr) {
+                              WorkStealingScheduler* scheduler = nullptr) {
   Matrix x_agg;
   for (std::size_t l = 0; l < model.num_layers(); ++l) {
     aggregate_all(model.config().aggregator, graph, store.layer(l), x_agg);
     model.layer(l).update_matrix(store.layer(l), x_agg, store.layer(l + 1),
-                                 pool);
+                                 scheduler);
     model.apply_activation_matrix(l, store.layer(l + 1));
   }
 }

@@ -1,5 +1,6 @@
 #include "infer/recompute.h"
 
+#include "common/scheduler.h"
 #include "common/timer.h"
 #include "infer/affected.h"
 #include "infer/layerwise.h"
@@ -33,10 +34,11 @@ std::size_t apply_updates_to_graph(DynamicGraph& graph, Matrix& features,
 RecomputeEngine::RecomputeEngine(const GnnModel& model, DynamicGraph snapshot,
                                  const Matrix& features, ThreadPool* pool)
     : model_(model), graph_(std::move(snapshot)),
-      store_(model.config(), graph_.num_vertices()), pool_(pool) {
+      store_(model.config(), graph_.num_vertices()) {
   RIPPLE_CHECK(features.rows() == graph_.num_vertices());
   store_.features() = features;
-  layerwise_full_inference(model_, graph_, store_, pool_);
+  WorkStealingScheduler scheduler(pool);
+  layerwise_full_inference(model_, graph_, store_, &scheduler);
 }
 
 BatchResult RecomputeEngine::apply_batch(UpdateBatch batch) {

@@ -29,7 +29,6 @@ class RecomputeEngine : public InferenceEngine {
   GnnModel model_;
   DynamicGraph graph_;
   EmbeddingStore store_;
-  ThreadPool* pool_;
   std::vector<float> x_scratch_;
 };
 

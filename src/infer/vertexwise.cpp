@@ -1,5 +1,6 @@
 #include "infer/vertexwise.h"
 
+#include "common/scheduler.h"
 #include "common/timer.h"
 #include "infer/affected.h"
 #include "infer/layerwise.h"
@@ -21,12 +22,13 @@ VertexWiseEngine::VertexWiseEngine(const GnnModel& model,
                                    ThreadPool* pool)
     : model_(model), graph_(std::move(snapshot)),
       store_(model.config(), graph_.num_vertices()), fanout_(fanout),
-      sampler_(sampler_seed), pool_(pool) {
+      sampler_(sampler_seed) {
   RIPPLE_CHECK(features.rows() == graph_.num_vertices());
   store_.features() = features;
   // Bootstrap is still layer-wise (the paper bootstraps all engines the same
   // way); vertex-wise cost shows up when serving updates.
-  layerwise_full_inference(model_, graph_, store_, pool_);
+  WorkStealingScheduler scheduler(pool);
+  layerwise_full_inference(model_, graph_, store_, &scheduler);
 }
 
 const std::vector<float>& VertexWiseEngine::compute_embedding(std::size_t l,

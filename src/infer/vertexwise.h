@@ -48,7 +48,6 @@ class VertexWiseEngine : public InferenceEngine {
   EmbeddingStore store_;
   std::size_t fanout_;
   NeighborSampler sampler_;
-  ThreadPool* pool_;
 };
 
 }  // namespace ripple

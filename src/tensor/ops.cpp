@@ -5,40 +5,10 @@
 #include <cstring>
 
 #include "common/scheduler.h"
-#include "common/thread_pool.h"
 
 namespace ripple {
 
 namespace {
-
-// One body for both parallel backends (ThreadPool static chunks vs
-// work-stealing row blocks). Row results are split-independent, so the
-// output bits match the serial path.
-template <typename Par>
-void gemm_impl(const Matrix& a, const PackedMatrix& b, Matrix& c, Par* par) {
-  RIPPLE_CHECK_MSG(a.cols() == b.rows(), "gemm shape mismatch: a is "
-                                             << a.rows() << 'x' << a.cols()
-                                             << ", b is " << b.rows() << 'x'
-                                             << b.cols());
-  c.resize_no_fill(a.rows(), b.cols());
-  const std::size_t m = a.rows();
-  const std::size_t k = a.cols();
-  const std::size_t n = b.cols();
-  const KernelOps& ops = kernels();
-  auto rows = [&](std::size_t lo, std::size_t hi) {
-    ops.gemm_packed(a.data() + lo * k, hi - lo, k, k, b, c.data() + lo * n,
-                    n);
-  };
-  if (par != nullptr && m >= 128) {
-    if constexpr (std::is_same_v<Par, ThreadPool>) {
-      par->parallel_for(0, m, rows, 64);
-    } else {
-      par->parallel_range(0, m, rows, 64);
-    }
-  } else {
-    rows(0, m);
-  }
-}
 
 // Keyed pack cache for the serial Matrix-B gemm path (see ops.h). A few
 // LRU entries keyed by (data pointer, shape); a hit is only served after
@@ -107,25 +77,6 @@ const PackedMatrix& pack_cached(const Matrix& b) {
   return victim->packed;
 }
 
-// Per-call B packing for the Matrix-B gemm overloads. The SERIAL path
-// packs through the keyed cache (gemm never calls itself, so no
-// reentrancy on one thread). The PARALLEL paths pack into a call-local
-// buffer instead: while a region drains, the calling participant may
-// help-execute or steal an UNRELATED task that itself packs — which would
-// clobber a cached entry while this call's row blocks still read it. One
-// allocation per ≥128-row GEMM is noise next to the m·k·n work (and layer
-// weights take the pre-packed overloads anyway).
-template <typename Par>
-void gemm_pack_b(const Matrix& a, const Matrix& b, Matrix& c, Par* par) {
-  if (par != nullptr && a.rows() >= 128) {
-    PackedMatrix local;
-    local.assign(b);
-    gemm_impl(a, local, c, par);
-    return;
-  }
-  gemm_impl(a, pack_cached(b), c, static_cast<Par*>(nullptr));
-}
-
 }  // namespace
 
 GemmPackCacheStats gemm_pack_cache_stats() { return g_pack_cache.stats; }
@@ -136,23 +87,44 @@ void gemm_pack_cache_reset() {
   g_pack_cache.stats = GemmPackCacheStats{};
 }
 
-void gemm(const Matrix& a, const Matrix& b, Matrix& c, ThreadPool* pool) {
-  gemm_pack_b(a, b, c, pool);
+void gemm(const Matrix& a, const PackedMatrix& b, Matrix& c,
+          WorkStealingScheduler* scheduler) {
+  RIPPLE_CHECK_MSG(a.cols() == b.rows(), "gemm shape mismatch: a is "
+                                             << a.rows() << 'x' << a.cols()
+                                             << ", b is " << b.rows() << 'x'
+                                             << b.cols());
+  c.resize_no_fill(a.rows(), b.cols());
+  const std::size_t m = a.rows();
+  const std::size_t k = a.cols();
+  const std::size_t n = b.cols();
+  const KernelOps& ops = kernels();
+  auto rows = [&](std::size_t lo, std::size_t hi) {
+    ops.gemm_packed(a.data() + lo * k, hi - lo, k, k, b, c.data() + lo * n,
+                    n);
+  };
+  if (scheduler != nullptr && m >= 128) {
+    scheduler->parallel_range(0, m, rows, 64);
+  } else {
+    rows(0, m);
+  }
 }
 
+// The SERIAL path packs B through the keyed cache (gemm never calls itself,
+// so no reentrancy on one thread). The PARALLEL path packs into a
+// call-local buffer instead: while a region drains, the calling participant
+// may help-execute or steal an UNRELATED task that itself packs — which
+// would clobber a cached entry while this call's row blocks still read it.
+// One allocation per ≥128-row GEMM is noise next to the m·k·n work (and
+// layer weights take the pre-packed overload anyway).
 void gemm(const Matrix& a, const Matrix& b, Matrix& c,
           WorkStealingScheduler* scheduler) {
-  gemm_pack_b(a, b, c, scheduler);
-}
-
-void gemm(const Matrix& a, const PackedMatrix& b, Matrix& c,
-          ThreadPool* pool) {
-  gemm_impl(a, b, c, pool);
-}
-
-void gemm(const Matrix& a, const PackedMatrix& b, Matrix& c,
-          WorkStealingScheduler* scheduler) {
-  gemm_impl(a, b, c, scheduler);
+  if (scheduler != nullptr && a.rows() >= 128) {
+    PackedMatrix local;
+    local.assign(b);
+    gemm(a, local, c, scheduler);
+    return;
+  }
+  gemm(a, pack_cached(b), c);
 }
 
 void gemm_at_b(const Matrix& a, const Matrix& b, Matrix& c) {

@@ -3,8 +3,8 @@
 // subsystem (tensor/kernels.h): the actual loops live in the per-ISA tiers
 // and are selected once at startup (overridable via --kernels=auto|scalar).
 // GEMM is cache-blocked over packed-B panels and optionally threaded via
-// the global pool or the work-stealing scheduler; GEMV serves the
-// per-vertex Update step on Ripple's hot path.
+// the work-stealing scheduler; GEMV serves the per-vertex Update step on
+// Ripple's hot path.
 //
 // Determinism: every op's output bits are independent of the selected tier
 // and of packed-vs-unpacked B (see the contract in kernels.h), so callers
@@ -18,32 +18,26 @@
 
 namespace ripple {
 
-class ThreadPool;
 class WorkStealingScheduler;
 
-// C = A (m x k) * B (k x n). C is resized. Threaded for large m. B is
-// packed into panels via a small per-thread keyed cache (see
-// gemm_pack_cache_stats below): repeated serial GEMMs against the same
-// unchanged B skip the repack. Callers multiplying by an immutable matrix
-// repeatedly (layer weights) should still pack once and use the
-// PackedMatrix overloads.
+// C = A (m x k) * B (k x n). C is resized. B is packed into panels via a
+// small per-thread keyed cache (see gemm_pack_cache_stats below): repeated
+// serial GEMMs against the same unchanged B skip the repack. Callers
+// multiplying by an immutable matrix repeatedly (layer weights) should
+// still pack once and use the PackedMatrix overload.
+//
+// With a scheduler, the row blocks of a >=128-row A become stealable tasks.
+// Safe to call from INSIDE a scheduler task (the nested blocks are stolen by
+// idle participants instead of the range serializing inline) — this is how
+// a hot shard's blocked Update GEMM spreads across the pool. Row results
+// are independent of the split, so the output bits match the serial path.
 void gemm(const Matrix& a, const Matrix& b, Matrix& c,
-          ThreadPool* pool = nullptr);
+          WorkStealingScheduler* scheduler = nullptr);
 
-// Work-stealing variant: row blocks become stealable tasks. Safe to call
-// from INSIDE a scheduler task (the nested blocks are stolen by idle
-// participants instead of the range serializing inline) — this is how a hot
-// shard's blocked Update GEMM spreads across the pool. Row results are
-// independent of the split, so the output bits match the serial path.
-void gemm(const Matrix& a, const Matrix& b, Matrix& c,
-          WorkStealingScheduler* scheduler);
-
-// Pre-packed-B variants (b.rows() is the reduction depth k): bit-identical
-// to the Matrix-B overloads, minus the per-call packing.
+// Pre-packed-B variant (b.rows() is the reduction depth k): bit-identical
+// to the Matrix-B overload, minus the per-call packing.
 void gemm(const Matrix& a, const PackedMatrix& b, Matrix& c,
-          ThreadPool* pool = nullptr);
-void gemm(const Matrix& a, const PackedMatrix& b, Matrix& c,
-          WorkStealingScheduler* scheduler);
+          WorkStealingScheduler* scheduler = nullptr);
 
 // The serial Matrix-B gemm packs B through a per-thread LRU cache of a few
 // entries keyed by (data pointer, shape) and VALIDATED by a content hash on

@@ -157,8 +157,7 @@ TEST(WorkStealingScheduler, ParallelRangeWithoutPoolRunsOneInlineBlock) {
 TEST(WorkStealingScheduler, NestedRunExecutesAndStealsSubTasks) {
   // A task that opens a nested region must see every sub-task execute
   // exactly once — and the runtime must stay live (no deadlock) even when
-  // every outer task nests. This is the stealing replacement for the
-  // static parallel_for's inline-only nested fallback.
+  // every outer task nests.
   ThreadPool pool(4);
   WorkStealingScheduler scheduler(&pool);
   constexpr std::size_t kOuter = 12;
@@ -198,13 +197,12 @@ TEST(WorkStealingScheduler, ParallelRangeCoversRangeExactlyOnce) {
       },
       16);
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+  scheduler.parallel_range(5, 5, [](std::size_t, std::size_t) { FAIL(); });
 }
 
 TEST(WorkStealingScheduler, NestedParallelRangeIsStolenNotSerialized) {
-  // Inside a region, parallel_range must split into stealable blocks (the
-  // nested-fallback fix). Correctness check: exact coverage; liveness
-  // check: the region completes with a min_chunk small enough that the
-  // old inline fallback would have been the only safe behavior.
+  // Inside a region, parallel_range must split into stealable blocks: each
+  // element runs once, and the region completes even at min_chunk 1.
   ThreadPool pool(4);
   WorkStealingScheduler scheduler(&pool);
   std::vector<std::atomic<int>> hits(4096);

@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <numeric>
-#include <vector>
 
 namespace ripple {
 namespace {
@@ -19,64 +17,9 @@ TEST(ThreadPool, RunsSubmittedTasks) {
   EXPECT_EQ(counter.load(), 100);
 }
 
-TEST(ThreadPool, ParallelForCoversRangeExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(10000);
-  pool.parallel_for(0, hits.size(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) hits[i].fetch_add(1);
-  }, 16);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForEmptyRangeIsNoop) {
-  ThreadPool pool(2);
-  bool ran = false;
-  pool.parallel_for(5, 5, [&](std::size_t, std::size_t) { ran = true; });
-  EXPECT_FALSE(ran);
-}
-
-TEST(ThreadPool, ParallelForTinyRangeRunsInline) {
-  ThreadPool pool(4);
-  std::vector<int> hits(10, 0);
-  pool.parallel_for(0, hits.size(), [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) hits[i] += 1;
-  }, 256);
-  EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 10);
-}
-
 TEST(ThreadPool, SizeMatchesRequest) {
   ThreadPool pool(3);
   EXPECT_EQ(pool.size(), 3u);
-}
-
-TEST(ThreadPool, GlobalPoolIsUsable) {
-  std::atomic<int> counter{0};
-  ThreadPool::global().submit([&counter] { counter.fetch_add(1); });
-  ThreadPool::global().wait_all();
-  EXPECT_EQ(counter.load(), 1);
-}
-
-TEST(ThreadPool, NestedParallelForRunsInlineWithoutDeadlock) {
-  // Regression: parallel_for called from inside a pool task used to submit
-  // sub-chunks and block in wait_all(), parking the worker behind its own
-  // queued tasks — a deadlock once every worker did the same. Nested calls
-  // must fall back to inline execution.
-  ThreadPool pool(2);
-  std::vector<std::atomic<int>> hits(4096);
-  pool.parallel_for(
-      0, hits.size(),
-      [&](std::size_t lo, std::size_t hi) {
-        // Inner parallel_for on the SAME pool from a worker thread, with a
-        // min_chunk small enough that it would try to split.
-        pool.parallel_for(
-            lo, hi,
-            [&](std::size_t ilo, std::size_t ihi) {
-              for (std::size_t i = ilo; i < ihi; ++i) hits[i].fetch_add(1);
-            },
-            1);
-      },
-      64);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
 }
 
 TEST(ThreadPool, OnWorkerThreadDetection) {
@@ -86,48 +29,6 @@ TEST(ThreadPool, OnWorkerThreadDetection) {
   pool.submit([&] { inside.store(pool.on_worker_thread() ? 1 : -1); });
   pool.wait_all();
   EXPECT_EQ(inside.load(), 1);
-}
-
-TEST(ThreadPool, DeeplyNestedParallelForTerminates) {
-  // Same-pool nesting three levels deep: every nested level must inline.
-  ThreadPool pool(2);
-  std::atomic<int> total{0};
-  pool.parallel_for(
-      0, 8,
-      [&](std::size_t lo, std::size_t hi) {
-        for (std::size_t i = lo; i < hi; ++i) {
-          pool.parallel_for(
-              0, 4,
-              [&](std::size_t jlo, std::size_t jhi) {
-                for (std::size_t j = jlo; j < jhi; ++j) {
-                  pool.parallel_for(
-                      0, 2,
-                      [&](std::size_t klo, std::size_t khi) {
-                        total.fetch_add(static_cast<int>(khi - klo));
-                      },
-                      1);
-                }
-              },
-              1);
-        }
-      },
-      1);
-  EXPECT_EQ(total.load(), 8 * 4 * 2);
-}
-
-TEST(ThreadPool, ParallelForSumMatchesSerial) {
-  ThreadPool pool(4);
-  std::vector<long long> values(50000);
-  std::iota(values.begin(), values.end(), 0);
-  std::atomic<long long> parallel_sum{0};
-  pool.parallel_for(0, values.size(), [&](std::size_t lo, std::size_t hi) {
-    long long local = 0;
-    for (std::size_t i = lo; i < hi; ++i) local += values[i];
-    parallel_sum.fetch_add(local);
-  });
-  const long long serial =
-      std::accumulate(values.begin(), values.end(), 0LL);
-  EXPECT_EQ(parallel_sum.load(), serial);
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <memory>
 #include <numeric>
 #include <utility>
 
@@ -297,6 +298,70 @@ TEST(RippleEngine, DensePullCreatesCellsOnlyForSenderTargets) {
     EXPECT_EQ(result.final_rows, hop2);
     EXPECT_EQ(result.propagation_tree_size, hop1.size() + hop2.size());
     EXPECT_LT(testing::max_store_diff(engine.embeddings(), truth), 1e-4f);
+  }
+}
+
+// Small batches on a graph of out-degree ~2 keep every hop's sender
+// out-edges under the pull threshold (kPullFraction = 0.15 of |E|), so
+// every hop pushes. The cross-shard buckets and their drains must then be
+// bit-identical for any shard and thread count.
+TEST(RippleEngine, PushHopsBitIdenticalForAnyShardAndThreadCount) {
+  constexpr VertexId kN = 20000;
+  constexpr VertexId kHubs = 1000;
+  constexpr std::size_t kBatch = 16;
+  DynamicGraph graph(kN);
+  Rng rng(51);
+  const auto random_vertex = [&] {
+    return static_cast<VertexId>(rng.next_below(kN));
+  };
+  // Vertex u >= kHubs feeds hub u % kHubs, so hub g's in-neighbours
+  // g + k·kHubs lie in every shard's id range.
+  for (VertexId u = 0; u < kN; ++u) {
+    if (u >= kHubs) graph.add_edge(u, u % kHubs);
+    while (graph.out_degree(u) < 2) graph.add_edge(u, random_vertex());
+  }
+  // Each batch adds edges into in-neighbours of one hub, whose hop-2 cell
+  // then sums Δh rows from many sender blocks.
+  DynamicGraph working = graph;
+  std::vector<std::vector<GraphUpdate>> batches(8);
+  for (auto& batch : batches) {
+    const VertexId hub = random_vertex() % kHubs;
+    while (batch.size() < kBatch) {
+      const VertexId u = random_vertex();
+      const VertexId v = hub + kHubs * (random_vertex() % (kN / kHubs));
+      if (working.add_edge(u, v)) batch.push_back(GraphUpdate::edge_add(u, v));
+    }
+  }
+  // From the graph alone (edges only grow), for 3 layers: hop 1 holds at
+  // most the batch's targets, hop l+1 at most those plus hop l's senders
+  // and their out-neighbours.
+  std::size_t max_out = 0;
+  for (VertexId u = 0; u < kN; ++u) {
+    max_out = std::max(max_out, working.out_degree(u));
+  }
+  const std::size_t hop2 = kBatch + kBatch * (1 + max_out);
+  const std::size_t max_tree = kBatch + hop2 + kBatch + hop2 * (1 + max_out);
+  ASSERT_LT(100 * max_tree * max_out, 15 * graph.num_edges());
+
+  const Matrix features = testing::random_features(kN, 6, 52);
+  const auto model =
+      GnnModel::random(workload_config(Workload::gs_s, 6, 3, 3, 8), 53);
+  ThreadPool pool(3);
+  std::vector<std::unique_ptr<RippleEngine>> engines;
+  for (ThreadPool* threads : {static_cast<ThreadPool*>(nullptr), &pool}) {
+    for (const std::size_t shards : {1, 2, 8}) {
+      engines.push_back(std::make_unique<RippleEngine>(
+          model, graph, features, threads, RippleOptions{shards}));
+    }
+  }
+  for (const auto& batch : batches) {
+    for (const auto& engine : engines) {
+      engine->apply_batch(batch);
+      EXPECT_EQ(testing::max_store_diff(engine->embeddings(),
+                                        engines[0]->embeddings()),
+                0.0f)
+          << engine->num_shards() << " shards";
+    }
   }
 }
 

@@ -3,7 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "../test_util.h"
+#include "common/scheduler.h"
+#include "common/thread_pool.h"
 #include "graph/csr.h"
+#include "infer/engine.h"
 
 namespace ripple {
 namespace {
@@ -83,6 +86,33 @@ TEST(Layerwise, DeterministicAcrossRuns) {
   b.features() = features;
   layerwise_full_inference(model, g, b);
   EXPECT_EQ(testing::max_store_diff(a, b), 0.0f);
+}
+
+TEST(Layerwise, PooledBootstrapIsBitIdenticalForEveryEngine) {
+  // 600 rows: every Update GEMM is past the 128-row threshold, so the
+  // scheduler over a pool really splits it into stealable row blocks.
+  const auto g = testing::random_graph(600, 3000, 11, /*weighted=*/true);
+  const auto features = testing::random_features(600, 6, 12);
+  ThreadPool pool(3);
+  for (Workload w : all_workloads()) {
+    SCOPED_TRACE(workload_name(w));
+    const auto model = GnnModel::random(workload_config(w, 6, 3, 2, 8), 13);
+    EmbeddingStore pooled(model.config(), 600);
+    pooled.features() = features;
+    WorkStealingScheduler scheduler(&pool);
+    layerwise_full_inference(model, g, pooled, &scheduler);
+    EXPECT_GT(scheduler.stats().tasks, 2 * model.num_layers());
+    EXPECT_EQ(testing::max_store_diff(
+                  pooled, testing::full_inference_truth(model, g, features)),
+              0.0f);
+    for (const char* key : {"ripple", "rc", "drc", "dnc"}) {
+      EXPECT_EQ(testing::max_store_diff(
+                    make_engine(key, model, g, features)->embeddings(),
+                    make_engine(key, model, g, features, &pool)->embeddings()),
+                0.0f)
+          << key;
+    }
+  }
 }
 
 }  // namespace

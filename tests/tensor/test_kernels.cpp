@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "common/rng.h"
+#include "common/scheduler.h"
 #include "common/thread_pool.h"
 #include "tensor/ops.h"
 
@@ -463,12 +464,13 @@ TEST(PublicOps, ScalarVsAutoModeBitIdentical) {
   const auto b = Matrix::random_uniform(33, 31, rng);
   const auto pb = PackedMatrix::pack(b);
   ThreadPool pool(3);
+  WorkStealingScheduler scheduler(&pool);
 
   set_kernel_mode(KernelMode::kScalar);
   Matrix c_scalar;
   gemm(a, b, c_scalar);
   Matrix c_scalar_pool;
-  gemm(a, b, c_scalar_pool, &pool);
+  gemm(a, b, c_scalar_pool, &scheduler);
 
   set_kernel_mode(KernelMode::kAuto);
   Matrix c_auto;
@@ -476,7 +478,7 @@ TEST(PublicOps, ScalarVsAutoModeBitIdentical) {
   Matrix c_auto_packed;
   gemm(a, pb, c_auto_packed);
   Matrix c_auto_pool;
-  gemm(a, b, c_auto_pool, &pool);
+  gemm(a, b, c_auto_pool, &scheduler);
 
   EXPECT_TRUE(bits_equal(c_scalar.data(), c_auto.data(), c_scalar.size(),
                          "gemm scalar vs auto"));

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "common/rng.h"
+#include "common/scheduler.h"
 #include "common/thread_pool.h"
 
 namespace ripple {
@@ -42,8 +43,9 @@ TEST(Ops, GemmThreadedMatchesSerial) {
   Matrix serial;
   gemm(a, b, serial);
   ThreadPool pool(4);
+  WorkStealingScheduler scheduler(&pool);
   Matrix threaded;
-  gemm(a, b, threaded, &pool);
+  gemm(a, b, threaded, &scheduler);
   EXPECT_LT(max_abs_diff(serial, threaded), 1e-6f);
 }
 
@@ -240,8 +242,9 @@ TEST(Ops, GemmParallelLargePathBypassesPackCache) {
   const auto a = random_matrix(300, 40, 26);
   const auto b = random_matrix(40, 30, 27);
   ThreadPool pool(3);
+  WorkStealingScheduler scheduler(&pool);
   Matrix threaded;
-  gemm(a, b, threaded, &pool);
+  gemm(a, b, threaded, &scheduler);
   // The >=128-row pooled path packs into a call-local PackedMatrix (cached
   // entries could be clobbered by stolen unrelated tasks), so the cache
   // sees no traffic at all.
