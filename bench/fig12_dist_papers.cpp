@@ -62,9 +62,10 @@ int main(int argc, char** argv) {
         "\n(a) %zu partitions (LDG+refine cut: %zu of %zu edges)\n", parts_a,
         partition_a.edge_cut(ds.graph), ds.graph.num_edges());
   }
-  for (Workload workload : json ? std::initializer_list<Workload>{}
-                                : std::initializer_list<Workload>{
-                                      Workload::gc_s, Workload::gc_m}) {
+  const std::vector<Workload> workloads_a =
+      json ? std::vector<Workload>{}
+           : std::vector<Workload>{Workload::gc_s, Workload::gc_m};
+  for (const Workload workload : workloads_a) {
     const auto config =
         workload_config(workload, ds.spec.feat_dim, ds.spec.num_classes, 3, 64);
     const auto model = GnnModel::random(config, seed);

@@ -6,8 +6,10 @@
 # Sweeps:
 #   * bench_micro_kernels --quick (its internal variant axis already re-runs
 #     each case under the scalar tier and the dispatched tier);
-#   * bench_parallel_scaling --quick (end-to-end engine throughput) at
-#     --kernels=auto and --kernels=scalar;
+#   * bench_parallel_scaling (end-to-end engine throughput over the thread
+#     and skew sweep) at --kernels=auto and --kernels=scalar, full length:
+#     --quick gives each run ~50 ms of propagation, too little for its
+#     thread-count rows to separate from noise on a shared host;
 #   * bench_fig12_dist_papers --quick --json (distributed scaling sweep,
 #     modeled): throughput, wire traffic, barrier stall, and
 #     rank_memory_bytes — the PER-RANK resident footprint (owned rows +
@@ -58,7 +60,7 @@ trap 'rm -f "$rows_file" "$diag_file"' EXIT
 "$build/bench_micro_kernels" --quick >>"$rows_file" 2>>"$diag_file"
 
 for kernels in auto scalar; do
-  "$build/bench_parallel_scaling" --quick --kernels="$kernels" \
+  "$build/bench_parallel_scaling" --kernels="$kernels" \
     >>"$rows_file" 2>>"$diag_file"
 done
 

@@ -17,12 +17,10 @@ ctest --test-dir build -LE unit --output-on-failure -j "$(nproc)"
 # conformance suite (per-rank egress counters summing to sim's totals,
 # leader-side collective gather bit-identical to the assembled owned
 # rows), the halo-cache invalidation tests, and the memory-scaling
-# property (a P=4 rank under half the P=1 footprint) — plus the
-# wire-precision conformance test (--wire-precision=bf16 halves row
-# payloads, tcp bit-identical to sim) and the migration conformance pass
-# (migration supersteps after every batch over real sockets: re-homed
-# ownership, gathered embeddings and per-batch counter sums all
-# bit-identical to sim; see docs/repartition.md). The fault tier
+# property (a P=4 rank under half the P=1 footprint) — plus the migration
+# conformance pass (migration supersteps after every batch over real
+# sockets: re-homed ownership, gathered embeddings and per-batch counter
+# sums all bit-identical to sim; see docs/repartition.md). The fault tier
 # rides the same env gate: RIPPLE_TRANSPORT=tcp un-skips the forked
 # rank-kill recovery drill (tests/dist/test_rank_kill.cpp) — a real
 # SIGKILL mid-run, restore from the on-disk checkpoints, replay over real
@@ -75,12 +73,16 @@ ctest --test-dir build-tsan \
 # the wire framing and the socket buffers are exactly the kind of
 # byte-twiddling code ASan catches regressions in, so the dist tier —
 # which carries the framing round-trips and the loopback socket path —
-# rides along.
+# rides along. The benches build here too, so the bench smokes below run
+# under ASan: bench drivers are code, and a dangling temporary in one of
+# them hides in a Release build.
 cmake -B build-asan -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo \
   -DCMAKE_CXX_FLAGS="-fsanitize=address,undefined -fno-sanitize-recover=all" \
-  -DRIPPLE_BUILD_BENCHES=OFF -DRIPPLE_BUILD_EXAMPLES=OFF
+  -DRIPPLE_BUILD_BENCHES=ON -DRIPPLE_BUILD_EXAMPLES=OFF
 cmake --build build-asan -j "$(nproc)"
 ctest --test-dir build-asan -L "unit|dist" --output-on-failure -j "$(nproc)"
+./build-asan/bench_fig12_dist_papers --quick >/dev/null
+./build-asan/bench_ablation --quick >/dev/null
 # The dist tier above already carries the fault label's suites (decoder
 # fuzzing, checkpoint CRC rejection, seeded kills); run the fault tier once
 # more with the tcp gate open so the rank-kill recovery drill — real

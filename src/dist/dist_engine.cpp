@@ -242,7 +242,7 @@ void DistEngineBase::ship_rows(
     if (!hosts(s.src)) continue;
     frame.clear();
     append_rows(layouts[s.src], local(s.v), s.slots, frame);
-    transport_->send_exact(s.src, s.dst, s.v, frame);
+    transport_->send(s.src, s.dst, s.v, frame);
   }
   transport_->end_superstep();
   if (before_install) before_install();

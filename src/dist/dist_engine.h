@@ -144,12 +144,12 @@ class DistEngineBase {
   // This is a COLLECTIVE: every rank of a real transport must call it at
   // the same point (it runs one owned-row exchange superstep). The leader's
   // returned store holds the full table; a non-leader rank's store holds
-  // only its own owned rows (zeros elsewhere). Rows travel via
-  // Transport::send_exact — never wire-rounded, so leader assembly is
-  // bit-exact at any --wire-precision — and the leader installs them in the
-  // schedule it derives from the replicated row map. The gather's wire cost
-  // is charged to the transport's cumulative counters but to no batch — it
-  // is a diagnostic/serving operation outside the streaming loop.
+  // only its own owned rows (zeros elsewhere). Rows travel as exact f32
+  // payload sends, so leader assembly is bit-exact, and the leader installs
+  // them in the schedule it derives from the replicated row map. The
+  // gather's wire cost is charged to the transport's cumulative counters but
+  // to no batch — it is a diagnostic/serving operation outside the
+  // streaming loop.
   EmbeddingStore gather_embeddings();
 
   // Executes an ownership-change plan as one migration superstep between
@@ -157,7 +157,7 @@ class DistEngineBase {
   // real transport must call it at the same point with the SAME plan (each
   // replica normalizes it against its partition copy, so all ranks derive
   // identical shipping schedules). Old owners ship each moving vertex's
-  // owned row (the engine's layout, exact f32 via send_exact); after the
+  // owned row (the engine's layout, exact f32 payload sends); after the
   // barrier every endpoint re-homes its row map, installs the received
   // rows, patches its halo (ripple), and bumps its replicated assignment —
   // so the next batch routes against the new owners with bit-identical
@@ -335,10 +335,10 @@ class DistEngineBase {
   // Appends the first `slots` layout rows of v (owned by hosted `part`).
   void pack_row(std::size_t part, VertexId v, std::size_t slots,
                 std::vector<float>& out);
-  // One owned-row exchange superstep over send_exact. Every endpoint passes
-  // the SAME schedule, derived from replicated state: hosted sources send
-  // in schedule order, the barrier completes, `before_install` runs, and
-  // each hosted destination receives schedule[i] as install(i, row)
+  // One owned-row exchange superstep over payload sends. Every endpoint
+  // passes the SAME schedule, derived from replicated state: hosted sources
+  // send in schedule order, the barrier completes, `before_install` runs,
+  // and each hosted destination receives schedule[i] as install(i, row)
   // through per-(dst, src) FIFO cursors.
   void ship_rows(
       const std::vector<RowShipment>& schedule,

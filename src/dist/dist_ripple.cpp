@@ -134,8 +134,7 @@ void DistRippleEngine::record_edge_op(VertexId u, VertexId v,
     }
     op.fill_expected = !haloed;
     if (op.fill_expected && hosts(pu)) {
-      // One message carrying the owner's H^0..H^{L-1} rows concatenated —
-      // row_wire_bytes-shaped, like every other row transfer.
+      // One message carrying the owner's H^0..H^{L-1} rows concatenated.
       wire_frame_.clear();
       pack_row(pu, u, model_.num_layers(), wire_frame_);
       transport_->send(pu, pv, u, wire_frame_);
@@ -414,12 +413,11 @@ DistBatchResult DistRippleEngine::apply_batch(UpdateBatch batch) {
       check_hop_inbox(delta_dim);
 
       // Seed: each hosted partition derives Δh for every received row
-      // against its cached copy (bit-equal to the sender's subtraction at
-      // f32 wire precision), writes the received bits through into the
-      // halo, then merges local and derived deltas in ascending global
-      // sender id order and re-expands them over its locally-owned
-      // out-edges — reproducing the exact single-machine accumulation
-      // order per cell. One task per hosted partition, costed by the
+      // against its cached copy (bit-equal to the sender's subtraction),
+      // writes the received bits through into the halo, then merges local
+      // and derived deltas in ascending global sender id order and
+      // re-expands them over its locally-owned out-edges — reproducing the
+      // exact single-machine accumulation order per cell. One task per hosted partition, costed by the
       // deltas it merges; one task's makespan bound is its own seconds.
       const bool uses_self = model_.layer(l).uses_self();
       const auto seeds = per_part([&](std::uint32_t q) {

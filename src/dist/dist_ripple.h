@@ -40,9 +40,8 @@
 //       to every remote partition owning at least one of its out-neighbors
 //       (the §5.1 stub-combining rule). Shipping the new row — same width
 //       as the delta — is what keeps halos coherent: the receiver derives
-//       Δh = row − cached row (bit-equal to the sender's subtraction at f32
-//       wire precision) and then overwrites the cache with the received
-//       bits;
+//       Δh = row − cached row (bit-equal to the sender's subtraction) and
+//       then overwrites the cache with the received bits;
 //       seed: each hosted partition merges local deltas and derived inbox
 //       deltas in ascending global sender id order and re-expands them over
 //       its locally-owned out-edges into its hop-(l+1) mailbox.

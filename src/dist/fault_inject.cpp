@@ -76,12 +76,6 @@ void FaultInjectTransport::send_opaque(std::size_t src, std::size_t dst,
   inner_->send_opaque(src, dst, payload_bytes, num_messages);
 }
 
-void FaultInjectTransport::send_exact(std::size_t src, std::size_t dst,
-                                      VertexId sender,
-                                      std::span<const float> payload) {
-  inner_->send_exact(src, dst, sender, payload);
-}
-
 bool FaultInjectTransport::hosts(std::size_t part) const {
   return inner_->hosts(part);
 }

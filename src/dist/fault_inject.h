@@ -11,9 +11,9 @@
 //                      raise a REAL SIGKILL when plan.real_kill is set (a
 //                      forked tcp rank dies mid-run; its peers detect the
 //                      loss through the heartbeat/deadline protocol).
-//   kCorruptPayload  — truncate the `frame_index`-th payload send to half
-//                      width; the receiver's width validation raises
-//                      TransportError{kCorrupt}.
+//   kCorruptPayload  — truncate the `frame_index`-th payload send (Δh,
+//                      halo or owned row) to half width; the receiver's
+//                      width validation raises TransportError{kCorrupt}.
 //
 // All counters/inboxes delegate to the decorated backend, so engine code is
 // oblivious to the wrapper. Faults are matched on deterministic local
@@ -63,8 +63,6 @@ class FaultInjectTransport final : public Transport {
   void send_opaque(std::size_t src, std::size_t dst,
                    std::size_t payload_bytes,
                    std::size_t num_messages = 1) override;
-  void send_exact(std::size_t src, std::size_t dst, VertexId sender,
-                  std::span<const float> payload) override;
   bool hosts(std::size_t part) const override;
   double end_superstep() override;
   bool measures_time() const override;

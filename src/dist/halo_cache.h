@@ -10,8 +10,7 @@
 // Coherence is write-through from the wire: the protocol ships the owner's
 // COMMITTED new row (feature messages, fills, hop exchanges), and the
 // receiver overwrites the cached row with the exact received bits — never
-// accumulates into it — so cached rows are bit-equal to the owner's rows at
-// f32 wire precision and bit-equal to the rounded wire bits at bf16.
+// accumulates into it — so cached rows are bit-equal to the owner's rows.
 // Entries are erased eagerly when the last cut edge from the cached vertex
 // into this rank's owned set disappears, and (re)filled when the first one
 // appears; both transitions are decided from the replicated topology, so

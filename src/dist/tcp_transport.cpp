@@ -296,21 +296,12 @@ void TcpTransport::send(std::size_t src, std::size_t dst, VertexId sender,
   RIPPLE_CHECK_MSG(src == rank_,
                    "rank " << rank_ << " cannot transmit for partition "
                            << src << " (owner routing)");
-  // Sender-side wire rounding BEFORE counting and framing: the counted
-  // bytes and the decoded bits match what any backend would produce for
-  // this send, keeping the summed counters backend-independent.
-  const std::span<const float> row = round_row_for_wire(payload);
-  count_wire(row_wire_bytes(row.size()), 1);
+  // Counted like any backend counts this send (exact f32 bits at
+  // 4 B/value), keeping the summed counters backend-independent.
+  count_wire(payload.size() * sizeof(float), 1);
   Peer& peer = peers_[dst];
-  if (options().wire_precision == WirePrecision::kBf16) {
-    // Narrowing the already-rounded row is exact, so the decode widens
-    // back to the same bits the sender committed.
-    wire::append_payload_frame_bf16(peer.sendbuf, sender,
-                                    static_cast<std::uint32_t>(src), row);
-  } else {
-    wire::append_payload_frame(peer.sendbuf, sender,
-                               static_cast<std::uint32_t>(src), row);
-  }
+  wire::append_payload_frame(peer.sendbuf, sender,
+                             static_cast<std::uint32_t>(src), payload);
   maybe_flush(peer);
 }
 
@@ -326,22 +317,6 @@ void TcpTransport::send_opaque(std::size_t src, std::size_t dst,
   wire::append_opaque_frame(peer.sendbuf, static_cast<std::uint32_t>(src),
                             static_cast<std::uint32_t>(dst), payload_bytes,
                             num_messages);
-  maybe_flush(peer);
-}
-
-void TcpTransport::send_exact(std::size_t src, std::size_t dst,
-                              VertexId sender,
-                              std::span<const float> payload) {
-  RIPPLE_CHECK_MSG(src != dst, "local traffic must not touch the wire");
-  RIPPLE_CHECK_MSG(src == rank_,
-                   "rank " << rank_ << " cannot transmit for partition "
-                           << src << " (owner routing)");
-  // State collection: exact f32 bits and full-width accounting regardless
-  // of --wire-precision.
-  count_wire(payload.size() * sizeof(float), 1);
-  Peer& peer = peers_[dst];
-  wire::append_payload_frame(peer.sendbuf, sender,
-                             static_cast<std::uint32_t>(src), payload);
   maybe_flush(peer);
 }
 
@@ -379,8 +354,7 @@ bool TcpTransport::flush_some(Peer& peer) {
 void TcpTransport::dispatch(std::size_t peer_rank, wire::Frame&& frame) {
   Peer& peer = peers_[peer_rank];
   switch (frame.type) {
-    case wire::FrameType::payload:
-    case wire::FrameType::payload_bf16: {
+    case wire::FrameType::payload: {
       RIPPLE_CHECK_MSG(frame.src_part == peer_rank,
                        "payload frame src_part " << frame.src_part
                                                  << " from rank "

@@ -8,7 +8,7 @@
 // cache of remote boundary rows, and every message has exactly one real
 // sender and one real receiver:
 //
-//   send / send_exact(src, dst, ...) at rank r:
+//   send(src, dst, ...) at rank r:
 //     * src must equal r — a rank only transmits for the partition it
 //       hosts (the engines' hosts() guards enforce this upstream);
 //     * counted with the same header_bytes envelope as SimTransport; the
@@ -98,8 +98,6 @@ class TcpTransport final : public Transport {
   void send_opaque(std::size_t src, std::size_t dst,
                    std::size_t payload_bytes,
                    std::size_t num_messages = 1) override;
-  void send_exact(std::size_t src, std::size_t dst, VertexId sender,
-                  std::span<const float> payload) override;
   double end_superstep() override;
   bool measures_time() const override { return true; }
   bool hosts(std::size_t part) const override { return part == rank_; }

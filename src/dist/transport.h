@@ -33,7 +33,6 @@
 
 #include <cstdint>
 #include <span>
-#include <string>
 #include <vector>
 
 #include "dist/transport_error.h"
@@ -43,28 +42,12 @@ namespace ripple {
 
 class Flags;
 
-// Payload row precision ON THE WIRE (--wire-precision). At kBf16 every
-// shipped Δh / halo row is rounded to bfloat16 by the SENDER before it
-// reaches any inbox or socket, halving payload bytes under both the sim
-// cost model and measured tcp supersteps. Because the rounding happens
-// sender-side (not in the codec), the local replica inboxes and the
-// decoded wire bytes carry identical f32 bits — sim and tcp stay bit-equal
-// with equal counters at either precision. Compute stays f32 either way.
-enum class WirePrecision { kF32, kBf16 };
-
-const char* wire_precision_name(WirePrecision p);
-WirePrecision parse_wire_precision(const std::string& name);
-// The accepted --wire-precision values, for Flags::get_choice.
-const std::vector<std::string>& wire_precision_choices();
-
 struct TransportOptions {
   double per_message_sec = 5e-6;   // fixed per-message envelope latency
   double bytes_per_sec = 1.25e9;   // link bandwidth (10 GbE)
   std::size_t header_bytes = 16;   // per-message envelope size
-  WirePrecision wire_precision = WirePrecision::kF32;
 
-  // Reads --wire-latency-us (default 5.0), --wire-gbps (default 10.0) and
-  // --wire-precision (default f32).
+  // Reads --wire-latency-us (default 5.0) and --wire-gbps (default 10.0).
   static TransportOptions from_flags(const Flags& flags);
 };
 
@@ -109,9 +92,10 @@ class Transport {
   // Clears every inbox and any per-superstep state.
   virtual void begin_superstep() = 0;
 
-  // Payload send: delivered into dst's inbox (or onto the wire). Not
-  // thread-safe — the engines run their exchange phases serially.
-  // src == dst is a protocol error: local traffic never touches the wire.
+  // Payload send: delivered into dst's inbox (or onto the wire) as the
+  // exact f32 bits, counted at 4 B/value. Not thread-safe — the engines run
+  // their exchange phases serially. src == dst is a protocol error: local
+  // traffic never touches the wire.
   virtual void send(std::size_t src, std::size_t dst, VertexId sender,
                     std::span<const float> payload) = 0;
 
@@ -120,14 +104,6 @@ class Transport {
   virtual void send_opaque(std::size_t src, std::size_t dst,
                            std::size_t payload_bytes,
                            std::size_t num_messages = 1) = 0;
-
-  // Payload send that is NEVER wire-rounded and is always counted at f32
-  // width, regardless of --wire-precision. Used for owned-row shipping
-  // (migration, restore halo refill, gather_embeddings), where the receiver
-  // must install the exact bits the owner holds — lossy rounding there would
-  // break the bit-exactness contract rather than model a cheaper wire.
-  virtual void send_exact(std::size_t src, std::size_t dst, VertexId sender,
-                          std::span<const float> payload) = 0;
 
   // Whether this endpoint hosts (owns the state of, and computes) the given
   // partition. SimTransport hosts every partition — the whole cluster lives
@@ -184,25 +160,8 @@ class Transport {
   // barrier (TcpTransport only; discarded by the receiver on arrival).
   virtual std::size_t heartbeats() const { return heartbeats_; }
 
-  // Payload bytes of one num_floats-wide embedding row at the configured
-  // wire precision (4 B/value at f32, 2 at bf16). Engines size BOTH their
-  // payload accounting and their opaque halo-row transfers with this, so
-  // --wire-precision=bf16 halves wire_bytes on every row-shaped transfer.
-  std::size_t row_wire_bytes(std::size_t num_floats) const {
-    return num_floats * (options_.wire_precision == WirePrecision::kBf16
-                             ? sizeof(std::uint16_t)
-                             : sizeof(float));
-  }
-
  protected:
   virtual const char* name_impl() const = 0;
-
-  // Sender-side wire rounding: at f32 returns `payload` unchanged; at bf16
-  // returns a view of a scratch row holding bf16_round of every value —
-  // what the receiver will see. Callers must consume the view before the
-  // next round_row_for_wire call (send() is serial per the interface
-  // contract).
-  std::span<const float> round_row_for_wire(std::span<const float> payload);
 
   // Adds one transfer to the cumulative wire counters.
   void count_wire(std::size_t payload_bytes, std::size_t num_messages) {
@@ -223,7 +182,6 @@ class Transport {
   std::size_t retries_ = 0;
   std::size_t timeouts_ = 0;
   std::size_t heartbeats_ = 0;
-  std::vector<float> wire_round_scratch_;
 };
 
 class SimTransport final : public Transport {
@@ -236,8 +194,6 @@ class SimTransport final : public Transport {
   void send_opaque(std::size_t src, std::size_t dst,
                    std::size_t payload_bytes,
                    std::size_t num_messages = 1) override;
-  void send_exact(std::size_t src, std::size_t dst, VertexId sender,
-                  std::span<const float> payload) override;
 
   // Modeled seconds for the superstep: max over partitions of
   // (egress + ingress) cost.

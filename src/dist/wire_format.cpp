@@ -4,7 +4,6 @@
 
 #include "common/check.h"
 #include "dist/transport_error.h"
-#include "tensor/precision.h"
 
 namespace ripple::wire {
 
@@ -50,18 +49,6 @@ void append_payload_frame(std::vector<std::uint8_t>& out, VertexId sender,
   put<std::uint32_t>(out, static_cast<std::uint32_t>(row.size()));
   const auto* bytes = reinterpret_cast<const std::uint8_t*>(row.data());
   out.insert(out.end(), bytes, bytes + row.size() * sizeof(float));
-}
-
-void append_payload_frame_bf16(std::vector<std::uint8_t>& out,
-                               VertexId sender, std::uint32_t src_part,
-                               std::span<const float> row) {
-  put_frame_header(
-      out, FrameType::payload_bf16,
-      3 * sizeof(std::uint32_t) + row.size() * sizeof(std::uint16_t));
-  put<std::uint32_t>(out, sender);
-  put<std::uint32_t>(out, src_part);
-  put<std::uint32_t>(out, static_cast<std::uint32_t>(row.size()));
-  for (const float v : row) put<std::uint16_t>(out, bf16_from_f32(v));
 }
 
 void append_opaque_frame(std::vector<std::uint8_t>& out,
@@ -137,18 +124,6 @@ bool FrameDecoder::next(Frame& out) {
                     num_floats * sizeof(float));
       }
       at += num_floats * sizeof(float);
-      break;
-    }
-    case FrameType::payload_bf16: {
-      need(3 * sizeof(std::uint32_t));
-      out.sender = get<std::uint32_t>(buf_.data(), at);
-      out.src_part = get<std::uint32_t>(buf_.data(), at);
-      const auto num_values = get<std::uint32_t>(buf_.data(), at);
-      need(num_values * sizeof(std::uint16_t));
-      out.row.resize(num_values);
-      for (std::uint32_t i = 0; i < num_values; ++i) {
-        out.row[i] = bf16_to_f32(get<std::uint16_t>(buf_.data(), at));
-      }
       break;
     }
     case FrameType::opaque: {

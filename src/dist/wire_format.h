@@ -9,13 +9,6 @@
 //   payload  — u32 sender (VertexId), u32 src_part, u32 num_floats,
 //              num_floats * f32. Round-trips Transport::Message plus its
 //              row exactly (a NaN payload stays the same NaN).
-//   payload_bf16 — same fields, but the row travels as num_values * u16
-//              bfloat16 (tensor/precision.h); the decoder widens back to
-//              f32. Used by --wire-precision=bf16 (transport.h): the sender
-//              rounds the row to bf16 BEFORE handing it to the transport,
-//              so narrowing here is exact and the decoded row is
-//              bit-identical to the sender's rounded copy — which is what
-//              keeps tcp and sim bit-equal at reduced wire precision.
 //   opaque   — u32 src_part, u32 dst_part, u64 payload_bytes,
 //              u64 num_messages. Accounting record of the update-routing
 //              broadcast; the receiver drains it for barrier ordering but
@@ -45,10 +38,9 @@ enum class FrameType : std::uint8_t {
   payload = 1,
   opaque = 2,
   barrier = 3,
-  payload_bf16 = 4,
-  // 5, 6 and 7 are retired (former async token/row and migration frame
-  // types): the decoder rejects them as unknown, and they must not be
-  // reused.
+  // 4, 5, 6 and 7 are retired (former bf16 payload, async token/row and
+  // migration frame types): the decoder rejects them as unknown, and they
+  // must not be reused.
   heartbeat = 8,
 };
 
@@ -77,13 +69,6 @@ struct Frame {
 
 void append_payload_frame(std::vector<std::uint8_t>& out, VertexId sender,
                           std::uint32_t src_part, std::span<const float> row);
-// bf16 row codec: each value is narrowed to bfloat16 on encode and widened
-// on decode (Frame::row is always f32 in memory). Lossless only when the
-// row is already bf16-rounded — the transport's sender-side rounding
-// guarantees that.
-void append_payload_frame_bf16(std::vector<std::uint8_t>& out,
-                               VertexId sender, std::uint32_t src_part,
-                               std::span<const float> row);
 void append_opaque_frame(std::vector<std::uint8_t>& out,
                          std::uint32_t src_part, std::uint32_t dst_part,
                          std::uint64_t payload_bytes,

@@ -179,7 +179,7 @@ std::optional<TransportErrorKind> install_kind(
   SimTransport transport(3, TransportOptions{});
   transport.begin_superstep();
   for (const auto& [src, dst, sender, width] : sends) {
-    transport.send_exact(src, dst, sender, std::vector<float>(width, 1.0f));
+    transport.send(src, dst, sender, std::vector<float>(width, 1.0f));
   }
   transport.end_superstep();
   return thrown_kind([&] {
@@ -222,7 +222,8 @@ std::vector<std::uint8_t> valid_frame_stream() {
   std::vector<std::uint8_t> bytes;
   const std::vector<float> row = {1.5f, -2.25f, 0.125f, 3.0f};
   wire::append_payload_frame(bytes, 7, 0, row);
-  wire::append_payload_frame_bf16(bytes, 9, 1, row);
+  wire::append_payload_frame(bytes, 9, 1,
+                             std::vector<float>{-0.5f, 8.0f, 0.75f});
   wire::append_opaque_frame(bytes, 0, 1, 128, 2);
   wire::append_barrier_frame(bytes, 1, 4);
   wire::append_heartbeat_frame(bytes, 1);

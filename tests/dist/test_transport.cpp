@@ -23,7 +23,6 @@
 
 #include "../test_util.h"
 #include "common/check.h"
-#include "common/flags.h"
 #include "common/thread_pool.h"
 #include "core/ripple_engine.h"
 #include "dist/dist_engine.h"
@@ -32,7 +31,6 @@
 #include "dist/wire_format.h"
 #include "infer/recompute.h"
 #include "stream/generator.h"
-#include "tensor/precision.h"
 
 namespace ripple {
 namespace {
@@ -91,32 +89,6 @@ TEST(WireFormat, MixedFramesSurviveOneByteChunks) {
   EXPECT_EQ(frames[3].row.size(), 0u);
 }
 
-TEST(WireFormat, Bf16PayloadRoundTripIsExactOnPreRoundedRows) {
-  // The transport rounds rows to bf16 BEFORE framing, so the values the
-  // encoder sees always narrow losslessly: the decoded row must be
-  // bit-identical to the pre-rounded input, NaN included (the quiet bit
-  // is already set on a rounded NaN, so re-narrowing is a fixed point).
-  std::vector<float> row = {1.0f, -0.0f, std::nanf("1"), 0.33333f,
-                            -2.5f, std::numeric_limits<float>::infinity()};
-  for (auto& v : row) v = bf16_round(v);
-  std::vector<std::uint8_t> buf;
-  wire::append_payload_frame_bf16(buf, /*sender=*/17, /*src_part=*/1, row);
-  // [u32 len][u8 type][3 x u32][n x u16]: half the f32 frame's row bytes.
-  EXPECT_EQ(buf.size(), 4 + 1 + 12 + row.size() * sizeof(std::uint16_t));
-  wire::FrameDecoder decoder;
-  decoder.feed(buf);
-  wire::Frame frame;
-  ASSERT_TRUE(decoder.next(frame));
-  EXPECT_EQ(frame.type, wire::FrameType::payload_bf16);
-  EXPECT_EQ(frame.sender, 17u);
-  EXPECT_EQ(frame.src_part, 1u);
-  ASSERT_EQ(frame.row.size(), row.size());
-  EXPECT_EQ(std::memcmp(frame.row.data(), row.data(),
-                        row.size() * sizeof(float)),
-            0);
-  EXPECT_FALSE(decoder.next(frame));
-}
-
 TEST(WireFormat, MalformedFrameThrows) {
   std::vector<std::uint8_t> buf;
   wire::append_barrier_frame(buf, 0, 1);
@@ -126,12 +98,13 @@ TEST(WireFormat, MalformedFrameThrows) {
   wire::Frame frame;
   EXPECT_THROW(decoder.next(frame), check_error);
 
-  // Retired frame types 5, 6 and 7, each with a body sized for the layout
-  // it once had (token: u32 + u64 + i64 + 2 x u8; row: four u32 and no
-  // floats; 7: an empty body), are unknown types now: typed kCorrupt.
+  // Retired frame types 4, 5, 6 and 7, each with a body sized for the
+  // layout it once had (4: three u32 and four u16 bf16 values; token:
+  // u32 + u64 + i64 + 2 x u8; row: four u32 and no floats; 7: an empty
+  // body), are unknown types now: typed kCorrupt.
   for (const auto& [type, body_bytes] :
        std::vector<std::pair<std::uint8_t, std::uint32_t>>{
-           {5, 22}, {6, 16}, {7, 0}}) {
+           {4, 3 * 4 + 4 * 2}, {5, 22}, {6, 16}, {7, 0}}) {
     SCOPED_TRACE("frame type " + std::to_string(type));
     std::vector<std::uint8_t> retired(sizeof(std::uint32_t) + 1 + body_bytes,
                                       0);
@@ -223,7 +196,7 @@ std::vector<std::uint8_t> encode_report(const EmbeddingStore& store,
     }
   }
   // The leader ships the whole gathered table (its collective gather
-  // collected every rank's owned rows over send_exact frames).
+  // collected every rank's owned rows over payload frames).
   blob_put(blob, static_cast<std::uint8_t>(rank == 0));
   if (rank == 0) {
     for (VertexId v = 0; v < store.num_vertices(); ++v) {
@@ -284,15 +257,14 @@ EmbeddingStore run_tcp_cluster(const char* key, const GnnModel& model,
                                const RmatCase& c, const Partition& partition,
                                bool use_pool, std::size_t batch_size,
                                std::uint64_t& wire_bytes,
-                               std::uint64_t& wire_messages,
-                               const TransportOptions& options = {}) {
+                               std::uint64_t& wire_messages) {
   const std::size_t num_parts = partition.num_parts();
   const auto results = run_loopback_ranks(
       num_parts, [&](const TcpConfig& config) -> std::vector<std::uint8_t> {
         const auto pool =
             use_pool ? std::make_unique<ThreadPool>(3) : nullptr;
         auto transport = std::make_unique<TcpTransport>(
-            num_parts, options, config);
+            num_parts, TransportOptions{}, config);
         auto engine =
             make_dist_engine(key, model, c.snapshot, c.features, partition,
                              pool.get(), std::move(transport));
@@ -544,137 +516,6 @@ TEST(TcpConformance, MigrationSuperstepsBitIdenticalToSimWithEqualCounters) {
       EXPECT_EQ(tcp_messages, sim_messages);
     }
   }
-}
-
-// ------------------------------------------------- wire precision (bf16)
-
-TEST(WirePrecision, ParsingAndNames) {
-  EXPECT_EQ(parse_wire_precision("f32"), WirePrecision::kF32);
-  EXPECT_EQ(parse_wire_precision("bf16"), WirePrecision::kBf16);
-  EXPECT_THROW(parse_wire_precision("int8"), check_error);
-  EXPECT_STREQ(wire_precision_name(WirePrecision::kF32), "f32");
-  EXPECT_STREQ(wire_precision_name(WirePrecision::kBf16), "bf16");
-  EXPECT_EQ(wire_precision_choices().size(), 2u);
-}
-
-TEST(WirePrecision, SimTransportRoundsInboxRowsAndHalvesPayloadBytes) {
-  TransportOptions f32_opts;
-  TransportOptions bf16_opts;
-  bf16_opts.wire_precision = WirePrecision::kBf16;
-  SimTransport f32_sim(2, f32_opts);
-  SimTransport bf16_sim(2, bf16_opts);
-  const std::vector<float> row = {1.0f, 1.0f / 3.0f, -0.1234567f, 2.5f};
-
-  f32_sim.begin_superstep();
-  bf16_sim.begin_superstep();
-  f32_sim.send(0, 1, /*sender=*/5, row);
-  bf16_sim.send(0, 1, /*sender=*/5, row);
-
-  // row_wire_bytes: 4 B/value at f32, 2 at bf16; counters add the header.
-  EXPECT_EQ(f32_sim.row_wire_bytes(row.size()), row.size() * 4);
-  EXPECT_EQ(bf16_sim.row_wire_bytes(row.size()), row.size() * 2);
-  EXPECT_EQ(f32_sim.wire_bytes(),
-            f32_opts.header_bytes + row.size() * sizeof(float));
-  EXPECT_EQ(bf16_sim.wire_bytes(),
-            bf16_opts.header_bytes + row.size() * sizeof(std::uint16_t));
-  EXPECT_EQ(f32_sim.wire_messages(), 1u);
-  EXPECT_EQ(bf16_sim.wire_messages(), 1u);
-
-  // The f32 inbox carries the exact bits; the bf16 inbox carries the
-  // SENDER-rounded row — what a tcp receiver would decode.
-  const auto& f32_inbox = f32_sim.inbox(1);
-  const auto& bf16_inbox = bf16_sim.inbox(1);
-  ASSERT_EQ(f32_inbox.messages.size(), 1u);
-  ASSERT_EQ(bf16_inbox.messages.size(), 1u);
-  const auto f32_row = f32_inbox.payload_of(f32_inbox.messages[0]);
-  const auto bf16_row = bf16_inbox.payload_of(bf16_inbox.messages[0]);
-  for (std::size_t i = 0; i < row.size(); ++i) {
-    EXPECT_EQ(f32_row[i], row[i]) << i;
-    EXPECT_EQ(bf16_row[i], bf16_round(row[i])) << i;
-  }
-  // Rounding genuinely narrowed something on this row.
-  EXPECT_NE(bf16_row[1], row[1]);
-}
-
-TEST(WirePrecision, OptionsFromFlagsReadsWirePrecision) {
-  const char* argv_bf16[] = {"test", "--wire-precision=bf16"};
-  Flags flags(2, const_cast<char**>(argv_bf16));
-  EXPECT_EQ(TransportOptions::from_flags(flags).wire_precision,
-            WirePrecision::kBf16);
-  const char* argv_default[] = {"test"};
-  Flags defaults(1, const_cast<char**>(argv_default));
-  EXPECT_EQ(TransportOptions::from_flags(defaults).wire_precision,
-            WirePrecision::kF32);
-}
-
-TEST(TcpConformance, Bf16WireBitIdenticalToSimWithHalvedPayload) {
-  // --wire-precision=bf16 axis of the conformance property: tcp and sim
-  // agree bit-for-bit and counter-for-counter at reduced wire precision,
-  // the message count matches the f32 protocol (rounding changes VALUES,
-  // never the message pattern), and the payload byte volume — counters
-  // minus the per-message header envelope — is exactly halved (every
-  // row-shaped transfer in these models has even float counts).
-  const auto c = make_rmat_case(77);
-  const auto config = workload_config(Workload::gc_s, 8, 4, 2, 12);
-  const auto model = GnnModel::random(config, 79);
-  constexpr std::size_t kBatch = 9;
-  const auto batches = make_batches(c.stream, kBatch);
-  auto partition = ldg_partition(c.snapshot, 2);
-  refine_partition(c.snapshot, partition, 1);
-
-  TransportOptions bf16_opts;
-  bf16_opts.wire_precision = WirePrecision::kBf16;
-
-  auto run_sim = [&](const TransportOptions& options, std::uint64_t& bytes,
-                     std::uint64_t& messages) {
-    bytes = 0;
-    messages = 0;
-    auto sim = make_dist_engine("ripple", model, c.snapshot, c.features,
-                                partition, nullptr, options);
-    for (const auto& batch : batches) {
-      const DistBatchResult result = sim->apply_batch(batch);
-      bytes += result.wire_bytes;
-      messages += result.wire_messages;
-    }
-    return sim->gather_embeddings();
-  };
-
-  std::uint64_t f32_bytes = 0, f32_messages = 0;
-  run_sim(TransportOptions{}, f32_bytes, f32_messages);
-  std::uint64_t sim_bytes = 0, sim_messages = 0;
-  const EmbeddingStore sim_store = run_sim(bf16_opts, sim_bytes, sim_messages);
-
-  std::uint64_t tcp_bytes = 0, tcp_messages = 0;
-  const EmbeddingStore tcp_store =
-      run_tcp_cluster("ripple", model, c, partition, /*use_pool=*/false,
-                      kBatch, tcp_bytes, tcp_messages, bf16_opts);
-
-  EXPECT_EQ(testing::max_store_diff(tcp_store, sim_store), 0.0f);
-  EXPECT_EQ(tcp_bytes, sim_bytes);
-  EXPECT_EQ(tcp_messages, sim_messages);
-  ASSERT_GT(sim_messages, 0u);
-
-  // Same protocol, and every ROW-SHAPED byte halved exactly. The only
-  // payload that stays f32 is the leader→worker update-routing broadcast
-  // (control plane, not embedding rows) — subtract it and the remainder
-  // must be exactly half of the f32 remainder (all row widths here are
-  // even).
-  EXPECT_EQ(sim_messages, f32_messages);
-  std::uint64_t routing_bytes = 0;
-  for (const auto& batch : batches) {
-    std::uint64_t batch_bytes = 0;
-    for (const GraphUpdate& update : batch) {
-      batch_bytes += update.wire_bytes();
-    }
-    routing_bytes += batch_bytes * (partition.num_parts() - 1);
-  }
-  const std::uint64_t header = TransportOptions{}.header_bytes;
-  const std::uint64_t f32_rows =
-      f32_bytes - header * f32_messages - routing_bytes;
-  const std::uint64_t bf16_rows =
-      sim_bytes - header * sim_messages - routing_bytes;
-  EXPECT_EQ(bf16_rows, f32_rows / 2);
-  EXPECT_LT(sim_bytes, f32_bytes);
 }
 
 // ci.sh's dedicated tcp pass (RIPPLE_TRANSPORT=tcp): the multi-workload
