@@ -14,13 +14,10 @@ int main(int argc, char** argv) {
   const double scale = flags.get_double("scale", quick ? 0.05 : 0.15);
   const auto seed = static_cast<std::uint64_t>(flags.get_int("seed", 42));
   set_log_level(log_level::warn);
-#if RIPPLE_HAS_DIST
-  set_transport_options(TransportOptions::from_flags(flags));
-#endif
+  const auto transport = TransportOptions::from_flags(flags);
 
   // ---- 1. Partitioner ablation ----
   bench::print_header("Ablation 1: hash vs LDG+refine partitioning");
-#if RIPPLE_HAS_DIST
   {
     const auto prepared =
         bench::prepare("papers-s", scale * 0.6, quick ? 200 : 1000, seed);
@@ -36,7 +33,7 @@ int main(int argc, char** argv) {
                            ? bench::make_partition(ds.graph, parts)
                            : hash_partition(ds.graph.num_vertices(), parts);
       auto engine = make_dist_engine("ripple", model, ds.graph, ds.features,
-                                     partition);
+                                     partition, nullptr, transport);
       const auto run = bench::run_dist_stream(*engine, prepared.stream, 100,
                                               quick ? 2 : 5);
       const double cut_pct = 100.0 *
@@ -52,16 +49,10 @@ int main(int argc, char** argv) {
     table.print();
   }
 
-#else
-  std::printf("skipped: the distributed runtime (src/dist) is not built yet; "
-              "see ROADMAP.md open items.\n");
-#endif
-
   // ---- 2. Halo stub combining ----
   bench::print_header(
       "Ablation 2: halo stub mailboxes (one combined message per remote "
       "target per superstep)");
-#if RIPPLE_HAS_DIST
   {
     const auto prepared =
         bench::prepare("products-s", scale, quick ? 200 : 1000, seed);
@@ -71,7 +62,7 @@ int main(int argc, char** argv) {
     const auto model = GnnModel::random(config, seed);
     const auto partition = bench::make_partition(ds.graph, quick ? 2 : 4);
     auto engine = make_dist_engine("ripple", model, ds.graph, ds.features,
-                                   partition);
+                                   partition, nullptr, transport);
     const auto run = bench::run_dist_stream(*engine, prepared.stream, 100,
                                             quick ? 2 : 5);
     std::printf(
@@ -81,9 +72,5 @@ int main(int argc, char** argv) {
         "mailbox is the paper's §5.1 design)\n",
         run.wire_messages, run.wire_bytes, run.num_batches);
   }
-#else
-  std::printf("skipped: the distributed runtime (src/dist) is not built yet; "
-              "see ROADMAP.md open items.\n");
-#endif
   return 0;
 }

@@ -1,35 +1,24 @@
-// Shared harness for the distributed benches (Figs. 12, 13).
-//
-// The distributed runtime (src/dist) is a planned follow-up (see ROADMAP.md
-// open items); until it lands, the engine-dependent helpers here are gated
-// on its header so the dist benches compile into informative stubs.
+// Shared harness for the distributed benches (Figs. 12, 13, the ablation,
+// recovery and drift benches) and the dist perfbench workload.
 #pragma once
 
 #include <cstdio>
 
 #include "bench_util.h"
-#include "partition/partition.h"
-
-#if __has_include("dist/dist_engine.h")
-#define RIPPLE_HAS_DIST 1
 #include "dist/dist_engine.h"
 #include "dist/tcp_transport.h"
-#else
-#define RIPPLE_HAS_DIST 0
-#endif
+#include "partition/partition.h"
 
 namespace ripple::bench {
 
 // Builds the LDG+refine partition used by all distributed benches (the
-// METIS substitution; see DESIGN.md).
+// METIS substitution; see src/partition/partition.h).
 inline Partition make_partition(const DynamicGraph& graph,
                                 std::size_t num_parts) {
   auto partition = ldg_partition(graph, num_parts);
   refine_partition(graph, partition, 2);
   return partition;
 }
-
-#if RIPPLE_HAS_DIST
 
 // Run-shape selection shared by the dist benches: --transport=sim
 // (default, modeled cost) or --transport=tcp (real sockets, measured
@@ -61,18 +50,17 @@ inline void apply_tcp_run_policy(const RunSpec& spec,
   }
 }
 
-inline std::unique_ptr<Transport> make_transport(const RunSpec& spec,
-                                                 std::size_t num_parts) {
+inline std::unique_ptr<Transport> make_transport(
+    const RunSpec& spec, std::size_t num_parts,
+    const TransportOptions& options) {
   if (spec.is_tcp()) {
     RIPPLE_CHECK_MSG(num_parts == spec.world_size(),
                      "--transport=tcp runs one rank per partition: "
                          << spec.world_size() << " peers vs " << num_parts
                          << " partitions");
-    return std::make_unique<TcpTransport>(
-        num_parts, default_transport_options(), spec.tcp);
+    return std::make_unique<TcpTransport>(num_parts, options, spec.tcp);
   }
-  return std::make_unique<SimTransport>(num_parts,
-                                        default_transport_options());
+  return std::make_unique<SimTransport>(num_parts, options);
 }
 
 struct DistRunMetrics {
@@ -159,7 +147,5 @@ inline DistRunMetrics run_dist_stream(DistEngineBase& engine,
   metrics.rank_memory_bytes = engine.memory_bytes();
   return metrics;
 }
-
-#endif  // RIPPLE_HAS_DIST
 
 }  // namespace ripple::bench

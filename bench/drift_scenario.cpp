@@ -29,13 +29,6 @@
 
 using namespace ripple;
 
-#if !RIPPLE_HAS_DIST
-int main() {
-  std::printf("drift_scenario: the distributed runtime (src/dist) is not "
-              "built yet; see ROADMAP.md open items.\n");
-  return 0;
-}
-#else
 namespace {
 
 struct PolicyMetrics {
@@ -76,7 +69,7 @@ int main(int argc, char** argv) {
   // and identical across repeats).
   const int repeats = static_cast<int>(flags.get_int("repeats", quick ? 1 : 3));
   set_log_level(log_level::warn);
-  set_transport_options(TransportOptions::from_flags(flags));
+  const auto transport = TransportOptions::from_flags(flags);
 
   bench::DriftConfig dc;
   dc.num_vertices =
@@ -117,7 +110,7 @@ int main(int argc, char** argv) {
     const auto partition = bench::make_partition(scenario.snapshot, parts);
     auto engine = make_dist_engine(
         "ripple", model, scenario.snapshot, features, partition, nullptr,
-        default_transport_options());
+        transport);
     SkewSignal signal;
     Timer propose;
     for (const auto& batch : batches) {
@@ -228,4 +221,3 @@ int main(int argc, char** argv) {
       mg.moves, mg.migrations);
   return 0;
 }
-#endif  // RIPPLE_HAS_DIST

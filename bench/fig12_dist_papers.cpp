@@ -12,13 +12,6 @@
 
 using namespace ripple;
 
-#if !RIPPLE_HAS_DIST
-int main() {
-  std::printf("fig12: the distributed runtime (src/dist) is not built yet; "
-              "see ROADMAP.md open items.\n");
-  return 0;
-}
-#else
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   apply_kernel_flag(flags);
@@ -37,7 +30,7 @@ int main(int argc, char** argv) {
       "partitions", quick ? std::vector<std::int64_t>{4, 8}
                           : std::vector<std::int64_t>{4, 8, 16});
   set_log_level(log_level::warn);
-  set_transport_options(TransportOptions::from_flags(flags));
+  const auto transport = TransportOptions::from_flags(flags);
   const auto run_spec = bench::RunSpec::from_flags(flags);
   bench::apply_tcp_run_policy(run_spec, part_counts);
 
@@ -76,12 +69,12 @@ int main(int argc, char** argv) {
       const std::size_t num_batches = bench::batches_for(bs, quick ? 200 : 2000);
       auto rc = make_dist_engine(
           "rc", model, ds.graph, ds.features, partition_a, nullptr,
-          bench::make_transport(run_spec, parts_a));
+          bench::make_transport(run_spec, parts_a, transport));
       const auto rc_run =
           bench::run_dist_stream(*rc, prepared.stream, bs, num_batches);
       auto rp = make_dist_engine(
           "ripple", model, ds.graph, ds.features, partition_a, nullptr,
-          bench::make_transport(run_spec, parts_a));
+          bench::make_transport(run_spec, parts_a, transport));
       const auto rp_run =
           bench::run_dist_stream(*rp, prepared.stream, bs, num_batches);
       table.add_row(
@@ -127,12 +120,14 @@ int main(int argc, char** argv) {
     const std::size_t num_batches = quick ? 2 : 4;
     auto rc = make_dist_engine(
         "rc", model, ds.graph, ds.features, partition, nullptr,
-        bench::make_transport(run_spec, static_cast<std::size_t>(parts)));
+        bench::make_transport(run_spec, static_cast<std::size_t>(parts),
+                              transport));
     const auto rc_run =
         bench::run_dist_stream(*rc, prepared.stream, bs_scaling, num_batches);
     auto rp = make_dist_engine(
         "ripple", model, ds.graph, ds.features, partition, nullptr,
-        bench::make_transport(run_spec, static_cast<std::size_t>(parts)));
+        bench::make_transport(run_spec, static_cast<std::size_t>(parts),
+                              transport));
     const auto rp_run =
         bench::run_dist_stream(*rp, prepared.stream, bs_scaling, num_batches);
     if (json) {
@@ -198,4 +193,3 @@ int main(int argc, char** argv) {
       "not a whole-graph replica).\n");
   return 0;
 }
-#endif  // RIPPLE_HAS_DIST

@@ -10,13 +10,6 @@
 
 using namespace ripple;
 
-#if !RIPPLE_HAS_DIST
-int main() {
-  std::printf("fig13: the distributed runtime (src/dist) is not built yet; "
-              "see ROADMAP.md open items.\n");
-  return 0;
-}
-#else
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   apply_kernel_flag(flags);
@@ -31,7 +24,7 @@ int main(int argc, char** argv) {
       "partitions", quick ? std::vector<std::int64_t>{2, 4}
                           : std::vector<std::int64_t>{2, 4, 8});
   set_log_level(log_level::warn);
-  set_transport_options(TransportOptions::from_flags(flags));
+  const auto transport = TransportOptions::from_flags(flags);
   const auto run_spec = bench::RunSpec::from_flags(flags);
   bench::apply_tcp_run_policy(run_spec, part_counts);
 
@@ -58,12 +51,12 @@ int main(int argc, char** argv) {
     const std::size_t num_batches = bench::batches_for(bs, quick ? 150 : 1500);
     auto rc = make_dist_engine(
         "rc", model, ds.graph, ds.features, partition_a, nullptr,
-        bench::make_transport(run_spec, parts_a));
+        bench::make_transport(run_spec, parts_a, transport));
     const auto rc_run =
         bench::run_dist_stream(*rc, prepared.stream, bs, num_batches);
     auto rp = make_dist_engine(
         "ripple", model, ds.graph, ds.features, partition_a, nullptr,
-        bench::make_transport(run_spec, parts_a));
+        bench::make_transport(run_spec, parts_a, transport));
     const auto rp_run =
         bench::run_dist_stream(*rp, prepared.stream, bs, num_batches);
     table_a.add_row({TextTable::fmt_int(batch_size),
@@ -88,12 +81,14 @@ int main(int argc, char** argv) {
     const std::size_t num_batches = quick ? 2 : 3;
     auto rc = make_dist_engine(
         "rc", model, ds.graph, ds.features, partition, nullptr,
-        bench::make_transport(run_spec, static_cast<std::size_t>(parts)));
+        bench::make_transport(run_spec, static_cast<std::size_t>(parts),
+                              transport));
     const auto rc_run =
         bench::run_dist_stream(*rc, prepared.stream, bs_scaling, num_batches);
     auto rp = make_dist_engine(
         "ripple", model, ds.graph, ds.features, partition, nullptr,
-        bench::make_transport(run_spec, static_cast<std::size_t>(parts)));
+        bench::make_transport(run_spec, static_cast<std::size_t>(parts),
+                              transport));
     const auto rp_run =
         bench::run_dist_stream(*rp, prepared.stream, bs_scaling, num_batches);
     table_b.add_row(
@@ -114,4 +109,3 @@ int main(int argc, char** argv) {
       "~110 at 2 at full scale) — if it fits one machine, keep it there.\n");
   return 0;
 }
-#endif  // RIPPLE_HAS_DIST

@@ -62,7 +62,7 @@ int main(int argc, char** argv) {
                      TextTable::fmt(run.mean_update_sec, 5),
                      TextTable::fmt(run.mean_propagate_sec, 5)});
       // Simulated-accelerator variants derive their propagate time from the
-      // CPU run + the device cost model (DESIGN.md substitution).
+      // CPU run + the device cost model (src/device/accelerator.h).
       if (key == "dnc" || key == "drc") {
         BatchResult pseudo;
         pseudo.propagation_tree_size =

@@ -11,11 +11,14 @@
 // thread counts: `embedding_hash` (FNV-1a over the final embeddings' bits)
 // and `mean_tree_size` must match on every row of a group.
 //
-// Each thread count runs kRepeats times on fresh engines. A row reports the
-// median `mean_propagate_sec` with its min/max; the other per-run timings
-// come from that median run, and `bootstrap_sec` (the engine constructor's
-// wall time) is the median over the repeats. `oversubscribed` marks rows
-// whose scheduler is wider than the host's hardware threads.
+// Each thread count first runs once untimed (a thread count's first run
+// read up to 2.3x slower than its fastest repeat), then kRepeats times on
+// fresh engines. A row reports the
+// median `mean_propagate_sec` with its min/max, and every repeat's value in
+// run order (`repeat_propagate_sec`), so a cold first run shows; the other
+// per-run timings come from the median run, and `bootstrap_sec` (the engine
+// constructor's wall time) is the median over the repeats. `oversubscribed`
+// marks rows whose scheduler is wider than the host's hardware threads.
 //
 // Emits one JSON object per line on stdout so the BENCH_* trajectory can be
 // scraped without parsing tables:
@@ -27,6 +30,7 @@
 //        --kernels=auto|scalar --quick --seed=42
 #include <algorithm>
 #include <cstdio>
+#include <string>
 #include <thread>
 
 #include "bench_util.h"
@@ -119,6 +123,10 @@ int main(int argc, char** argv) {
       std::vector<bench::RunMetrics> runs;
       std::vector<double> bootstrap_secs;
       std::uint64_t hash = 0;
+      {
+        RippleEngine warmup(model, graph, features, &pool, options);
+        bench::run_stream(warmup, stream, batch_size);
+      }
       for (std::size_t r = 0; r < kRepeats; ++r) {
         const StopWatch bootstrap;
         RippleEngine engine(model, graph, features, &pool, options);
@@ -128,6 +136,13 @@ int main(int argc, char** argv) {
         RIPPLE_CHECK_MSG(r == 0 || run_hash == hash,
                          "embeddings differ between repeats");
         hash = run_hash;
+      }
+      std::string repeat_propagate;
+      for (const bench::RunMetrics& r : runs) {
+        if (!repeat_propagate.empty()) repeat_propagate += ',';
+        char buf[32];
+        std::snprintf(buf, sizeof(buf), "%.6g", r.mean_propagate_sec);
+        repeat_propagate += buf;
       }
       std::sort(runs.begin(), runs.end(), [](const auto& x, const auto& y) {
         return x.mean_propagate_sec < y.mean_propagate_sec;
@@ -151,6 +166,7 @@ int main(int argc, char** argv) {
           "\"throughput_ups\":%.6g,\"median_latency_sec\":%.6g,"
           "\"mean_update_sec\":%.6g,\"mean_propagate_sec\":%.6g,"
           "\"mean_propagate_sec_min\":%.6g,\"mean_propagate_sec_max\":%.6g,"
+          "\"repeat_propagate_sec\":[%s],"
           "\"mean_apply_phase_sec\":%.6g,\"mean_compute_phase_sec\":%.6g,"
           "\"mean_tree_size\":%.6g,\"embedding_hash\":\"%016llx\","
           "\"sched_width\":%zu,\"tasks\":%llu,"
@@ -163,7 +179,7 @@ int main(int argc, char** argv) {
           median(bootstrap_secs), run.throughput_ups, run.median_latency_sec,
           run.mean_update_sec, run.mean_propagate_sec,
           runs.front().mean_propagate_sec, runs.back().mean_propagate_sec,
-          run.mean_apply_phase_sec, run.mean_compute_phase_sec,
+          repeat_propagate.c_str(), run.mean_apply_phase_sec, run.mean_compute_phase_sec,
           run.mean_tree_size, static_cast<unsigned long long>(hash),
           run.sched.width,
           static_cast<unsigned long long>(run.sched.tasks),

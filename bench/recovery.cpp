@@ -25,19 +25,10 @@
 #include <filesystem>
 
 #include "common/timer.h"
+#include "dist/checkpoint.h"
 #include "dist_util.h"
 
 using namespace ripple;
-
-#if !RIPPLE_HAS_DIST
-int main() {
-  std::printf("recovery: the distributed runtime (src/dist) is not built "
-              "yet; see ROADMAP.md open items.\n");
-  return 0;
-}
-#else
-
-#include "dist/checkpoint.h"
 
 namespace {
 
@@ -81,7 +72,7 @@ int main(int argc, char** argv) {
       "partitions", quick ? std::vector<std::int64_t>{4, 8}
                           : std::vector<std::int64_t>{4, 8, 16});
   set_log_level(log_level::warn);
-  set_transport_options(TransportOptions::from_flags(flags));
+  const auto transport = TransportOptions::from_flags(flags);
 
   if (!json) {
     bench::print_header("Recovery: checkpoint tax + restore/replay cost");
@@ -110,8 +101,7 @@ int main(int argc, char** argv) {
       // flushing it just before the next write, which would wait for it
       // anyway.
       auto engine = make_dist_engine(key, model, ds.graph, ds.features,
-                                     partition, nullptr,
-                                     default_transport_options());
+                                     partition, nullptr, transport);
       double stall_sec = 0;
       double write_sec = 0;
       std::size_t checkpoints = 0;
@@ -148,8 +138,7 @@ int main(int argc, char** argv) {
           ds.graph, std::span<const GraphUpdate>(prepared.stream.data(),
                                                  prefix_updates));
       auto recovered = make_dist_engine(key, model, topo, ds.features,
-                                        partition, nullptr,
-                                        default_transport_options());
+                                        partition, nullptr, transport);
       StopWatch restore_watch;
       recovered->restore_checkpoint(dir, *cursor);
       const double restore_sec = restore_watch.elapsed_sec();
@@ -219,4 +208,3 @@ int main(int argc, char** argv) {
       "time with write tax. \"Exact\" must read yes on every row.\n");
   return 0;
 }
-#endif  // RIPPLE_HAS_DIST

@@ -36,6 +36,6 @@ int main(int argc, char** argv) {
   std::printf(
       "\nDegree structure (avg in-degree ratio arxiv:papers:products:reddit)\n"
       "follows the paper's ordering; absolute sizes are scaled to this\n"
-      "machine — see DESIGN.md substitutions.\n");
+      "machine — see src/graph/datasets.h.\n");
   return 0;
 }

@@ -19,26 +19,14 @@
 #include "common/flags.h"
 #include "tensor/kernels.h"
 #include "common/log.h"
+#include "dist/dist_engine.h"
+#include "dist/tcp_transport.h"
 #include "graph/datasets.h"
 #include "stream/generator.h"
 
-#if __has_include("dist/dist_engine.h")
-#define RIPPLE_HAS_DIST 1
-#include "dist/dist_engine.h"
-#include "dist/tcp_transport.h"
-#else
-#define RIPPLE_HAS_DIST 0
-#endif
 
 using namespace ripple;
 
-#if !RIPPLE_HAS_DIST
-int main() {
-  std::printf("distributed_inference: the distributed runtime (src/dist) is "
-              "not built yet; see ROADMAP.md open items.\n");
-  return 0;
-}
-#else
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   apply_kernel_flag(flags);
@@ -52,7 +40,7 @@ int main(int argc, char** argv) {
               : static_cast<std::size_t>(flags.get_int("partitions", 4));
   const auto updates = static_cast<std::size_t>(flags.get_int("updates", 1200));
   set_log_level(log_level::warn);
-  set_transport_options(TransportOptions::from_flags(flags));
+  const auto options = TransportOptions::from_flags(flags);
   const bool narrate = !use_tcp || tcp_config.rank == 0;
   if (!narrate) std::freopen("/dev/null", "w", stdout);
 
@@ -81,9 +69,8 @@ int main(int argc, char** argv) {
   for (const char* key : {"rc", "ripple"}) {
     std::unique_ptr<Transport> transport =
         use_tcp ? std::unique_ptr<Transport>(std::make_unique<TcpTransport>(
-                      num_parts, default_transport_options(), tcp_config))
-                : std::make_unique<SimTransport>(num_parts,
-                                                 default_transport_options());
+                      num_parts, options, tcp_config))
+                : std::make_unique<SimTransport>(num_parts, options);
     auto engine = make_dist_engine(key, model, ds.graph, ds.features,
                                    partition, nullptr, std::move(transport));
     double compute = 0;
@@ -114,4 +101,3 @@ int main(int argc, char** argv) {
       "— the source of the paper's ~70x communication gap (Fig. 12c).\n");
   return 0;
 }
-#endif  // RIPPLE_HAS_DIST

@@ -19,10 +19,7 @@ void bootstrap_with_caches(const GnnModel& model, const DynamicGraph& graph,
     if (is_mean) {
       x_actual = agg_cache[l];
       for (VertexId v = 0; v < graph.num_vertices(); ++v) {
-        const auto deg = graph.in_degree(v);
-        if (deg > 0) {
-          vec_scale(x_actual.row(v), 1.0f / static_cast<float>(deg));
-        }
+        mean_normalize(x_actual.row(v), graph.in_degree(v));
       }
       x = &x_actual;
     }

@@ -37,13 +37,24 @@ struct HopShardScratch {
   Matrix out;     // blocked Update output
 };
 
-// The standard hop sink: writes Δh = new − old at each vertex's rank in a
-// sorted sender order. Both the single-machine engine (canonical global
-// order) and the distributed engine (per-partition order) depend on this
-// exact subtraction for the bit-exactness contract, so it lives here once.
-// The rank cursor is monotone: apply_hop_shard hands over vertices in
-// ascending id order, so the search range shrinks instead of re-bisecting
-// the whole order per vertex. One sink serves one shard drain.
+// Δh = new − old into `delta`. The one home of the subtraction: the apply
+// phase's RankDeltaSink and dist-Ripple's received-row derivation
+// (DistRippleEngine::apply_batch) both call it, so a receiver's Δh is
+// bit-equal to the one its sender computed.
+inline void write_delta(std::span<const float> new_row,
+                        std::span<const float> old_row,
+                        std::span<float> delta) {
+  for (std::size_t j = 0; j < delta.size(); ++j) {
+    delta[j] = new_row[j] - old_row[j];
+  }
+}
+
+// The standard hop sink: writes Δh at each vertex's rank in a sorted sender
+// order (the canonical global order on a single machine, the per-partition
+// order in dist-Ripple). The rank cursor is monotone: apply_hop_shard hands
+// over vertices in ascending id order, so the search range shrinks instead
+// of re-bisecting the whole order per vertex. One sink serves one shard
+// drain.
 class RankDeltaSink {
  public:
   RankDeltaSink(const std::vector<VertexId>& order, Matrix& delta_block)
@@ -52,11 +63,8 @@ class RankDeltaSink {
   void operator()(VertexId v, std::span<const float> new_row,
                   std::span<const float> old_row) const {
     it_ = std::lower_bound(it_, order_.end(), v);
-    auto delta_row =
-        delta_block_.row(static_cast<std::size_t>(it_ - order_.begin()));
-    for (std::size_t j = 0; j < delta_row.size(); ++j) {
-      delta_row[j] = new_row[j] - old_row[j];
-    }
+    const auto rank = static_cast<std::size_t>(it_ - order_.begin());
+    write_delta(new_row, old_row, delta_block_.row(rank));
   }
 
  private:
@@ -121,14 +129,7 @@ std::uint64_t apply_hop_shard(const GnnModel& model, std::size_t l,
     }
     auto x_row = scratch.x.row(i);
     vec_copy(cache_row, x_row);
-    if (is_mean) {
-      const auto deg = graph.in_degree(v);
-      if (deg > 0) {
-        vec_scale(x_row, 1.0f / static_cast<float>(deg));
-      } else {
-        vec_fill(x_row, 0.0f);
-      }
-    }
+    if (is_mean) mean_normalize(x_row, graph.in_degree(v));
     if (gather_self) vec_copy(h_prev.row(r), scratch.h_self.row(i));
   }
 

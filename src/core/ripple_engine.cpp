@@ -43,12 +43,6 @@ RippleEngine::RippleEngine(const GnnModel& model, DynamicGraph snapshot,
   bootstrap(features);
 }
 
-float RippleEngine::edge_alpha(EdgeWeight weight) const {
-  return model_.config().aggregator == AggregatorKind::weighted_sum
-             ? weight
-             : 1.0f;
-}
-
 void RippleEngine::bootstrap(const Matrix& features) {
   store_.features() = features;
   bootstrap_with_caches(model_, graph_, store_, agg_cache_, stealer_.get());
@@ -61,7 +55,7 @@ void RippleEngine::seed_edge_messages(VertexId u, VertexId v,
   // exactly the contribution present in (deletion) or absent from
   // (addition) the sink's caches. If u's h^{l-1} changes later this batch,
   // u's hop-(l-1) compute phase sends the correction over the live topology.
-  const float alpha = edge_alpha(weight);
+  const float alpha = edge_coefficient(model_.config().aggregator, weight);
   for (std::size_t l = 1; l <= model_.num_layers(); ++l) {
     const auto h_u = store_.layer(l - 1).row(u);
     if (is_add) {
@@ -74,13 +68,12 @@ void RippleEngine::seed_edge_messages(VertexId u, VertexId v,
 }
 
 void RippleEngine::apply_feature_update(const GraphUpdate& update) {
-  RIPPLE_CHECK_MSG(update.new_features.size() == store_.features().cols(),
-                   "feature width mismatch");
   const VertexId u = update.u;
+  const AggregatorKind agg = model_.config().aggregator;
   // Send α·(x_new − x_old) to out-neighbors' hop-1 mailboxes, then commit.
   const auto old_row = store_.features().row(u);
   for (const Neighbor& nb : graph_.out_neighbors(u)) {
-    mailboxes_[0].accumulate(nb.vertex, edge_alpha(nb.weight),
+    mailboxes_[0].accumulate(nb.vertex, edge_coefficient(agg, nb.weight),
                              update.new_features, old_row);
     incremental_ops_ += 1;
   }
@@ -92,7 +85,7 @@ void RippleEngine::apply_feature_update(const GraphUpdate& update) {
 
 void RippleEngine::update(UpdateBatch batch) {
   apply_updates_seeding(
-      graph_, batch,
+      graph_, batch, store_.features().cols(),
       [this](VertexId u, VertexId v, EdgeWeight weight, bool is_add) {
         seed_edge_messages(u, v, weight, is_add);
       },
@@ -145,6 +138,7 @@ constexpr std::size_t kPullChunk = 64;
 void RippleEngine::bucket_sender_block(std::size_t l, std::size_t b,
                                        const std::vector<VertexId>& order) {
   const Mailbox& next = mailboxes_[l];
+  const AggregatorKind agg = model_.config().aggregator;
   // Each block is a contiguous rank range of the canonical sender list; the
   // buckets it fills are appended in ascending-rank order, so draining
   // blocks in index order reconstructs the global ascending-sender order.
@@ -155,7 +149,7 @@ void RippleEngine::bucket_sender_block(std::size_t l, std::size_t b,
       const std::size_t t = next.shard_of(nb.vertex);
       msg_buckets_[b * num_shards_ + t].push_back(
           {static_cast<std::uint32_t>(r), nb.vertex,
-           edge_alpha(nb.weight)});
+           edge_coefficient(agg, nb.weight)});
     }
   }
 }
@@ -190,6 +184,7 @@ void RippleEngine::pull_target_shard(std::size_t l, std::size_t t) {
   Mailbox& next = mailboxes_[l];
   const KernelOps& ops = kernels();
   const std::size_t dim = delta_block_.cols();
+  const AggregatorKind agg = model_.config().aggregator;
   std::uint32_t rows[kPullChunk];
   float alphas[kPullChunk];
   // Owner-computes like the push drain: the targets of shard t are its row
@@ -210,7 +205,7 @@ void RippleEngine::pull_target_shard(std::size_t l, std::size_t t) {
       const std::uint32_t rank = rank_of_[nb.vertex];
       if (rank == kNoRank) continue;
       rows[count] = rank;
-      alphas[count] = edge_alpha(nb.weight);
+      alphas[count] = edge_coefficient(agg, nb.weight);
       if (++count == kPullChunk) flush();
     }
     if (count != 0) flush();

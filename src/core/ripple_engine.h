@@ -132,7 +132,6 @@ class RippleEngine : public InferenceEngine {
 
  private:
   void bootstrap(const Matrix& features);
-  float edge_alpha(EdgeWeight weight) const;
   void seed_edge_messages(VertexId u, VertexId v, EdgeWeight weight,
                           bool is_add);
   void apply_feature_update(const GraphUpdate& update);

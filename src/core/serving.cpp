@@ -101,11 +101,6 @@ std::size_t StreamingServer::flush() {
   stats_.updates_processed += pending_.size();
   ++stats_.batches_processed;
   stats_.total_sec += result.total_sec();
-  stats_.num_shards = result.num_shards;
-  stats_.num_threads = result.num_threads;
-  stats_.apply_phase_sec += result.apply_phase_sec;
-  stats_.compute_phase_sec += result.compute_phase_sec;
-  stats_.sched.accumulate(result.sched);
   const std::size_t applied = pending_.size();
   pending_.clear();
   refresh_labels_and_notify(std::move(result.final_rows));

@@ -104,16 +104,6 @@ class StreamingServer {
     // apply failed (they never committed).
     std::size_t updates_rejected = 0;
     double total_sec = 0;
-    // Propagation-core execution stats, aggregated from BatchResult: shard
-    // and thread counts of the most recent batch plus cumulative per-phase
-    // parallel timings (zero for engines without a parallel propagate).
-    std::size_t num_shards = 0;
-    std::size_t num_threads = 0;
-    double apply_phase_sec = 0;
-    double compute_phase_sec = 0;
-    // Work-stealing scheduler stats accumulated over all batches (width 1
-    // for a no-pool engine); see common/scheduler.h.
-    SchedulerStats sched;
   };
   const Stats& stats() const { return stats_; }
 

@@ -396,12 +396,13 @@ void split_row(std::span<const float> row, std::size_t count,
 
 // Factory keys used by the dist benches: "ripple" (incremental,
 // delta-shipping) and "rc" (full recompute, halo-pulling). This overload
-// runs over a SimTransport built from `options`.
+// runs over a SimTransport built from `options` (the benches pass
+// TransportOptions::from_flags).
 std::unique_ptr<DistEngineBase> make_dist_engine(
     const std::string& key, const GnnModel& model,
     const DynamicGraph& snapshot, const Matrix& features,
     const Partition& partition, ThreadPool* pool = nullptr,
-    const TransportOptions& options = default_transport_options());
+    const TransportOptions& options = TransportOptions{});
 
 // Backend-explicit overload: the caller supplies the transport (e.g. a
 // TcpTransport wired to its rank's peers). transport->num_parts() must

@@ -6,7 +6,7 @@
 #include "common/timer.h"
 #include "infer/affected.h"
 #include "infer/layerwise.h"
-#include "stream/update.h"
+#include "stream/update_apply.h"
 #include "tensor/ops.h"
 
 namespace ripple {
@@ -52,33 +52,22 @@ DistBatchResult DistRecomputeEngine::apply_batch(UpdateBatch batch) {
   const std::size_t num_parts = partition_.num_parts();
 
   // ---- superstep U: ingress routing + replica update application ----
-  // Every endpoint applies the batch to its topology replica; feature rows
-  // commit only into the hosting owner's H^0 (the same guards
-  // infer/recompute.cpp's apply_updates_to_graph uses).
+  // Every endpoint applies the batch to its topology replica through the
+  // shared guards (stream/update_apply.h); feature rows commit only into
+  // the hosting owner's H^0.
   superstep([&] {
     route_batch(batch);
     const StopWatch update_watch;
-    for (const GraphUpdate& update : batch) {
-      switch (update.kind) {
-        case UpdateKind::edge_add:
-          graph_.add_edge(update.u, update.v, update.weight);
-          break;
-        case UpdateKind::edge_del:
-          graph_.remove_edge(update.u, update.v);
-          break;
-        case UpdateKind::vertex_feature: {
-          RIPPLE_CHECK_MSG(
-              update.new_features.size() == model_.config().feat_dim,
-              "feature width mismatch");
+    apply_updates_seeding(
+        graph_, batch, model_.config().feat_dim,
+        [](VertexId, VertexId, EdgeWeight, bool) {},
+        [&](const GraphUpdate& update) {
           const std::uint32_t pu = owner(update.u);
           if (hosts(pu)) {
             vec_copy(update.new_features,
                      states_[pu].features().row(local(update.u)));
           }
-          break;
-        }
-      }
-    }
+        });
     result.compute_sec += update_watch.elapsed_sec();
   });
 
@@ -153,10 +142,10 @@ DistBatchResult DistRecomputeEngine::apply_batch(UpdateBatch batch) {
       }
     }
 
-    // Owned recompute: identical per-row float work to single-machine RC
-    // (the resolver variant replays aggregate_neighbors' op sequence); rows
-    // are independent, so neither the partition split nor the scheduler
-    // can change the bits.
+    // Owned recompute: the same recompute_vertex step single-machine RC
+    // runs, over rows resolved from owned storage or the pulled payloads;
+    // rows are independent, so neither the partition split nor the
+    // scheduler can change the bits.
     const auto recompute_row = [&](std::size_t p, VertexId v,
                                    std::vector<float>& x_scratch) {
       EmbeddingStore& st = states_[p];
@@ -170,13 +159,9 @@ DistBatchResult DistRecomputeEngine::apply_batch(UpdateBatch batch) {
                          "missing pulled row for vertex " << u);
         return it->second;
       };
-      aggregate_neighbors_resolved(model_.config().aggregator,
-                                   graph_.in_neighbors(v), row_of,
-                                   std::span<float>(x_scratch));
       const std::uint32_t r = local(v);
-      model_.layer(l).update_row(st.layer(l).row(r), x_scratch,
-                                 st.layer(l + 1).row(r));
-      model_.apply_activation_row(l, st.layer(l + 1).row(r));
+      recompute_vertex(model_, l, graph_.in_neighbors(v), row_of,
+                       st.layer(l).row(r), x_scratch, st.layer(l + 1).row(r));
     };
     compute(tasks, [&](std::size_t i) {
       const Block& block = blocks[i];

@@ -103,12 +103,6 @@ void DistRippleEngine::fill_halo(std::size_t part, VertexId u,
             [&](std::size_t l) { return halo.row(u, l); });
 }
 
-float DistRippleEngine::edge_alpha(EdgeWeight weight) const {
-  return model_.config().aggregator == AggregatorKind::weighted_sum
-             ? weight
-             : 1.0f;
-}
-
 void DistRippleEngine::record_edge_op(VertexId u, VertexId v,
                                       EdgeWeight weight, bool is_add) {
   const std::uint32_t pu = owner(u);
@@ -117,7 +111,7 @@ void DistRippleEngine::record_edge_op(VertexId u, VertexId v,
   op.kind = is_add ? UpdateKind::edge_add : UpdateKind::edge_del;
   op.u = u;
   op.v = v;
-  op.alpha = edge_alpha(weight);
+  op.alpha = edge_coefficient(model_.config().aggregator, weight);
   op.is_add = is_add;
   if (pu != pv && is_add) {
     // Halo fill — only when this add puts u into pv's halo for the first
@@ -164,8 +158,6 @@ void DistRippleEngine::record_edge_op(VertexId u, VertexId v,
 }
 
 void DistRippleEngine::record_feature_op(const GraphUpdate& update) {
-  RIPPLE_CHECK_MSG(update.new_features.size() == model_.config().feat_dim,
-                   "feature width mismatch");
   const VertexId u = update.u;
   const std::uint32_t pu = owner(u);
   UOp op;
@@ -174,7 +166,8 @@ void DistRippleEngine::record_feature_op(const GraphUpdate& update) {
   op.x_new = &update.new_features;
   op.self_mark = model_.layer(0).uses_self();
   for (const Neighbor& nb : graph_.out_neighbors(u)) {
-    op.sinks.push_back({nb.vertex, edge_alpha(nb.weight)});
+    op.sinks.push_back(
+        {nb.vertex, edge_coefficient(model_.config().aggregator, nb.weight)});
   }
   if (hosts(pu)) {
     auto owned_row = states_[pu].store.features().row(local(u));
@@ -302,7 +295,7 @@ DistBatchResult DistRippleEngine::apply_batch(UpdateBatch batch) {
     const StopWatch pass1_watch;
     uops_.clear();
     apply_updates_seeding(
-        graph_, batch,
+        graph_, batch, model_.config().feat_dim,
         [this](VertexId u, VertexId v, EdgeWeight weight, bool is_add) {
           record_edge_op(u, v, weight, is_add);
         },
@@ -413,7 +406,7 @@ DistBatchResult DistRippleEngine::apply_batch(UpdateBatch batch) {
       check_hop_inbox(delta_dim);
 
       // Seed: each hosted partition derives Δh for every received row
-      // against its cached copy (bit-equal to the sender's subtraction),
+      // against its cached copy (write_delta, the sender's own subtraction),
       // writes the received bits through into the halo, then merges local
       // and derived deltas in ascending global sender id order and
       // re-expands them over its locally-owned out-edges — reproducing the
@@ -442,9 +435,7 @@ DistBatchResult DistRippleEngine::apply_batch(UpdateBatch batch) {
           // sender's previous committed row, and row − cache is its Δh.
           auto cached = st.halo.row(m.sender, l);
           auto delta_row = inbox_delta_[q].row(i);
-          for (std::size_t j = 0; j < delta_row.size(); ++j) {
-            delta_row[j] = payload[j] - cached[j];
-          }
+          write_delta(payload, cached, delta_row);
           vec_copy(payload, cached);
           merged.push_back({m.sender, delta_row.data()});
         }
@@ -453,11 +444,13 @@ DistBatchResult DistRippleEngine::apply_batch(UpdateBatch batch) {
                     return a.sender < b.sender;
                   });
         Mailbox& next = mailbox(q, l + 1);
+        const AggregatorKind agg = model_.config().aggregator;
         for (const MergeEntry& entry : merged) {
           const std::span<const float> delta(entry.delta, delta_dim);
           for (const Neighbor& nb : graph_.out_neighbors(entry.sender)) {
             if (owner(nb.vertex) != q) continue;
-            next.accumulate(nb.vertex, edge_alpha(nb.weight), delta, {});
+            next.accumulate(nb.vertex, edge_coefficient(agg, nb.weight), delta,
+                            {});
           }
           if (uses_self && owner(entry.sender) == q) {
             next.mark_self_changed(entry.sender);

@@ -126,7 +126,6 @@ class DistRippleEngine : public DistEngineBase {
   Mailbox& mailbox(std::size_t part, std::size_t l) {
     return states_[part].boxes[l - 1];
   }
-  float edge_alpha(EdgeWeight weight) const;
 
   // Invokes fn(q) once per remote partition q that owns at least one
   // out-neighbor of u, in ascending partition order. Routing decisions all

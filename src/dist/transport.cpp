@@ -7,10 +7,6 @@
 
 namespace ripple {
 
-namespace {
-TransportOptions g_default_options;
-}  // namespace
-
 TransportOptions TransportOptions::from_flags(const Flags& flags) {
   TransportOptions options;
   options.per_message_sec = flags.get_double("wire-latency-us", 5.0) * 1e-6;
@@ -19,14 +15,6 @@ TransportOptions TransportOptions::from_flags(const Flags& flags) {
 }
 
 double Transport::superstep_wait_sec(std::size_t) const { return 0.0; }
-
-void set_transport_options(const TransportOptions& options) {
-  g_default_options = options;
-}
-
-const TransportOptions& default_transport_options() {
-  return g_default_options;
-}
 
 Transport::Transport(std::size_t num_parts, const TransportOptions& options)
     : options_(options), num_parts_(num_parts) {

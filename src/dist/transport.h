@@ -51,11 +51,6 @@ struct TransportOptions {
   static TransportOptions from_flags(const Flags& flags);
 };
 
-// Process-wide defaults used when make_dist_engine is called without an
-// explicit TransportOptions (benches set these once from their CLI flags).
-void set_transport_options(const TransportOptions& options);
-const TransportOptions& default_transport_options();
-
 class Transport {
  public:
   struct Message {

@@ -1,9 +1,6 @@
 #include "gnn/aggregator.h"
 
-#include <algorithm>
-
 #include "common/check.h"
-#include "tensor/kernels.h"
 
 namespace ripple {
 
@@ -36,38 +33,8 @@ bool is_linear(AggregatorKind kind) {
 void aggregate_neighbors(AggregatorKind kind,
                          std::span<const Neighbor> in_nbrs,
                          const Matrix& h_prev, std::span<float> out) {
-  const std::size_t d = out.size();
-  RIPPLE_CHECK(h_prev.cols() == d);
-  if (kind == AggregatorKind::max || kind == AggregatorKind::min) {
-    std::fill(out.begin(), out.end(), 0.0f);
-    bool first = true;
-    for (const Neighbor& nb : in_nbrs) {
-      const auto row = h_prev.row(nb.vertex);
-      if (first) {
-        std::copy(row.begin(), row.end(), out.begin());
-        first = false;
-      } else if (kind == AggregatorKind::max) {
-        for (std::size_t j = 0; j < d; ++j) out[j] = std::max(out[j], row[j]);
-      } else {
-        for (std::size_t j = 0; j < d; ++j) out[j] = std::min(out[j], row[j]);
-      }
-    }
-    return;
-  }
-  // Linear aggregators: one vectorized axpy per in-neighbor (the kernel
-  // tiers keep each output element's accumulation order, so the result is
-  // dispatch-independent).
-  std::fill(out.begin(), out.end(), 0.0f);
-  const KernelOps& ops = kernels();
-  for (const Neighbor& nb : in_nbrs) {
-    const float alpha = edge_coefficient(kind, nb);
-    const float* row = h_prev.data() + static_cast<std::size_t>(nb.vertex) *
-                                           h_prev.cols();
-    ops.vec_axpy(out.data(), alpha, row, d);
-  }
-  if (kind == AggregatorKind::mean && !in_nbrs.empty()) {
-    ops.vec_scale(out.data(), 1.0f / static_cast<float>(in_nbrs.size()), d);
-  }
+  RIPPLE_CHECK(h_prev.cols() == out.size());
+  aggregate_neighbors_resolved(kind, in_nbrs, rows_of(h_prev), out);
 }
 
 }  // namespace ripple

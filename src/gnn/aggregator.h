@@ -25,30 +25,44 @@ AggregatorKind aggregator_from_name(const std::string& name);
 // True for sum / mean / weighted_sum — the class Ripple supports.
 bool is_linear(AggregatorKind kind);
 
-// Per-edge contribution coefficient α(u,v). For mean this is 1 (the 1/deg
-// normalization is applied at the receiver, which tracks its in-degree).
-inline float edge_coefficient(AggregatorKind kind, const Neighbor& nb) {
-  return kind == AggregatorKind::weighted_sum ? nb.weight : 1.0f;
+// Per-edge contribution coefficient α(u,v) of an edge with weight `weight`.
+// For mean this is 1: the 1/deg normalization is applied at the receiver,
+// which tracks its in-degree (mean_normalize). Every engine derives α here.
+inline float edge_coefficient(AggregatorKind kind, EdgeWeight weight) {
+  return kind == AggregatorKind::weighted_sum ? weight : 1.0f;
 }
 
-// out = Aggregate({h_prev[u] : u in in_nbrs}). Zero in-degree yields zeros.
-void aggregate_neighbors(AggregatorKind kind,
-                         std::span<const Neighbor> in_nbrs,
-                         const Matrix& h_prev, std::span<float> out);
+// Mean's receiver-side scale: row *= 1/deg, or zeros when deg == 0 (a
+// raw-sum cache emptied by deletions may hold rounding residue). The one
+// home of the 1/deg scale: full aggregation, the cache bootstrap and the
+// incremental hop apply all call it, so they round identically.
+inline void mean_normalize(std::span<float> row, std::size_t deg) {
+  if (deg == 0) {
+    std::fill(row.begin(), row.end(), 0.0f);
+    return;
+  }
+  kernels().vec_scale(row.data(), 1.0f / static_cast<float>(deg), row.size());
+}
 
-// Row-resolver variant for per-rank distributed state: `row_of(u)` returns
-// a pointer to u's d-wide previous-layer row, wherever it lives (owned
-// local row, halo-cache row, or a pulled wire payload). The float op
-// sequence is IDENTICAL to the Matrix overload above — same fill, same
-// per-neighbor axpy order, same mean scale — so resolving rows from
-// scattered storage cannot change a single bit of the aggregate.
+// Row resolver over a dense vertex-indexed table.
+inline auto rows_of(const Matrix& table) {
+  return [&table](VertexId u) { return table.row(u).data(); };
+}
+
+// out = Aggregate({row_of(u) : u in in_nbrs}), where `row_of(u)` returns a
+// pointer to u's d-wide previous-layer row wherever it lives (a dense table,
+// an owned local row, a halo-cache row, a pulled wire payload, a memo
+// entry). Zero in-degree yields zeros. This is the single body of the
+// aggregation op order — fill, one axpy per neighbor in list order, then
+// mean_normalize — so every engine that aggregates through it produces the
+// same bits for the same rows.
 template <typename RowOf>
 void aggregate_neighbors_resolved(AggregatorKind kind,
                                   std::span<const Neighbor> in_nbrs,
                                   const RowOf& row_of, std::span<float> out) {
   const std::size_t d = out.size();
+  std::fill(out.begin(), out.end(), 0.0f);
   if (kind == AggregatorKind::max || kind == AggregatorKind::min) {
-    std::fill(out.begin(), out.end(), 0.0f);
     bool first = true;
     for (const Neighbor& nb : in_nbrs) {
       const float* row = row_of(nb.vertex);
@@ -63,16 +77,21 @@ void aggregate_neighbors_resolved(AggregatorKind kind,
     }
     return;
   }
-  std::fill(out.begin(), out.end(), 0.0f);
+  // Linear aggregators: one vectorized axpy per in-neighbor (the kernel
+  // tiers keep each output element's accumulation order, so the result is
+  // dispatch-independent).
   const KernelOps& ops = kernels();
   for (const Neighbor& nb : in_nbrs) {
-    ops.vec_axpy(out.data(), edge_coefficient(kind, nb), row_of(nb.vertex),
-                 d);
+    ops.vec_axpy(out.data(), edge_coefficient(kind, nb.weight),
+                 row_of(nb.vertex), d);
   }
-  if (kind == AggregatorKind::mean && !in_nbrs.empty()) {
-    ops.vec_scale(out.data(), 1.0f / static_cast<float>(in_nbrs.size()), d);
-  }
+  if (kind == AggregatorKind::mean) mean_normalize(out, in_nbrs.size());
 }
+
+// Dense-table form: aggregate_neighbors_resolved over rows_of(h_prev).
+void aggregate_neighbors(AggregatorKind kind,
+                         std::span<const Neighbor> in_nbrs,
+                         const Matrix& h_prev, std::span<float> out);
 
 // X_agg[v] = Aggregate over in-neighbors for every vertex (layer-wise full
 // pass). GraphT must expose num_vertices() and in_neighbors(v).
@@ -105,7 +124,7 @@ void aggregate_all_transpose(AggregatorKind kind, const GraphT& graph,
                            : 1.0f;
     const float* gx = grad_x.data() + static_cast<std::size_t>(v) * d;
     for (const Neighbor& nb : nbrs) {
-      const float alpha = edge_coefficient(kind, nb) * norm;
+      const float alpha = edge_coefficient(kind, nb.weight) * norm;
       float* gh = grad_h_accum.data() + static_cast<std::size_t>(nb.vertex) * d;
       for (std::size_t j = 0; j < d; ++j) gh[j] += alpha * gx[j];
     }

@@ -50,10 +50,8 @@ BatchResult DglEmuEngine::apply_batch(UpdateBatch batch) {
     x_scratch.assign(model_.config().layer_in_dim(l), 0.0f);
     for (std::size_t i = 0; i < affected[l].size(); ++i) {
       const VertexId v = affected[l][i];
-      aggregate_neighbors(model_.config().aggregator, block[i], h_prev,
-                          x_scratch);
-      model_.layer(l).update_row(h_prev.row(v), x_scratch, h_out.row(v));
-      model_.apply_activation_row(l, h_out.row(v));
+      recompute_vertex(model_, l, block[i], rows_of(h_prev), h_prev.row(v),
+                       x_scratch, h_out.row(v));
     }
   }
   result.propagate_sec = propagate_watch.elapsed_sec();

@@ -25,4 +25,18 @@ void layerwise_full_inference(const GnnModel& model, const GraphT& graph,
   }
 }
 
+// One vertex's layer-l recompute step, the single body every recompute
+// engine (RC, DRC, DNC, dist-RC) runs: x = Aggregate(in_nbrs) over the rows
+// `row_of` resolves (aggregate_neighbors_resolved), then
+// h_out = σ_l(Update_l(h_self, x)). `x` is scratch of layer l's input width.
+template <typename RowOf>
+void recompute_vertex(const GnnModel& model, std::size_t l,
+                      std::span<const Neighbor> in_nbrs, const RowOf& row_of,
+                      std::span<const float> h_self, std::span<float> x,
+                      std::span<float> h_out) {
+  aggregate_neighbors_resolved(model.config().aggregator, in_nbrs, row_of, x);
+  model.layer(l).update_row(h_self, x, h_out);
+  model.apply_activation_row(l, h_out);
+}
+
 }  // namespace ripple

@@ -4,31 +4,19 @@
 #include "common/timer.h"
 #include "infer/affected.h"
 #include "infer/layerwise.h"
+#include "stream/update_apply.h"
 #include "tensor/ops.h"
 
 namespace ripple {
 
-std::size_t apply_updates_to_graph(DynamicGraph& graph, Matrix& features,
-                                   UpdateBatch batch) {
-  std::size_t applied = 0;
-  for (const GraphUpdate& update : batch) {
-    switch (update.kind) {
-      case UpdateKind::edge_add:
-        if (graph.add_edge(update.u, update.v, update.weight)) ++applied;
-        break;
-      case UpdateKind::edge_del:
-        if (graph.remove_edge(update.u, update.v)) ++applied;
-        break;
-      case UpdateKind::vertex_feature: {
-        RIPPLE_CHECK_MSG(update.new_features.size() == features.cols(),
-                         "feature width mismatch");
+void apply_updates_to_graph(DynamicGraph& graph, Matrix& features,
+                            UpdateBatch batch) {
+  apply_updates_seeding(
+      graph, batch, features.cols(),
+      [](VertexId, VertexId, EdgeWeight, bool) {},
+      [&features](const GraphUpdate& update) {
         vec_copy(update.new_features, features.row(update.u));
-        ++applied;
-        break;
-      }
-    }
-  }
-  return applied;
+      });
 }
 
 RecomputeEngine::RecomputeEngine(const GnnModel& model, DynamicGraph snapshot,
@@ -59,10 +47,8 @@ BatchResult RecomputeEngine::apply_batch(UpdateBatch batch) {
     x_scratch_.assign(model_.config().layer_in_dim(l), 0.0f);
     for (VertexId v : affected[l]) {
       // Full-neighborhood pull: k aggregation ops even if one input changed.
-      aggregate_neighbors(model_.config().aggregator, graph_.in_neighbors(v),
-                          h_prev, x_scratch_);
-      model_.layer(l).update_row(h_prev.row(v), x_scratch_, h_out.row(v));
-      model_.apply_activation_row(l, h_out.row(v));
+      recompute_vertex(model_, l, graph_.in_neighbors(v), rows_of(h_prev),
+                       h_prev.row(v), x_scratch_, h_out.row(v));
     }
   }
   result.propagate_sec = propagate_watch.elapsed_sec();

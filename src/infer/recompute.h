@@ -32,10 +32,10 @@ class RecomputeEngine : public InferenceEngine {
   std::vector<float> x_scratch_;
 };
 
-// Applies a batch's raw changes to graph topology and H^0. Returns the
-// number of effective (non-duplicate, non-missing) changes. Shared by all
-// edge-list-based engines.
-std::size_t apply_updates_to_graph(DynamicGraph& graph, Matrix& features,
-                                   UpdateBatch batch);
+// Applies a batch's raw changes to graph topology and H^0 through
+// apply_updates_seeding (stream/update_apply.h), so the recompute baselines
+// share the incremental engines' batch guards.
+void apply_updates_to_graph(DynamicGraph& graph, Matrix& features,
+                            UpdateBatch batch);
 
 }  // namespace ripple

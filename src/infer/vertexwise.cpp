@@ -42,7 +42,6 @@ const std::vector<float>& VertexWiseEngine::compute_embedding(std::size_t l,
         .first->second;
   }
   const std::size_t layer_idx = l - 1;
-  const std::size_t in_dim = model_.config().layer_in_dim(layer_idx);
 
   std::vector<Neighbor> nbrs;
   if (fanout_ == 0) {
@@ -56,21 +55,12 @@ const std::vector<float>& VertexWiseEngine::compute_embedding(std::size_t l,
   for (const Neighbor& nb : nbrs) compute_embedding(l - 1, nb.vertex, memo);
   const auto& h_self = compute_embedding(l - 1, v, memo);
 
-  std::vector<float> x_agg(in_dim, 0.0f);
-  const AggregatorKind agg = model_.config().aggregator;
-  for (const Neighbor& nb : nbrs) {
-    const auto& h_nb = memo.at(memo_key(l - 1, nb.vertex));
-    const float alpha = edge_coefficient(agg, nb);
-    for (std::size_t j = 0; j < in_dim; ++j) x_agg[j] += alpha * h_nb[j];
-  }
-  if (agg == AggregatorKind::mean && !nbrs.empty()) {
-    const float inv = 1.0f / static_cast<float>(nbrs.size());
-    for (auto& x : x_agg) x *= inv;
-  }
-
+  std::vector<float> x_agg(model_.config().layer_in_dim(layer_idx));
   std::vector<float> out(model_.config().layer_out_dim(layer_idx));
-  model_.layer(layer_idx).update_row(h_self, x_agg, out);
-  model_.apply_activation_row(layer_idx, out);
+  recompute_vertex(
+      model_, layer_idx, nbrs,
+      [&](VertexId u) { return memo.at(memo_key(l - 1, u)).data(); }, h_self,
+      x_agg, out);
   return memo.emplace(key, std::move(out)).first->second;
 }
 
@@ -104,10 +94,8 @@ BatchResult VertexWiseEngine::apply_batch(UpdateBatch batch) {
     Matrix& h_out = store_.layer(l + 1);
     x_scratch.assign(model_.config().layer_in_dim(l), 0.0f);
     for (VertexId v : affected[l]) {
-      aggregate_neighbors(model_.config().aggregator, graph_.in_neighbors(v),
-                          h_prev, x_scratch);
-      model_.layer(l).update_row(h_prev.row(v), x_scratch, h_out.row(v));
-      model_.apply_activation_row(l, h_out.row(v));
+      recompute_vertex(model_, l, graph_.in_neighbors(v), rows_of(h_prev),
+                       h_prev.row(v), x_scratch, h_out.row(v));
     }
   }
   result.propagate_sec = propagate_watch.elapsed_sec();

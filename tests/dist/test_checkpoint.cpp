@@ -43,25 +43,6 @@
 namespace ripple {
 namespace {
 
-struct RmatCase {
-  DynamicGraph snapshot;
-  Matrix features;
-  std::vector<GraphUpdate> stream;
-};
-
-RmatCase make_rmat_case(std::uint64_t seed) {
-  Rng rng(seed);
-  RmatCase c;
-  c.snapshot = rmat(96, 640, 0.55, 0.2, 0.2, 0.05, rng);
-  c.features = testing::random_features(c.snapshot.num_vertices(), 8, seed + 1);
-  StreamConfig stream_config;
-  stream_config.num_updates = 110;
-  stream_config.feat_dim = 8;
-  stream_config.seed = seed + 2;
-  c.stream = generate_stream(c.snapshot, stream_config);
-  return c;
-}
-
 std::string make_temp_dir() {
   std::string path = ::testing::TempDir() + "ripple_ckpt_XXXXXX";
   EXPECT_NE(::mkdtemp(path.data()), nullptr);
@@ -292,7 +273,7 @@ void run_recovery_case(const std::string& key, std::size_t num_parts,
                        std::uint64_t kill_seed) {
   constexpr std::size_t kBatchSize = 9;
   constexpr std::size_t kCheckpointEvery = 2;
-  auto c = make_rmat_case(77);
+  auto c = testing::make_rmat_case(77);
   const auto config = workload_config(Workload::gc_s, 8, 4, 2, 12);
   const auto model = GnnModel::random(config, 79);
   const auto batches = make_batches(c.stream, kBatchSize);
@@ -310,9 +291,8 @@ void run_recovery_case(const std::string& key, std::size_t num_parts,
   // recovery has somewhere to land even if the kill fires during the
   // faulted engine's bootstrap.
   {
-    auto pristine = make_dist_engine(key, model, c.snapshot, c.features,
-                                     partition, nullptr,
-                                     default_transport_options());
+    auto pristine =
+        make_dist_engine(key, model, c.snapshot, c.features, partition);
     EXPECT_GE(pristine->write_checkpoint(dir, 0), 0.0);
   }
 
@@ -322,7 +302,7 @@ void run_recovery_case(const std::string& key, std::size_t num_parts,
   try {
     auto engine = make_dist_engine(
         key, model, c.snapshot, c.features, partition, nullptr,
-        make_fault_inject_sim(num_parts, default_transport_options(),
+        make_fault_inject_sim(num_parts, TransportOptions{},
                               FaultPlan::seeded_kill(kill_seed, 20)));
     for (const auto& batch : batches) {
       engine->apply_batch(batch);
@@ -358,8 +338,7 @@ void run_recovery_case(const std::string& key, std::size_t num_parts,
       num_parts, std::vector<std::uint32_t>(rank0.meta.part_of));
 
   auto engine = make_dist_engine(key, model, topo, other_features,
-                                 restored_partition, nullptr,
-                                 default_transport_options());
+                                 restored_partition);
   engine->restore_checkpoint(dir, *cursor);
   for (std::size_t i = *cursor; i < batches.size(); ++i) {
     engine->apply_batch(batches[i]);
@@ -393,7 +372,7 @@ TEST(CheckpointRecovery, RowWidthsMatchTheMigrationLayout) {
   // ripple rows carry H^0..H^L plus the per-hop aggregate caches; rc rows
   // carry H only. workload gc_s feat=8 classes=4 hidden=12, 2 layers:
   // H widths 8+12+4, agg-cache widths = layer input dims 8+12.
-  auto c = make_rmat_case(77);
+  auto c = testing::make_rmat_case(77);
   const auto config = workload_config(Workload::gc_s, 8, 4, 2, 12);
   const auto model = GnnModel::random(config, 79);
   const Partition partition = ldg_partition(c.snapshot, 2);
@@ -411,7 +390,7 @@ TEST(CheckpointRecovery, RestoreRejectsAnotherRanksCursorsOrEnginesFile) {
   // and the same owned-row count as rank 0's, so only the identity fields
   // tell a swapped file apart — and installing it would silently hand
   // rank 0 rank 1's rows.
-  auto c = make_rmat_case(77);
+  auto c = testing::make_rmat_case(77);
   const auto config = workload_config(Workload::gc_s, 8, 4, 2, 12);
   const auto model = GnnModel::random(config, 79);
   std::vector<std::uint32_t> part_of(c.snapshot.num_vertices());
@@ -457,7 +436,7 @@ TEST(CheckpointRecovery, RestoreRejectsAnotherRanksCursorsOrEnginesFile) {
 // ---- background commits ----
 
 TEST(CheckpointCommit, FlushedFileMatchesWriteCheckpointFile) {
-  auto c = make_rmat_case(77);
+  auto c = testing::make_rmat_case(77);
   const auto config = workload_config(Workload::gc_s, 8, 4, 2, 12);
   const auto model = GnnModel::random(config, 79);
   const auto batches = make_batches(c.stream, 9);
@@ -492,7 +471,7 @@ void run_pending_write_kill(const std::string& key) {
   constexpr std::size_t kNumParts = 2;
   constexpr std::size_t kBatchSize = 9;
   constexpr std::uint64_t kCursor = 6;
-  auto c = make_rmat_case(77);
+  auto c = testing::make_rmat_case(77);
   const auto config = workload_config(Workload::gc_s, 8, 4, 2, 12);
   const auto model = GnnModel::random(config, 79);
   const auto batches = make_batches(c.stream, kBatchSize);

@@ -27,30 +27,11 @@
 namespace ripple {
 namespace {
 
-struct RmatCase {
-  DynamicGraph snapshot;
-  Matrix features;
-  std::vector<GraphUpdate> stream;
-};
-
-RmatCase make_rmat_case(std::uint64_t seed) {
-  Rng rng(seed);
-  RmatCase c;
-  c.snapshot = rmat(96, 640, 0.55, 0.2, 0.2, 0.05, rng);
-  c.features = testing::random_features(c.snapshot.num_vertices(), 8, seed + 1);
-  StreamConfig stream_config;
-  stream_config.num_updates = 110;
-  stream_config.feat_dim = 8;
-  stream_config.seed = seed + 2;
-  c.stream = generate_stream(c.snapshot, stream_config);
-  return c;
-}
-
 TEST(DistExactness, BitIdenticalToSingleMachineForAnyPartsAndThreads) {
   for (const Workload workload :
        {Workload::gc_s, Workload::gs_s, Workload::gc_m}) {
     SCOPED_TRACE(workload_name(workload));
-    auto c = make_rmat_case(77);
+    auto c = testing::make_rmat_case(77);
     const auto config = workload_config(workload, 8, 4, 2, 12);
     const auto model = GnnModel::random(config, 79);
     const auto batches = make_batches(c.stream, 9);
@@ -101,7 +82,7 @@ TEST(DistExactness, BitIdenticalAcrossKernelModes) {
   // subsystem's determinism contract composes with the dist runtime's
   // owner-computes bit-exactness).
   const KernelMode saved = kernel_mode();
-  auto c = make_rmat_case(57);
+  auto c = testing::make_rmat_case(57);
   const auto config = workload_config(Workload::gs_s, 8, 4, 2, 13);
   const auto model = GnnModel::random(config, 59);
   const auto batches = make_batches(c.stream, 9);
@@ -139,7 +120,7 @@ TEST(DistExactness, BitIdenticalAcrossKernelModes) {
 }
 
 TEST(DistExactness, CountersMatchSingleMachine) {
-  auto c = make_rmat_case(31);
+  auto c = testing::make_rmat_case(31);
   const auto config = workload_config(Workload::gs_s, 8, 4, 3, 10);
   const auto model = GnnModel::random(config, 33);
   RippleEngine ref(model, c.snapshot, c.features);
@@ -159,7 +140,7 @@ TEST(DistExactness, CountersMatchSingleMachine) {
 TEST(DistExactness, StealSchedulerReportsStats) {
   // Dist engines surface the stealing scheduler's width/task counters
   // through DistBatchResult; without a pool the scheduler has width 1.
-  auto c = make_rmat_case(41);
+  auto c = testing::make_rmat_case(41);
   const auto config = workload_config(Workload::gc_s, 8, 4, 2, 10);
   const auto model = GnnModel::random(config, 43);
   const auto partition = ldg_partition(c.snapshot, 2);

@@ -180,25 +180,6 @@ TEST(SkewDetector, ProposesDeterministicCapacityGatedPlans) {
 
 // -------------------------------------------------------------- exactness
 
-struct RmatCase {
-  DynamicGraph snapshot;
-  Matrix features;
-  std::vector<GraphUpdate> stream;
-};
-
-RmatCase make_rmat_case(std::uint64_t seed) {
-  Rng rng(seed);
-  RmatCase c;
-  c.snapshot = rmat(96, 640, 0.55, 0.2, 0.2, 0.05, rng);
-  c.features = testing::random_features(c.snapshot.num_vertices(), 8, seed + 1);
-  StreamConfig stream_config;
-  stream_config.num_updates = 110;
-  stream_config.feat_dim = 8;
-  stream_config.seed = seed + 2;
-  c.stream = generate_stream(c.snapshot, stream_config);
-  return c;
-}
-
 // A deterministic nontrivial schedule: after batch b, move a spread of
 // vertices one part to the right. normalize() drops the no-ops (everything,
 // at num_parts == 1), so the same schedule exercises every configuration.
@@ -216,7 +197,7 @@ MigrationPlan rotate_plan(const DistEngineBase& engine, std::size_t b) {
 }
 
 TEST(DistMigration, MigratedRunsBitIdenticalToNeverMigratedSingleMachine) {
-  auto c = make_rmat_case(91);
+  auto c = testing::make_rmat_case(91);
   const auto config = workload_config(Workload::gc_s, 8, 4, 2, 12);
   const auto model = GnnModel::random(config, 93);
   const auto batches = make_batches(c.stream, 9);
@@ -312,7 +293,7 @@ TEST(DistMigration, GrowthThenMigratePostPartitionVertex) {
   // extend + hash fallback). Migrating such a vertex must route its rows
   // and every replica's table through the versioned assignment — not the
   // fallback hash — and stay bit-exact.
-  auto c = make_rmat_case(133);
+  auto c = testing::make_rmat_case(133);
   const std::size_t prefix = 64;
   DynamicGraph prefix_graph(prefix);
   for (const auto& e : c.snapshot.edges()) {
@@ -384,7 +365,7 @@ TEST(DistMigration, HaloEntriesKeyedOnOldOwnerAreReKeyedByMigration) {
 
   DistRippleEngine engine(model, graph, features, partition, nullptr,
                           std::make_unique<SimTransport>(
-                              2, default_transport_options()));
+                              2, TransportOptions{}));
   // Cut edge 0→3: part 1 caches owner 0's rows of vertex 0. Vertex 0 has
   // no in-edges from part 1's side beyond that, so part 0 needs no halo.
   EXPECT_TRUE(engine.halo_contains(1, 0));
@@ -420,7 +401,7 @@ TEST(DistMigration, CutEdgeDeleteThenMigrateThenReAddKeepsHaloCoherent) {
 
   DistRippleEngine engine(model, graph, features, partition, nullptr,
                           std::make_unique<SimTransport>(
-                              2, default_transport_options()));
+                              2, TransportOptions{}));
   RippleEngine ref(model, graph, features);
 
   // 1. Delete the only cut edge 0→3: eager erase of the (1, 0) entry.

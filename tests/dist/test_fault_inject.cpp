@@ -32,25 +32,6 @@
 namespace ripple {
 namespace {
 
-struct RmatCase {
-  DynamicGraph snapshot;
-  Matrix features;
-  std::vector<GraphUpdate> stream;
-};
-
-RmatCase make_rmat_case(std::uint64_t seed) {
-  Rng rng(seed);
-  RmatCase c;
-  c.snapshot = rmat(96, 640, 0.55, 0.2, 0.2, 0.05, rng);
-  c.features = testing::random_features(c.snapshot.num_vertices(), 8, seed + 1);
-  StreamConfig stream_config;
-  stream_config.num_updates = 110;
-  stream_config.feat_dim = 8;
-  stream_config.seed = seed + 2;
-  c.stream = generate_stream(c.snapshot, stream_config);
-  return c;
-}
-
 // Same 4-vertex 2-part fixture as test_dist_engine.cpp: vertices 0,1 on
 // partition 0; 2,3 on partition 1; edges 0->1, 1->2 (cut), 2->3, 2->0 (cut);
 // every model width is 2. Small enough that the send() index of each
@@ -103,14 +84,14 @@ struct KillRun {
   std::size_t batches_applied = 0;  // how far the stream got
 };
 
-KillRun run_seeded_kill(const RmatCase& c, const GnnModel& model,
+KillRun run_seeded_kill(const testing::RmatCase& c, const GnnModel& model,
                         const Partition& partition, std::uint64_t seed) {
   KillRun r;
   try {
     auto engine = make_dist_engine(
         "ripple", model, c.snapshot, c.features, partition, nullptr,
         make_fault_inject_sim(partition.num_parts(),
-                              default_transport_options(),
+                              TransportOptions{},
                               FaultPlan::seeded_kill(seed, 24)));
     for (const auto& batch : make_batches(c.stream, 9)) {
       engine->apply_batch(batch);
@@ -125,7 +106,7 @@ KillRun run_seeded_kill(const RmatCase& c, const GnnModel& model,
 }
 
 TEST(FaultInject, SeededKillIsDeterministicAndTyped) {
-  auto c = make_rmat_case(77);
+  auto c = testing::make_rmat_case(77);
   const auto config = workload_config(Workload::gc_s, 8, 4, 2, 12);
   const auto model = GnnModel::random(config, 79);
   auto partition = ldg_partition(c.snapshot, 2);

@@ -32,25 +32,6 @@
 namespace ripple {
 namespace {
 
-struct RmatCase {
-  DynamicGraph snapshot;
-  Matrix features;
-  std::vector<GraphUpdate> stream;
-};
-
-RmatCase make_rmat_case(std::uint64_t seed) {
-  Rng rng(seed);
-  RmatCase c;
-  c.snapshot = rmat(96, 640, 0.55, 0.2, 0.2, 0.05, rng);
-  c.features = testing::random_features(c.snapshot.num_vertices(), 8, seed + 1);
-  StreamConfig stream_config;
-  stream_config.num_updates = 110;
-  stream_config.feat_dim = 8;
-  stream_config.seed = seed + 2;
-  c.stream = generate_stream(c.snapshot, stream_config);
-  return c;
-}
-
 std::string make_temp_dir() {
   std::string path = ::testing::TempDir() + "ripple_kill_XXXXXX";
   EXPECT_NE(::mkdtemp(path.data()), nullptr);
@@ -101,7 +82,7 @@ void run_kill_drill(const std::string& key, const FaultAction& action,
                     const std::string& dir, std::size_t checkpoint_every) {
   constexpr std::size_t kNumRanks = 2;
   constexpr std::size_t kBatchSize = 9;
-  const auto c = make_rmat_case(77);
+  const auto c = testing::make_rmat_case(77);
   const auto config = workload_config(Workload::gc_s, 8, 4, 2, 12);
   const auto model = GnnModel::random(config, 79);
   auto partition = ldg_partition(c.snapshot, kNumRanks);
@@ -193,7 +174,7 @@ void run_tcp_recovery_case(const std::string& key) {
   constexpr std::size_t kNumRanks = 2;
   constexpr std::size_t kBatchSize = 9;
   constexpr std::size_t kCheckpointEvery = 2;
-  const auto c = make_rmat_case(77);
+  const auto c = testing::make_rmat_case(77);
   const auto config = workload_config(Workload::gc_s, 8, 4, 2, 12);
   const auto model = GnnModel::random(config, 79);
   const auto batches = make_batches(c.stream, kBatchSize);

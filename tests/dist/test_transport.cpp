@@ -124,25 +124,6 @@ TEST(WireFormat, MalformedFrameThrows) {
 
 // ----------------------------------------------------- loopback conformance
 
-struct RmatCase {
-  DynamicGraph snapshot;
-  Matrix features;
-  std::vector<GraphUpdate> stream;
-};
-
-RmatCase make_rmat_case(std::uint64_t seed) {
-  Rng rng(seed);
-  RmatCase c;
-  c.snapshot = rmat(96, 640, 0.55, 0.2, 0.2, 0.05, rng);
-  c.features = testing::random_features(c.snapshot.num_vertices(), 8, seed + 1);
-  StreamConfig stream_config;
-  stream_config.num_updates = 110;
-  stream_config.feat_dim = 8;
-  stream_config.seed = seed + 2;
-  c.stream = generate_stream(c.snapshot, stream_config);
-  return c;
-}
-
 // One rank's report, shipped through the loopback result pipe: counters +
 // raw bits of every owned row of every layer. The leader additionally
 // ships the FULL store its collective gather_embeddings() assembled from
@@ -254,8 +235,9 @@ std::vector<std::size_t> layer_dims_of(const ModelConfig& config) {
 // SUM of the per-rank egress counters (owner routing counts each transfer
 // exactly once at its source, so the sum equals sim's global totals).
 EmbeddingStore run_tcp_cluster(const char* key, const GnnModel& model,
-                               const RmatCase& c, const Partition& partition,
-                               bool use_pool, std::size_t batch_size,
+                               const testing::RmatCase& c,
+                               const Partition& partition, bool use_pool,
+                               std::size_t batch_size,
                                std::uint64_t& wire_bytes,
                                std::uint64_t& wire_messages) {
   const std::size_t num_parts = partition.num_parts();
@@ -328,7 +310,7 @@ EmbeddingStore run_tcp_cluster(const char* key, const GnnModel& model,
 }
 
 TEST(TcpConformance, BitIdenticalToSimAndSingleMachineWithEqualCounters) {
-  const auto c = make_rmat_case(77);
+  const auto c = testing::make_rmat_case(77);
   const auto config = workload_config(Workload::gc_s, 8, 4, 2, 12);
   const auto model = GnnModel::random(config, 79);
   constexpr std::size_t kBatch = 9;
@@ -422,7 +404,7 @@ TEST(TcpConformance, MigrationSuperstepsBitIdenticalToSimWithEqualCounters) {
   // sums still equal sim's totals (migration frames charge the cumulative
   // transport counters, batch results on both backends exclude them
   // identically).
-  const auto c = make_rmat_case(77);
+  const auto c = testing::make_rmat_case(77);
   const auto config = workload_config(Workload::gc_s, 8, 4, 2, 12);
   const auto model = GnnModel::random(config, 79);
   constexpr std::size_t kBatch = 9;
@@ -529,7 +511,7 @@ TEST(TcpConformance, MultiWorkloadExactnessOverTcp) {
   for (const Workload workload :
        {Workload::gc_s, Workload::gs_s, Workload::gc_m}) {
     SCOPED_TRACE(workload_name(workload));
-    const auto c = make_rmat_case(53);
+    const auto c = testing::make_rmat_case(53);
     const auto config = workload_config(workload, 8, 4, 2, 12);
     const auto model = GnnModel::random(config, 55);
     constexpr std::size_t kBatch = 11;

@@ -6,20 +6,12 @@
 
 #include "../test_util.h"
 #include "core/serving.h"
+#include "dist/dist_engine.h"
 #include "gnn/loss.h"
 #include "gnn/trainer.h"
 #include "graph/datasets.h"
-#include "stream/generator.h"
-
-// The distributed runtime is a planned follow-up (ROADMAP.md open items);
-// its end-to-end test re-enables automatically once src/dist exists.
-#if __has_include("dist/dist_engine.h")
-#define RIPPLE_HAS_DIST 1
-#include "dist/dist_engine.h"
 #include "partition/partition.h"
-#else
-#define RIPPLE_HAS_DIST 0
-#endif
+#include "stream/generator.h"
 
 namespace ripple {
 namespace {
@@ -80,7 +72,6 @@ TEST(EndToEnd, TrainedModelServedIncrementally) {
   EXPECT_EQ(mismatches, 0u);
 }
 
-#if RIPPLE_HAS_DIST
 TEST(EndToEnd, SingleMachineAndDistributedAgree) {
   auto ds = build_dataset("arxiv-s", 0.02, 204);
   StreamConfig stream_config;
@@ -105,7 +96,6 @@ TEST(EndToEnd, SingleMachineAndDistributedAgree) {
                                     dist->gather_embeddings()),
             1e-3f);
 }
-#endif  // RIPPLE_HAS_DIST
 
 TEST(EndToEnd, AllEnginesAgreeWithEachOther) {
   auto ds = build_dataset("arxiv-s", 0.015, 207);

@@ -9,6 +9,7 @@
 #include "graph/dynamic_graph.h"
 #include "graph/generators.h"
 #include "infer/layerwise.h"
+#include "stream/generator.h"
 #include "tensor/ops.h"
 
 namespace ripple::testing {
@@ -53,6 +54,27 @@ inline DynamicGraph random_graph(std::size_t n, std::size_t m,
     g.add_edge(u, v, w);
   }
   return g;
+}
+
+// The dist suites' shared workload: a 96-vertex skewed R-MAT snapshot,
+// 8-wide features, and a 110-update mixed stream, all derived from `seed`.
+struct RmatCase {
+  DynamicGraph snapshot;
+  Matrix features;
+  std::vector<GraphUpdate> stream;
+};
+
+inline RmatCase make_rmat_case(std::uint64_t seed) {
+  Rng rng(seed);
+  RmatCase c;
+  c.snapshot = rmat(96, 640, 0.55, 0.2, 0.2, 0.05, rng);
+  c.features = random_features(c.snapshot.num_vertices(), 8, seed + 1);
+  StreamConfig stream_config;
+  stream_config.num_updates = 110;
+  stream_config.feat_dim = 8;
+  stream_config.seed = seed + 2;
+  c.stream = generate_stream(c.snapshot, stream_config);
+  return c;
 }
 
 // Ground truth: layer-wise full inference over the current graph state.
