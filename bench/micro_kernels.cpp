@@ -1,6 +1,7 @@
 // Microbenchmarks for the kernels on Ripple's hot paths: GEMM/GEMV across
 // the kernel-variant axis (scalar vs dispatched SIMD tier, packed vs
-// unpacked B panels), neighborhood aggregation, mailbox accumulation, the
+// unpacked B panels), the served-label argmax over logits rows,
+// neighborhood aggregation, mailbox accumulation, the
 // pull scatter's gathered axpy (axpy_rows vs one vec_axpy per row),
 // edge-list mutation vs CSR rebuild (the DGL-emulation contrast), and the
 // end-to-end single-update apply for RC vs Ripple.
@@ -127,6 +128,27 @@ void bench_gemv_row(const std::vector<std::int64_t>& dims) {
            time_per_iter([&] { gemv_row(x, w, y); }), flops, 0);
       emit("gemv_row", dim, variant.label, /*packed=*/1,
            time_per_iter([&] { gemv_row(x, pw, y); }), flops, 0);
+    }
+  }
+}
+
+void bench_argmax() {
+  // The serving loop's per-row label refresh (argmax_row over a logits
+  // row): 40 is arxiv-s's class count, 16 one vector, 47 a ragged tail.
+  // 1024 rows of a logits block are walked in turn so the loop is not one
+  // cached row; reported per row.
+  constexpr std::size_t kRows = 1024;
+  for (const std::size_t dim : {16u, 40u, 47u}) {
+    Rng rng(9);
+    const auto logits = Matrix::random_uniform(kRows, dim, rng);
+    std::size_t r = 0;
+    volatile std::size_t label = 0;
+    for (const auto& variant : kernel_variants()) {
+      set_kernel_mode(variant.mode);
+      emit("argmax", dim, variant.label, -1, time_per_iter([&] {
+             label = argmax_row(logits.row(r++ % kRows));
+           }),
+           0, 1);
     }
   }
 }
@@ -292,6 +314,7 @@ int main(int argc, char** argv) {
 
   bench_gemm(dims);
   bench_gemv_row(dims);
+  bench_argmax();
   bench_aggregate(quick);
   bench_mailbox();
   bench_scatter_gather();

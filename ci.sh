@@ -118,10 +118,12 @@ fi
 
 # Optional -march=native stage (gated on compiler+host support): the widest
 # vector ISA the host has, with auto-vectorization and FMA contraction on
-# for all NON-kernel TUs. The kernel TUs keep -ffp-contract=off (see
-# CMakeLists.txt), so the scalar-vs-SIMD bit-exactness suites must still
-# pass — this is the stage that would catch a contraction leak into the
-# kernel tiers.
+# for all NON-kernel TUs. The kernel TUs fuse exactly the multiply-adds
+# their source spells out (std::fmaf / vfmadd) and keep -ffp-contract=off
+# for everything else (see CMakeLists.txt), so the scalar-vs-SIMD
+# bit-exactness suites must still pass — this is the stage that would
+# catch a contraction leak into the kernel tiers. Here std::fmaf compiles
+# to the FMA instruction instead of a libm call; the bits are the same.
 if "${CXX:-g++}" -march=native -x c++ -E /dev/null >/dev/null 2>&1; then
   cmake -B build-native -S . -DCMAKE_CXX_FLAGS="-march=native" \
     -DRIPPLE_BUILD_BENCHES=OFF -DRIPPLE_BUILD_EXAMPLES=OFF

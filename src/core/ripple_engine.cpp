@@ -303,12 +303,16 @@ BatchResult RippleEngine::propagate() {
       result.compute_phase_sec += scatter_watch.elapsed_sec();
     } else {
       // The hop-L mailbox is exactly the set of H^L rows the apply phase
-      // rewrote; shards partition it, so the concatenation has no repeats.
+      // rewrote. Each shard's drain left its slots in ascending vertex id
+      // (scratch_[s].slots), and the shards are ascending row ranges, so
+      // concatenating the drain orders lists every row once, ascending.
       result.final_rows.reserve(mailbox.size());
       for (std::size_t s = 0; s < num_shards_; ++s) {
-        const std::vector<VertexId>& rows = mailbox.shard(s).vertices;
-        result.final_rows.insert(result.final_rows.end(), rows.begin(),
-                                 rows.end());
+        const Mailbox::Shard& shard = mailbox.shard(s);
+        if (shard.size() == 0) continue;  // not drained: stale slots
+        for (const std::uint32_t slot : scratch_[s].slots) {
+          result.final_rows.push_back(shard.vertices[slot]);
+        }
       }
     }
     mailbox.clear();

@@ -121,9 +121,12 @@ void StreamingServer::refresh_labels_and_notify(
     }
   }
   // Only the rows the engine reported can have changed (the final_rows
-  // contract in infer/engine.h); sorting them keeps callbacks in ascending
-  // vertex order.
-  std::sort(final_rows.begin(), final_rows.end());
+  // contract in infer/engine.h); callbacks fire in ascending vertex order.
+  // RippleEngine reports its rows ascending already, so the sort is for
+  // engines that do not.
+  if (!std::is_sorted(final_rows.begin(), final_rows.end())) {
+    std::sort(final_rows.begin(), final_rows.end());
+  }
   for (const VertexId v : final_rows) {
     RIPPLE_CHECK_MSG(v < n, "engine reported final row "
                                 << v << " of a " << n << "-vertex graph");

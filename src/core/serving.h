@@ -14,8 +14,9 @@
 // vertices whose H^L row the batch may have rewritten. An engine (or a
 // decorator around one) that rewrites a row without listing it there
 // leaves that row's served label stale. In exchange a flush costs
-// O(|hop-L set| · classes) plus a sort of the hop-L set, independent of
-// the graph size; only vertices a batch adds are baselined separately.
+// O(|hop-L set| · classes), independent of the graph size, plus a sort of
+// the hop-L set when the engine did not report it ascending (RippleEngine
+// does); only vertices a batch adds are baselined separately.
 #pragma once
 
 #include <functional>

@@ -71,14 +71,15 @@ namespace {
 
 // The packed-fallback policy lives in exactly two helpers: multiply by
 // weight index `wi`, preferring the layer's packed panels (`packed` is
-// null when the cache is stale). Bit-identical either way.
+// null when the cache is stale). Bit-identical either way. Both compute
+// the product from zero, so one row of weight_gemm equals weight_gemv.
 void weight_gemv(std::span<const float> x, const Matrix& w,
                  const std::vector<PackedMatrix>* packed, std::size_t wi,
                  std::span<float> out) {
   if (packed != nullptr) {
-    gemv_row_accum(x, (*packed)[wi], out);
+    gemv_row(x, (*packed)[wi], out);
   } else {
-    gemv_row_accum(x, w, out);
+    gemv_row(x, w, out);
   }
 }
 
@@ -92,8 +93,21 @@ void weight_gemm(const Matrix& a, const Matrix& w,
   }
 }
 
+// GIN's MLP input z = (1 + eps) · h_self + x_agg — one home for both
+// update paths, so a contracting build fuses it the same way in each.
+void gin_input(float eps, std::span<const float> h_self,
+               std::span<const float> x_agg, std::span<float> z) {
+  for (std::size_t j = 0; j < z.size(); ++j) {
+    z[j] = (1.0f + eps) * h_self[j] + x_agg[j];
+  }
+}
+
 }  // namespace
 
+// update_row is one row of update_matrix, association included: each
+// weight product from zero, the products summed, then the bias. The
+// recompute engines (update_row) and the bootstrap and Ripple's blocked
+// apply (update_matrix) therefore write bit-identical rows.
 void GnnLayer::update_row(std::span<const float> h_self,
                           std::span<const float> x_agg,
                           std::span<float> out) const {
@@ -103,29 +117,28 @@ void GnnLayer::update_row(std::span<const float> h_self,
   // fallback (stale cache after mutable_params()) is bit-identical.
   const auto* packed = has_packed_weights() ? &packed_ : nullptr;
   if (const auto* gc = std::get_if<GraphConvParams>(&params_)) {
-    vec_copy(gc->bias.row(0), out);
     weight_gemv(x_agg, gc->weight, packed, 0, out);
+    vec_add(out, gc->bias.row(0));
     return;
   }
   RIPPLE_CHECK(h_self.size() == in_dim_);
   if (const auto* sage = std::get_if<SageParams>(&params_)) {
-    vec_copy(sage->bias.row(0), out);
     weight_gemv(h_self, sage->w_self, packed, 0, out);
-    weight_gemv(x_agg, sage->w_neigh, packed, 1, out);
+    std::vector<float> neigh_part(out_dim_);
+    weight_gemv(x_agg, sage->w_neigh, packed, 1, neigh_part);
+    vec_add(out, neigh_part);
+    vec_add(out, sage->bias.row(0));
     return;
   }
   const auto& gin = std::get<GinParams>(params_);
-  // z = (1 + eps) * h_self + x_agg
   std::vector<float> z(in_dim_);
-  for (std::size_t j = 0; j < in_dim_; ++j) {
-    z[j] = (1.0f + gin.eps) * h_self[j] + x_agg[j];
-  }
+  gin_input(gin.eps, h_self, x_agg, z);
   std::vector<float> q(gin.w1.cols());
-  vec_copy(gin.b1.row(0), q);
   weight_gemv(z, gin.w1, packed, 0, q);
+  vec_add(q, gin.b1.row(0));
   relu_row(q);
-  vec_copy(gin.b2.row(0), out);
   weight_gemv(q, gin.w2, packed, 1, out);
+  vec_add(out, gin.b2.row(0));
 }
 
 void GnnLayer::update_matrix(const Matrix& h_prev, const Matrix& x_agg,
@@ -153,12 +166,7 @@ void GnnLayer::update_matrix(const Matrix& h_prev, const Matrix& x_agg,
   Matrix z;
   z.resize_no_fill(h_prev.rows(), in_dim_);
   for (std::size_t r = 0; r < z.rows(); ++r) {
-    auto zr = z.row(r);
-    const auto hr = h_prev.row(r);
-    const auto xr = x_agg.row(r);
-    for (std::size_t j = 0; j < in_dim_; ++j) {
-      zr[j] = (1.0f + gin.eps) * hr[j] + xr[j];
-    }
+    gin_input(gin.eps, h_prev.row(r), x_agg.row(r), z.row(r));
   }
   Matrix q;
   weight_gemm(z, gin.w1, packed, 0, q, scheduler);

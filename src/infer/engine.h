@@ -28,10 +28,12 @@ struct BatchResult {
   std::size_t batch_size = 0;
   std::size_t propagation_tree_size = 0;  // Σ over hops of |affected set|
   std::size_t affected_final = 0;         // |affected set| at hop L
-  // Every vertex whose H^L row this batch may have rewritten, once each, in
-  // no particular order (affected_final == final_rows.size()). A superset
-  // of the rows that actually changed is allowed; omitting one is not:
-  // StreamingServer re-derives served labels from these rows only.
+  // Every vertex whose H^L row this batch may have rewritten, once each
+  // (affected_final == final_rows.size()). RippleEngine lists them in
+  // ascending id; other engines may use any order, and StreamingServer
+  // sorts only a list that is not ascending. A superset of the rows that
+  // actually changed is allowed; omitting one is not: StreamingServer
+  // re-derives served labels from these rows only.
   std::vector<VertexId> final_rows;
   double update_sec = 0;     // topology/feature application
   double propagate_sec = 0;  // embedding propagation

@@ -65,17 +65,21 @@ void PackedMatrix::assign(const Matrix& w) {
 
 namespace {
 
-bool cpu_has_avx2() {
+// Both SIMD tiers accumulate with vfmadd, so each needs fma besides its
+// vector ISA.
+bool cpu_has_avx2_fma() {
 #if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx2") != 0;
+  return __builtin_cpu_supports("avx2") != 0 &&
+         __builtin_cpu_supports("fma") != 0;
 #else
   return false;
 #endif
 }
 
-bool cpu_has_avx512f() {
+bool cpu_has_avx512f_fma() {
 #if defined(__x86_64__) || defined(__i386__)
-  return __builtin_cpu_supports("avx512f") != 0;
+  return __builtin_cpu_supports("avx512f") != 0 &&
+         __builtin_cpu_supports("fma") != 0;
 #else
   return false;
 #endif
@@ -88,11 +92,11 @@ const KernelOps* best_table(KernelMode mode) {
 #else
   if (mode == KernelMode::kScalar) return scalar_kernel_ops();
   if (const KernelOps* avx512 = avx512_kernel_ops();
-      avx512 != nullptr && cpu_has_avx512f()) {
+      avx512 != nullptr && cpu_has_avx512f_fma()) {
     return avx512;
   }
   if (const KernelOps* avx2 = avx2_kernel_ops();
-      avx2 != nullptr && cpu_has_avx2()) {
+      avx2 != nullptr && cpu_has_avx2_fma()) {
     return avx2;
   }
   return scalar_kernel_ops();
@@ -133,9 +137,9 @@ const KernelOps* kernel_ops_for(KernelIsa isa) {
   switch (isa) {
     case KernelIsa::kScalar: return scalar_kernel_ops();
     case KernelIsa::kAvx2:
-      return cpu_has_avx2() ? avx2_kernel_ops() : nullptr;
+      return cpu_has_avx2_fma() ? avx2_kernel_ops() : nullptr;
     case KernelIsa::kAvx512:
-      return cpu_has_avx512f() ? avx512_kernel_ops() : nullptr;
+      return cpu_has_avx512f_fma() ? avx512_kernel_ops() : nullptr;
   }
   return nullptr;
 }

@@ -6,12 +6,12 @@
 // kernels in three tiers selected ONCE at startup by runtime CPU-feature
 // detection (AVX-512 -> AVX2 -> scalar):
 //
-//   AVX-512 (simd_avx512.cpp, compiled with -mavx512f; taken when the CPU
-//           reports AVX512F)
-//   AVX2  (simd_avx2.cpp, compiled with -mavx2; taken when the CPU
-//          reports AVX2)
+//   AVX-512 (simd_avx512.cpp, compiled with -mavx512f -mfma; taken when
+//           the CPU reports AVX512F and FMA)
+//   AVX2  (simd_avx2.cpp, compiled with -mavx2 -mfma; taken when the CPU
+//          reports AVX2 and FMA)
 //   scalar (simd_scalar.cpp; portable C++, every platform, and every x86
-//          host without AVX2)
+//          host without AVX2 + FMA)
 //
 // The selection is overridable with --kernels=auto|scalar (threaded through
 // Flags by the benches/examples via apply_kernel_flag) and forceable at
@@ -21,22 +21,26 @@
 // Bit-exactness contract
 // ----------------------
 // Every tier computes every output element with the SAME accumulation
-// order and WITHOUT fused multiply-add:
-//   * GEMM/GEMV outputs: c[i][j] = ((init + a[i][0]·b[0][j]) + a[i][1]·
-//     b[1][j]) + ... — ascending k, one rounding per multiply and per add.
-//     SIMD tiers vectorize across the OUTPUT COLUMN axis only, so lanes
-//     hold different output elements and no element's chain is reordered.
-//   * Elementwise ops (add/sub/axpy/scale/relu) are trivially order-free;
-//     axpy_rows keeps each element's terms in ascending row-list order.
+// order, and every product that is accumulated is ONE fused multiply-add
+// (a single rounding per term):
+//   * GEMM/GEMV outputs: c[i][j] = fma(a[i][1], b[1][j], fma(a[i][0],
+//     b[0][j], init)) ... — ascending k, one rounding per term. SIMD tiers
+//     vectorize across the OUTPUT COLUMN axis only, so lanes hold different
+//     output elements and no element's chain is reordered.
+//   * Elementwise ops (add/sub/axpy/scale/relu) are order-free; axpy is
+//     dst = fma(alpha, src, dst), and axpy_rows keeps each element's terms
+//     in ascending row-list order. scale is a plain multiply.
 //   * vec_dot reduces ALONG the vector, so a canonical 8-lane-split order
 //     is specified (see vec_dot below) and implemented identically by all
 //     three tiers.
-// Kernel TUs are built with -ffp-contract=off so the scalar tier cannot be
-// FMA-contracted out from under the contract on -march=native builds.
+// The scalar tier writes the fusion as std::fmaf (correctly rounded by
+// definition, so it equals vfmadd bit for bit); the SIMD tiers use
+// _mm256_fmadd_ps / _mm512_fmadd_ps and are built with -mfma. Kernel TUs
+// keep -ffp-contract=off so the compiler fuses nothing else: every fusion
+// is spelled out in the source, the same way in all three tiers.
 // Consequence: --kernels=scalar and --kernels=auto produce bit-identical
 // embeddings (property-tested across engines × shards × parts × scheduler
-// × transport), and all pre-existing zero-tolerance exactness suites hold
-// unchanged.
+// × transport).
 //
 // NaN/Inf: kernels do NOT skip zero multiplicands (0·NaN must stay NaN),
 // so IEEE special values propagate exactly as a naive loop would. relu is
@@ -138,9 +142,10 @@ struct KernelOps {
   void (*vec_sub)(float* dst, const float* src, std::size_t n);
   void (*vec_axpy)(float* dst, float alpha, const float* src, std::size_t n);
   void (*vec_scale)(float* dst, float alpha, std::size_t n);
+  // dst = fma(alpha, src, dst) per element.
   // Gathered axpy: for i in [0, count), dst += alphas[i] · base[rows[i]·ld
   // .. + n) — bit-identical to `count` vec_axpy calls in that order (one
-  // mul rounding and one add rounding per term, ascending i). The SIMD
+  // fused rounding per term, ascending i). The SIMD
   // tiers hold a strip of dst in registers across all `count` rows instead
   // of a load/store round trip per row. dst must not alias any source row;
   // rows may repeat; count may be 0 (dst untouched).
@@ -150,7 +155,8 @@ struct KernelOps {
   // relu(x) = x > 0 ? x : +0 (maps -0 and NaN to +0; all tiers agree).
   void (*relu)(float* p, std::size_t n);
 
-  // Canonical 8-lane dot product: partial sums s[i % 8] += a[i]·b[i], then
+  // Canonical 8-lane dot product: partial sums s[i % 8] = fma(a[i], b[i],
+  // s[i % 8]), then
   // the fixed reduction (((s0+s4)+(s2+s6)) + ((s1+s5)+(s3+s7))) — the
   // natural 256→128→scalar narrowing order, mirrored exactly by the scalar
   // tier (and by AVX-512, which keeps 256-bit accumulators for this op) so
@@ -158,7 +164,8 @@ struct KernelOps {
   // naive left-to-right sum).
   float (*vec_dot)(const float* a, const float* b, std::size_t n);
 
-  // y[j] += Σ_p x[p]·w[p·ldw + j] for j in [0, n); ascending p per column.
+  // y[j] += Σ_p x[p]·w[p·ldw + j] for j in [0, n); one fma per p,
+  // ascending p per column.
   void (*gemv_accum)(const float* x, std::size_t k, const float* w,
                      std::size_t ldw, float* y, std::size_t n);
 
@@ -169,11 +176,18 @@ struct KernelOps {
 
   // C (m x n, row pitch ldc) = A (m x k, row pitch lda) · B, overwriting C.
   // B is given as packed panels (b.rows() == k, b.cols() == n). Each output
-  // element is the ascending-k mul/add chain starting from 0. Row blocks
+  // element is the ascending-k fma chain starting from 0. Row blocks
   // are independent, so parallel callers split over m.
   void (*gemm_packed)(const float* a, std::size_t m, std::size_t k,
                       std::size_t lda, const PackedMatrix& b, float* c,
                       std::size_t ldc);
+
+  // Index of the maximum of p[0, n), n >= 1: exactly what std::max_element
+  // returns — the first index holding the maximum, with -0 == +0. The SIMD
+  // tiers take the vector max and return the first index equal to it; a
+  // row holding any NaN falls back to the std::max_element scan, whose
+  // answer then depends on where the NaN sits.
+  std::size_t (*argmax)(const float* p, std::size_t n);
 };
 
 // The active table. First use runs CPU detection (honoring the compile-time

@@ -174,23 +174,10 @@ void gemv_row(std::span<const float> x, const Matrix& w, std::span<float> y) {
                        y.size());
 }
 
-void gemv_row_accum(std::span<const float> x, const Matrix& w,
-                    std::span<float> y) {
-  RIPPLE_CHECK(x.size() == w.rows() && y.size() == w.cols());
-  kernels().gemv_accum(x.data(), x.size(), w.data(), w.cols(), y.data(),
-                       y.size());
-}
-
 void gemv_row(std::span<const float> x, const PackedMatrix& w,
               std::span<float> y) {
   RIPPLE_CHECK(x.size() == w.rows() && y.size() == w.cols());
   std::fill(y.begin(), y.end(), 0.0f);
-  kernels().gemv_accum_packed(x.data(), x.size(), w, y.data());
-}
-
-void gemv_row_accum(std::span<const float> x, const PackedMatrix& w,
-                    std::span<float> y) {
-  RIPPLE_CHECK(x.size() == w.rows() && y.size() == w.cols());
   kernels().gemv_accum_packed(x.data(), x.size(), w, y.data());
 }
 
@@ -271,8 +258,7 @@ void softmax_rows(Matrix& m) {
 
 std::size_t argmax_row(std::span<const float> row) {
   RIPPLE_CHECK(!row.empty());
-  return static_cast<std::size_t>(
-      std::max_element(row.begin(), row.end()) - row.begin());
+  return kernels().argmax(row.data(), row.size());
 }
 
 float max_abs_diff(const Matrix& a, const Matrix& b) {

@@ -62,20 +62,16 @@ void gemm_a_bt(const Matrix& a, const Matrix& b, Matrix& c);
 // dst (m x n) += broadcast row bias (1 x n) to every row.
 void add_bias_rows(Matrix& dst, const Matrix& bias);
 
-// y (1 x n) = x (1 x k) * W (k x n). y must have size n.
+// y (1 x n) = x (1 x k) * W (k x n). y must have size n. Each element is
+// the fma chain from zero that gemm computes, so y equals gemm's row bit
+// for bit.
 void gemv_row(std::span<const float> x, const Matrix& w, std::span<float> y);
 
-// y += x * W (row GEMV accumulate).
-void gemv_row_accum(std::span<const float> x, const Matrix& w,
-                    std::span<float> y);
-
-// Packed-W variants of the row GEMV (the per-vertex Update fast path:
+// Packed-W variant of the row GEMV (the per-vertex Update fast path:
 // sequential panel streams instead of strided weight walks). Bit-identical
-// to the Matrix-W overloads.
+// to the Matrix-W overload.
 void gemv_row(std::span<const float> x, const PackedMatrix& w,
               std::span<float> y);
-void gemv_row_accum(std::span<const float> x, const PackedMatrix& w,
-                    std::span<float> y);
 
 // Row/vector primitives (all spans must have equal length).
 void vec_copy(std::span<const float> src, std::span<float> dst);
@@ -96,6 +92,8 @@ void relu_backward_row(std::span<const float> pre, std::span<float> grad);
 
 // Row-wise softmax (in place) and cross-entropy loss helpers for training.
 void softmax_rows(Matrix& m);
+// First index of the row's maximum — std::max_element's answer in every
+// case, NaN included (the dispatched argmax kernel, kernels.h).
 std::size_t argmax_row(std::span<const float> row);
 
 // Max |a - b| over all entries; shapes must match.

@@ -1,23 +1,22 @@
-// AVX2 kernel tier. This TU is compiled with -mavx2 (when the compiler
-// supports it) and its table is selected only after __builtin_cpu_supports
-// confirms the host executes AVX2, so no AVX instruction can leak into a
-// non-AVX code path.
+// AVX2 kernel tier. This TU is compiled with -mavx2 -mfma (when the
+// compiler supports them) and its table is selected only after
+// __builtin_cpu_supports confirms the host executes AVX2 and FMA, so no
+// AVX or FMA instruction can leak into a non-AVX code path.
 //
 // Determinism: vectorization runs across the output/column axis only, and
-// all products use separate mul+add intrinsics — NOT vfmadd — so every
-// output element carries the scalar tier's exact rounding chain (the
-// contract in kernels.h). The deliberate cost of skipping FMA is one extra
-// rounding per product, which is what buys bit-exact --kernels=scalar
-// equivalence; throughput still improves ~4-8x over scalar because these
-// kernels are memory/issue bound, not latency bound.
-//
-// Tails are handled with scalar loops over the same per-element chains —
-// no masked loads/stores, so the tier is sanitizer-clean by construction.
+// every accumulated product is one _mm256_fmadd_ps, so every output
+// element carries the scalar tier's exact std::fmaf chain (the contract in
+// kernels.h). Tails are handled with scalar loops over the same
+// per-element chains (std::fmaf, which -mfma turns into one vfmadd) — no
+// masked loads/stores, so the tier is sanitizer-clean by construction.
 #include "tensor/kernels.h"
 
-#if defined(__AVX2__)
+#if defined(__AVX2__) && defined(__FMA__)
 
 #include <immintrin.h>
+
+#include <algorithm>
+#include <cmath>
 
 namespace ripple {
 namespace {
@@ -46,10 +45,10 @@ void v_vec_axpy(float* dst, float alpha, const float* src, std::size_t n) {
   const __m256 va = _mm256_set1_ps(alpha);
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    const __m256 prod = _mm256_mul_ps(va, _mm256_loadu_ps(src + i));
-    _mm256_storeu_ps(dst + i, _mm256_add_ps(_mm256_loadu_ps(dst + i), prod));
+    _mm256_storeu_ps(dst + i, _mm256_fmadd_ps(va, _mm256_loadu_ps(src + i),
+                                              _mm256_loadu_ps(dst + i)));
   }
-  for (; i < n; ++i) dst[i] += alpha * src[i];
+  for (; i < n; ++i) dst[i] = std::fmaf(alpha, src[i], dst[i]);
 }
 
 // axpy_rows over one strip of kVecs·8 columns: the strip
@@ -64,8 +63,7 @@ inline void axpy_rows_strip(float* dst, const float* base, std::size_t ld,
     const __m256 va = _mm256_set1_ps(alphas[i]);
     const float* src = base + rows[i] * ld;
     for (std::size_t q = 0; q < kVecs; ++q) {
-      acc[q] = _mm256_add_ps(acc[q],
-                             _mm256_mul_ps(va, _mm256_loadu_ps(src + 8 * q)));
+      acc[q] = _mm256_fmadd_ps(va, _mm256_loadu_ps(src + 8 * q), acc[q]);
     }
   }
   for (std::size_t q = 0; q < kVecs; ++q) _mm256_storeu_ps(dst + 8 * q, acc[q]);
@@ -84,7 +82,7 @@ void v_axpy_rows(float* dst, std::size_t n, const float* base, std::size_t ld,
   for (; j < n; ++j) {
     float acc = dst[j];
     for (std::size_t i = 0; i < count; ++i) {
-      acc += alphas[i] * base[rows[i] * ld + j];
+      acc = std::fmaf(alphas[i], base[rows[i] * ld + j], acc);
     }
     dst[j] = acc;
   }
@@ -114,14 +112,13 @@ float v_vec_dot(const float* a, const float* b, std::size_t n) {
   __m256 acc = _mm256_setzero_ps();
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
-    acc = _mm256_add_ps(
-        acc, _mm256_mul_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i)));
+    acc = _mm256_fmadd_ps(_mm256_loadu_ps(a + i), _mm256_loadu_ps(b + i), acc);
   }
   // Canonical finish (kernels.h): spill the 8 lane sums, accumulate the
   // tail scalar into lanes i%8, then the fixed 8→4→scalar narrowing.
   alignas(32) float s[8];
   _mm256_store_ps(s, acc);
-  for (; i < n; ++i) s[i % 8] += a[i] * b[i];
+  for (; i < n; ++i) s[i % 8] = std::fmaf(a[i], b[i], s[i % 8]);
   float t[4];
   for (std::size_t lane = 0; lane < 4; ++lane) t[lane] = s[lane] + s[lane + 4];
   return (t[0] + t[2]) + (t[1] + t[3]);
@@ -134,10 +131,10 @@ void v_gemv_accum(const float* x, std::size_t k, const float* w,
     const float* wp = w + p * ldw;
     std::size_t j = 0;
     for (; j + 8 <= n; j += 8) {
-      const __m256 prod = _mm256_mul_ps(xp, _mm256_loadu_ps(wp + j));
-      _mm256_storeu_ps(y + j, _mm256_add_ps(_mm256_loadu_ps(y + j), prod));
+      _mm256_storeu_ps(y + j, _mm256_fmadd_ps(xp, _mm256_loadu_ps(wp + j),
+                                              _mm256_loadu_ps(y + j)));
     }
-    for (; j < n; ++j) y[j] += x[p] * wp[j];
+    for (; j < n; ++j) y[j] = std::fmaf(x[p], wp[j], y[j]);
   }
 }
 
@@ -158,8 +155,8 @@ void v_gemv_accum_packed(const float* x, std::size_t k, const PackedMatrix& w,
       for (std::size_t p = 0; p < k; ++p) {
         const __m256 xp = _mm256_set1_ps(x[p]);
         const float* bp = panel + p * kW;
-        acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(xp, _mm256_load_ps(bp)));
-        acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(xp, _mm256_load_ps(bp + 8)));
+        acc0 = _mm256_fmadd_ps(xp, _mm256_load_ps(bp), acc0);
+        acc1 = _mm256_fmadd_ps(xp, _mm256_load_ps(bp + 8), acc1);
       }
       _mm256_storeu_ps(yj, acc0);
       _mm256_storeu_ps(yj + 8, acc1);
@@ -170,14 +167,15 @@ void v_gemv_accum_packed(const float* x, std::size_t k, const PackedMatrix& w,
       __m256 acc = _mm256_loadu_ps(yj + j);
       for (std::size_t p = 0; p < k; ++p) {
         const __m256 xp = _mm256_set1_ps(x[p]);
-        acc = _mm256_add_ps(acc,
-                            _mm256_mul_ps(xp, _mm256_loadu_ps(panel + p * kW + j)));
+        acc = _mm256_fmadd_ps(xp, _mm256_loadu_ps(panel + p * kW + j), acc);
       }
       _mm256_storeu_ps(yj + j, acc);
     }
     for (; j < jw; ++j) {
       float acc = yj[j];
-      for (std::size_t p = 0; p < k; ++p) acc += x[p] * panel[p * kW + j];
+      for (std::size_t p = 0; p < k; ++p) {
+        acc = std::fmaf(x[p], panel[p * kW + j], acc);
+      }
       yj[j] = acc;
     }
   }
@@ -200,8 +198,8 @@ inline void gemm_panel_rows(const float* a, std::size_t k, std::size_t lda,
     const __m256 b1 = _mm256_load_ps(panel + p * kW + 8);
     for (std::size_t r = 0; r < MR; ++r) {
       const __m256 va = _mm256_set1_ps(a[r * lda + p]);
-      acc[r][0] = _mm256_add_ps(acc[r][0], _mm256_mul_ps(va, b0));
-      acc[r][1] = _mm256_add_ps(acc[r][1], _mm256_mul_ps(va, b1));
+      acc[r][0] = _mm256_fmadd_ps(va, b0, acc[r][0]);
+      acc[r][1] = _mm256_fmadd_ps(va, b1, acc[r][1]);
     }
   }
   for (std::size_t r = 0; r < MR; ++r) {
@@ -239,6 +237,38 @@ void v_gemm_packed(const float* a, std::size_t m, std::size_t k,
   }
 }
 
+std::size_t v_argmax(const float* p, std::size_t n) {
+  const auto scan = [&] {
+    return static_cast<std::size_t>(std::max_element(p, p + n) - p);
+  };
+  if (n < 8) return scan();
+  // Pass 1: the max, with NaN noted on the side (vmaxps passes a NaN on
+  // only from its second operand, so the max alone cannot tell). The last
+  // vector overlaps the one before it instead of leaving a scalar tail;
+  // max and the NaN test do not mind seeing an element twice.
+  __m256 vmax = _mm256_loadu_ps(p + n - 8);
+  __m256 nan = _mm256_cmp_ps(vmax, vmax, _CMP_UNORD_Q);
+  for (std::size_t i = 0; i + 8 < n; i += 8) {
+    const __m256 v = _mm256_loadu_ps(p + i);
+    vmax = _mm256_max_ps(vmax, v);
+    nan = _mm256_or_ps(nan, _mm256_cmp_ps(v, v, _CMP_UNORD_Q));
+  }
+  if (_mm256_movemask_ps(nan) != 0) return scan();
+  __m128 half = _mm_max_ps(_mm256_castps256_ps128(vmax),
+                           _mm256_extractf128_ps(vmax, 1));
+  half = _mm_max_ps(half, _mm_movehl_ps(half, half));
+  half = _mm_max_ss(half, _mm_shuffle_ps(half, half, 1));
+  // Pass 2: the first index equal to the max (-0 == +0, as in
+  // max_element). The overlapping last vector re-reads only elements that
+  // held no hit.
+  const __m256 vm = _mm256_set1_ps(_mm_cvtss_f32(half));
+  for (std::size_t i = 0;; i = std::min(i + 8, n - 8)) {
+    const int hits = _mm256_movemask_ps(
+        _mm256_cmp_ps(_mm256_loadu_ps(p + i), vm, _CMP_EQ_OQ));
+    if (hits != 0) return i + static_cast<std::size_t>(__builtin_ctz(hits));
+  }
+}
+
 const KernelOps kAvx2Ops = {
     .isa = KernelIsa::kAvx2,
     .vec_add = v_vec_add,
@@ -251,6 +281,7 @@ const KernelOps kAvx2Ops = {
     .gemv_accum = v_gemv_accum,
     .gemv_accum_packed = v_gemv_accum_packed,
     .gemm_packed = v_gemm_packed,
+    .argmax = v_argmax,
 };
 
 }  // namespace
@@ -259,7 +290,7 @@ const KernelOps* avx2_kernel_ops() { return &kAvx2Ops; }
 
 }  // namespace ripple
 
-#else  // !__AVX2__ (TU compiled without -mavx2: tier unavailable)
+#else  // TU compiled without -mavx2 -mfma: tier unavailable
 
 namespace ripple {
 const KernelOps* avx2_kernel_ops() { return nullptr; }

@@ -1,6 +1,10 @@
 // Portable scalar kernel tier — the reference semantics every SIMD tier
-// must reproduce bit-for-bit (see the contract in kernels.h). Built with
-// -ffp-contract=off so no FMA contraction can change the rounding chain.
+// must reproduce bit-for-bit (see the contract in kernels.h). Every
+// accumulated product is an explicit std::fmaf, the same single rounding
+// as the SIMD tiers' vfmadd; the TU is built with -ffp-contract=off so the
+// compiler fuses nothing the source does not spell out. On a baseline
+// x86-64 build std::fmaf is a libm call, so this tier is slower than a
+// mul + add loop would be; it is the reference, not the fast path.
 //
 // NOTE for maintainers: the loops here deliberately do NOT skip zero
 // multiplicands. The old data-dependent `if (x == 0) continue` fast path
@@ -9,6 +13,9 @@
 // the R-MAT streams showed near-zero density in the embedding rows, so no
 // sparse path is retained.
 #include "tensor/kernels.h"
+
+#include <algorithm>
+#include <cmath>
 
 namespace ripple {
 namespace {
@@ -22,7 +29,9 @@ void s_vec_sub(float* dst, const float* src, std::size_t n) {
 }
 
 void s_vec_axpy(float* dst, float alpha, const float* src, std::size_t n) {
-  for (std::size_t i = 0; i < n; ++i) dst[i] += alpha * src[i];
+  for (std::size_t i = 0; i < n; ++i) {
+    dst[i] = std::fmaf(alpha, src[i], dst[i]);
+  }
 }
 
 void s_axpy_rows(float* dst, std::size_t n, const float* base, std::size_t ld,
@@ -43,17 +52,17 @@ void s_relu(float* p, std::size_t n) {
 }
 
 float s_vec_dot(const float* a, const float* b, std::size_t n) {
-  // Canonical 8-lane split (kernels.h): s[i % 8] += a[i]*b[i], then the
-  // fixed 8→4→scalar narrowing. Identical to what the AVX2 tier's register
-  // lanes accumulate.
+  // Canonical 8-lane split (kernels.h): s[i % 8] = fma(a[i], b[i],
+  // s[i % 8]), then the fixed 8→4→scalar narrowing. Identical to what the
+  // AVX2 tier's register lanes accumulate.
   float s[8] = {0, 0, 0, 0, 0, 0, 0, 0};
   std::size_t i = 0;
   for (; i + 8 <= n; i += 8) {
     for (std::size_t lane = 0; lane < 8; ++lane) {
-      s[lane] += a[i + lane] * b[i + lane];
+      s[lane] = std::fmaf(a[i + lane], b[i + lane], s[lane]);
     }
   }
-  for (; i < n; ++i) s[i % 8] += a[i] * b[i];
+  for (; i < n; ++i) s[i % 8] = std::fmaf(a[i], b[i], s[i % 8]);
   float t[4];
   for (std::size_t lane = 0; lane < 4; ++lane) t[lane] = s[lane] + s[lane + 4];
   return (t[0] + t[2]) + (t[1] + t[3]);
@@ -64,7 +73,7 @@ void s_gemv_accum(const float* x, std::size_t k, const float* w,
   for (std::size_t p = 0; p < k; ++p) {
     const float xp = x[p];
     const float* wp = w + p * ldw;
-    for (std::size_t j = 0; j < n; ++j) y[j] += xp * wp[j];
+    for (std::size_t j = 0; j < n; ++j) y[j] = std::fmaf(xp, wp[j], y[j]);
   }
 }
 
@@ -80,7 +89,9 @@ void s_gemv_accum_packed(const float* x, std::size_t k, const PackedMatrix& w,
     for (std::size_t p = 0; p < k; ++p) {
       const float xp = x[p];
       const float* bp = panel + p * kW;
-      for (std::size_t lane = 0; lane < jw; ++lane) yj[lane] += xp * bp[lane];
+      for (std::size_t lane = 0; lane < jw; ++lane) {
+        yj[lane] = std::fmaf(xp, bp[lane], yj[lane]);
+      }
     }
   }
 }
@@ -101,13 +112,17 @@ void s_gemm_packed(const float* a, std::size_t m, std::size_t k,
         const float aip = ai[p];
         const float* bp = panel + p * kW;
         for (std::size_t lane = 0; lane < kW; ++lane) {
-          acc[lane] += aip * bp[lane];
+          acc[lane] = std::fmaf(aip, bp[lane], acc[lane]);
         }
       }
       float* ci = c + i * ldc + j0;
       for (std::size_t lane = 0; lane < jw; ++lane) ci[lane] = acc[lane];
     }
   }
+}
+
+std::size_t s_argmax(const float* p, std::size_t n) {
+  return static_cast<std::size_t>(std::max_element(p, p + n) - p);
 }
 
 const KernelOps kScalarOps = {
@@ -122,6 +137,7 @@ const KernelOps kScalarOps = {
     .gemv_accum = s_gemv_accum,
     .gemv_accum_packed = s_gemv_accum_packed,
     .gemm_packed = s_gemm_packed,
+    .argmax = s_argmax,
 };
 
 }  // namespace

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <functional>
 #include <memory>
 #include <string>
 #include <tuple>
@@ -226,6 +227,95 @@ TEST(FinalRows, ServerCallbacksMatchAFullScanObserver) {
       EXPECT_GT(expected.size(), 0u);  // the stream really flips labels
     }
   }
+}
+
+// RippleEngine lists final_rows in ascending id without a sort of its own:
+// each shard's drain order is ascending and shards are ascending row
+// ranges. That must hold for every shard count, with and without a pool.
+TEST(FinalRows, RippleListsRowsStrictlyAscendingForAnyShardsAndPool) {
+  ThreadPool pool(3);
+  for (const Config& config : kConfigs) {
+    const Fixture f = make_fixture(config.workload, config.num_layers,
+                                   config.seed);
+    for (ThreadPool* workers : {static_cast<ThreadPool*>(nullptr), &pool}) {
+      for (const std::size_t shards : {1u, 2u, 8u}) {
+        SCOPED_TRACE(::testing::Message()
+                     << workload_name(config.workload) << " shards=" << shards
+                     << " pool=" << (workers != nullptr));
+        RippleEngine engine(f.model, f.graph, f.features, workers,
+                            RippleOptions{shards});
+        std::size_t listed = 0;
+        for (const auto& batch : f.batches) {
+          const BatchResult result = engine.apply_batch(batch);
+          EXPECT_EQ(std::adjacent_find(result.final_rows.begin(),
+                                       result.final_rows.end(),
+                                       std::greater_equal<VertexId>()),
+                    result.final_rows.end());
+          listed += result.final_rows.size();
+        }
+        EXPECT_GT(listed, 0u);
+      }
+    }
+  }
+}
+
+// Passes batches through to an engine and counts the batches whose
+// final_rows came out of ascending order.
+class RowOrderProbe : public InferenceEngine {
+ public:
+  RowOrderProbe(std::unique_ptr<InferenceEngine> inner, std::size_t& unsorted)
+      : inner_(std::move(inner)), unsorted_(unsorted) {}
+  const char* name() const override { return inner_->name(); }
+  BatchResult apply_batch(UpdateBatch batch) override {
+    BatchResult result = inner_->apply_batch(batch);
+    if (!std::is_sorted(result.final_rows.begin(), result.final_rows.end())) {
+      ++unsorted_;
+    }
+    return result;
+  }
+  const EmbeddingStore& embeddings() const override {
+    return inner_->embeddings();
+  }
+  const DynamicGraph& graph() const override { return inner_->graph(); }
+  const GnnModel& model() const override { return inner_->model(); }
+  std::size_t memory_bytes() const override { return inner_->memory_bytes(); }
+
+ private:
+  std::unique_ptr<InferenceEngine> inner_;
+  std::size_t& unsorted_;
+};
+
+// The server sorts only a row list that is not ascending; RC reports its
+// rows in traversal order, and its flips must still arrive ascending.
+TEST(FinalRows, ServerOrdersTheFlipsOfAnEngineWithUnsortedRows) {
+  ThreadPool pool(1);
+  std::size_t unsorted = 0;
+  std::size_t flips = 0;
+  for (const Config& config : kConfigs) {
+    const Fixture f = make_fixture(config.workload, config.num_layers,
+                                   config.seed);
+    SCOPED_TRACE(workload_name(config.workload));
+    StreamingServer::Options options;
+    options.batch_size = 1000;  // every batch flushes explicitly below
+    options.adaptive_options.flush_after_sec = 0;
+    StreamingServer server(
+        std::make_unique<RowOrderProbe>(build("rc", f, pool), unsorted),
+        options);
+    std::vector<VertexId> flushed;
+    server.set_label_callback(
+        [&](VertexId v, std::uint32_t, std::uint32_t) { flushed.push_back(v); });
+    for (const auto& batch : f.batches) {
+      for (const GraphUpdate& update : batch) server.submit(update);
+      server.flush();
+      EXPECT_EQ(std::adjacent_find(flushed.begin(), flushed.end(),
+                                   std::greater_equal<VertexId>()),
+                flushed.end());
+      flips += flushed.size();
+      flushed.clear();
+    }
+  }
+  EXPECT_GT(unsorted, 0u);  // the server really had rows to sort
+  EXPECT_GT(flips, 0u);
 }
 
 }  // namespace

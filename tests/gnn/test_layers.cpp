@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+
 #include "common/rng.h"
 #include "tensor/ops.h"
 
@@ -149,6 +152,47 @@ TEST(Layers, PackedWeightCacheBitIdenticalToUnpacked) {
     layer.update_matrix(h_prev, x_agg, repacked_out);
     for (std::size_t i = 0; i < packed_out.size(); ++i) {
       ASSERT_EQ(packed_out.data()[i], repacked_out.data()[i]);
+    }
+  }
+}
+
+// update_row must be one row of update_matrix bit for bit, the bias
+// included: GnnLayer::random zeroes biases, so they are filled here, and
+// GIN gets a nonzero eps.
+TEST(Layers, UpdateRowIsOneRowOfUpdateMatrixWithBiases) {
+  Rng rng(10);
+  for (auto kind : {LayerKind::graph_conv, LayerKind::sage, LayerKind::gin}) {
+    auto layer = GnnLayer::random(kind, 13, 7, rng, 11);
+    const auto fill = [&](Matrix& bias) {
+      for (float& b : bias.row(0)) b = rng.next_float(-1.0f, 1.0f);
+    };
+    auto& params = layer.mutable_params();
+    if (auto* gc = std::get_if<GraphConvParams>(&params)) {
+      fill(gc->bias);
+    } else if (auto* sage = std::get_if<SageParams>(&params)) {
+      fill(sage->bias);
+    } else {
+      auto& gin = std::get<GinParams>(params);
+      gin.eps = 0.375f;
+      fill(gin.b1);
+      fill(gin.b2);
+    }
+    const auto h_prev = Matrix::random_uniform(9, 13, rng);
+    const auto x_agg = Matrix::random_uniform(9, 13, rng);
+    for (const bool packed : {false, true}) {
+      if (packed) layer.repack();
+      Matrix batch_out;
+      layer.update_matrix(h_prev, x_agg, batch_out);
+      std::vector<float> row_out(7);
+      for (std::size_t r = 0; r < 9; ++r) {
+        layer.update_row(h_prev.row(r), x_agg.row(r), row_out);
+        for (std::size_t j = 0; j < 7; ++j) {
+          ASSERT_EQ(std::bit_cast<std::uint32_t>(batch_out.at(r, j)),
+                    std::bit_cast<std::uint32_t>(row_out[j]))
+              << layer_kind_name(kind) << " packed=" << packed << " row "
+              << r << " col " << j;
+        }
+      }
     }
   }
 }

@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <bit>
 #include <cmath>
 #include <cstdint>
@@ -99,6 +100,15 @@ std::vector<const KernelOps*> simd_tiers() {
   std::vector<const KernelOps*> tiers;
   for (const KernelIsa isa : available_kernel_isas()) {
     if (isa == KernelIsa::kScalar) continue;
+    tiers.push_back(kernel_ops_for(isa));
+  }
+  return tiers;
+}
+
+// Every tier this build and host can run, scalar first.
+std::vector<const KernelOps*> all_tiers() {
+  std::vector<const KernelOps*> tiers;
+  for (const KernelIsa isa : available_kernel_isas()) {
     tiers.push_back(kernel_ops_for(isa));
   }
   return tiers;
@@ -221,8 +231,7 @@ TEST(KernelTiers, AxpyRowsEqualsRepeatedAxpy) {
   static const float kSpecialAlphas[] = {
       -0.0f, 0.0f, std::numeric_limits<float>::infinity(),
       std::bit_cast<float>(0x7fc01234u)};
-  std::vector<const KernelOps*> tiers = simd_tiers();
-  tiers.insert(tiers.begin(), scalar_kernel_ops());
+  const std::vector<const KernelOps*> tiers = all_tiers();
   for (const bool specials : {false, true}) {
     for (const std::size_t n : {1u, 15u, 16u, 17u, 63u, 64u, 65u, 130u}) {
       const std::size_t ld = n + 3;
@@ -452,6 +461,236 @@ TEST(KernelTiers, DenormalsSurviveBitExact) {
     ref->vec_axpy(a.data(), 0.5f, denorm.data(), n);
     tier->vec_axpy(b.data(), 0.5f, denorm.data(), n);
     EXPECT_TRUE(bits_equal(a.data(), b.data(), n, "denormal axpy"));
+  }
+}
+
+// ---- the fused chain, pinned per tier ----
+// The cross-tier tests above would still pass if every tier used mul + add.
+// These compare each tier against std::fmaf chains written out here, on
+// operands where fused and unfused results differ.
+
+// a = b = 1 + 2^-12 and c = -(1 + 2^-11): a·b = 1 + 2^-11 + 2^-24 rounds
+// to 1 + 2^-11 before the add, so mul + add gives 0, while fma(a, b, c)
+// keeps the 2^-24.
+constexpr float kFuseA = 1.0f + 0x1p-12f;
+constexpr float kFuseC = -(1.0f + 0x1p-11f);
+
+TEST(FusedChain, WitnessOperandsSeparateFusedFromUnfused) {
+  volatile float product = kFuseA * kFuseA;  // rounded on its own
+  EXPECT_EQ(product + kFuseC, 0.0f);
+  EXPECT_EQ(std::fmaf(kFuseA, kFuseA, kFuseC), 0x1p-24f);
+}
+
+// Random finite data with `planted` at every third position. Callers
+// plant kFuseA in the sources and kFuseC in the accumulator starts, so
+// those elements carry the witness.
+std::vector<float> fused_witness_data(std::size_t n, std::uint64_t seed,
+                                      float planted) {
+  auto data = finite_data(n, seed);
+  for (std::size_t i = 0; i < n; i += 3) data[i] = planted;
+  return data;
+}
+
+TEST(FusedChain, AxpyAndAxpyRowsAreOneFmaPerTerm) {
+  for (const KernelOps* tier : all_tiers()) {
+    for (const std::size_t n : {1u, 7u, 16u, 37u, 64u, 65u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << kernel_isa_name(tier->isa) << " n=" << n);
+      const auto src = fused_witness_data(n, 700 + n, kFuseA);
+      const auto dst0 = fused_witness_data(n, 800 + n, kFuseC);
+      auto expect = dst0;
+      for (std::size_t i = 0; i < n; ++i) {
+        expect[i] = std::fmaf(kFuseA, src[i], expect[i]);
+      }
+      EXPECT_EQ(expect[0], 0x1p-24f);
+      auto got = dst0;
+      tier->vec_axpy(got.data(), kFuseA, src.data(), n);
+      EXPECT_TRUE(bits_equal(expect.data(), got.data(), n, "vec_axpy"));
+
+      // Three rows of a base block, the first planted with the witness.
+      const std::size_t ld = n + 1;
+      auto base = finite_data(3 * ld, 900 + n);
+      std::copy(src.begin(), src.end(), base.begin());
+      const std::uint32_t rows[] = {0, 2, 1, 0};
+      const float alphas[] = {kFuseA, -0.75f, 1.25f, 0.5f};
+      expect = dst0;
+      for (std::size_t r = 0; r < 4; ++r) {
+        for (std::size_t i = 0; i < n; ++i) {
+          expect[i] =
+              std::fmaf(alphas[r], base[rows[r] * ld + i], expect[i]);
+        }
+      }
+      got = dst0;
+      tier->axpy_rows(got.data(), n, base.data(), ld, rows, alphas, 4);
+      EXPECT_TRUE(bits_equal(expect.data(), got.data(), n, "axpy_rows"));
+    }
+  }
+}
+
+TEST(FusedChain, DotIsTheCanonicalFmaLaneSplit) {
+  for (const KernelOps* tier : all_tiers()) {
+    for (const std::size_t n : {1u, 8u, 19u, 40u, 67u}) {
+      SCOPED_TRACE(::testing::Message()
+                   << kernel_isa_name(tier->isa) << " n=" << n);
+      // Lane sums start with -(1 + 2^-11) · 1 and then take the witness.
+      std::vector<float> a = finite_data(n, 1000 + n);
+      std::vector<float> b = finite_data(n, 1100 + n);
+      for (std::size_t i = 0; i < n; ++i) {
+        if (i < 8) {
+          a[i] = kFuseC;
+          b[i] = 1.0f;
+        } else if (i < 16) {
+          a[i] = kFuseA;
+          b[i] = kFuseA;
+        }
+      }
+      float lanes[8] = {0, 0, 0, 0, 0, 0, 0, 0};
+      for (std::size_t i = 0; i < n; ++i) {
+        lanes[i % 8] = std::fmaf(a[i], b[i], lanes[i % 8]);
+      }
+      const float expect = ((lanes[0] + lanes[4]) + (lanes[2] + lanes[6])) +
+                           ((lanes[1] + lanes[5]) + (lanes[3] + lanes[7]));
+      const float got = tier->vec_dot(a.data(), b.data(), n);
+      EXPECT_TRUE(bits_equal(&expect, &got, 1, "vec_dot"));
+    }
+  }
+}
+
+TEST(FusedChain, GemvAndGemmAreAscendingFmaChains) {
+  for (const KernelOps* tier : all_tiers()) {
+    for (const std::size_t k : {1u, 2u, 9u}) {
+      for (const std::size_t n : {1u, 16u, 17u, 40u, 64u}) {
+        SCOPED_TRACE(::testing::Message() << kernel_isa_name(tier->isa)
+                                          << " k=" << k << " n=" << n);
+        // Row 0 of W and x[0] carry the witness against y0 = kFuseC.
+        Matrix w(k, n);
+        const auto wdata = finite_data(k * n, 1200 + 10 * k + n);
+        std::copy(wdata.begin(), wdata.end(), w.data());
+        for (std::size_t j = 0; j < n; ++j) w.at(0, j) = kFuseA;
+        const auto pw = PackedMatrix::pack(w);
+        auto x = finite_data(k, 1300 + k);
+        x[0] = kFuseA;
+        const auto y0 = fused_witness_data(n, 1400 + n, kFuseC);
+
+        auto expect = y0;
+        for (std::size_t p = 0; p < k; ++p) {
+          for (std::size_t j = 0; j < n; ++j) {
+            expect[j] = std::fmaf(x[p], w.at(p, j), expect[j]);
+          }
+        }
+        auto got = y0;
+        tier->gemv_accum(x.data(), k, w.data(), n, got.data(), n);
+        EXPECT_TRUE(bits_equal(expect.data(), got.data(), n, "gemv_accum"));
+        got = y0;
+        tier->gemv_accum_packed(x.data(), k, pw, got.data());
+        EXPECT_TRUE(
+            bits_equal(expect.data(), got.data(), n, "gemv_accum_packed"));
+
+        // GEMM chains start from 0, so the witness needs a first term
+        // that sets up kFuseC: a[i][0] = 1 against a B row of kFuseC,
+        // then a[i][1] = kFuseA against a B row of kFuseA.
+        const std::size_t m = 13;  // two 6-row tiles and a 1-row tail
+        const std::size_t kk = k + 1;
+        Matrix a(m, kk);
+        const auto adata = finite_data(m * kk, 1500 + kk);
+        std::copy(adata.begin(), adata.end(), a.data());
+        Matrix b(kk, n);
+        const auto bdata = finite_data(kk * n, 1600 + kk + n);
+        std::copy(bdata.begin(), bdata.end(), b.data());
+        for (std::size_t i = 0; i < m; ++i) {
+          a.at(i, 0) = 1.0f;
+          a.at(i, 1) = kFuseA;
+        }
+        for (std::size_t j = 0; j < n; ++j) {
+          b.at(0, j) = kFuseC;
+          b.at(1, j) = kFuseA;
+        }
+        Matrix c_expect(m, n);
+        for (std::size_t i = 0; i < m; ++i) {
+          for (std::size_t j = 0; j < n; ++j) {
+            float acc = 0.0f;
+            for (std::size_t p = 0; p < kk; ++p) {
+              acc = std::fmaf(a.at(i, p), b.at(p, j), acc);
+            }
+            c_expect.at(i, j) = acc;
+          }
+        }
+        if (kk == 2) EXPECT_EQ(c_expect.at(0, 0), 0x1p-24f);
+        Matrix c(m, n, -7.0f);
+        tier->gemm_packed(a.data(), m, kk, kk, PackedMatrix::pack(b),
+                          c.data(), n);
+        EXPECT_TRUE(
+            bits_equal(c_expect.data(), c.data(), m * n, "gemm_packed"));
+      }
+    }
+  }
+}
+
+// ---- argmax ----
+
+// Rows that stress the vector max + first-equal search against
+// std::max_element: ties, ±0, ±inf, denormals, and NaN at the front, in
+// the middle and at the back.
+std::vector<std::vector<float>> argmax_rows(std::size_t n, std::uint64_t seed) {
+  const float inf = std::numeric_limits<float>::infinity();
+  const float qnan = std::bit_cast<float>(0x7fc00077u);
+  const float denorm = std::bit_cast<float>(0x00000005u);
+  Rng rng(seed);
+  std::vector<std::vector<float>> rows;
+  const auto random_row = [&] {
+    std::vector<float> row(n);
+    for (float& v : row) v = rng.next_float(-3.0f, 3.0f);
+    return row;
+  };
+  rows.push_back(random_row());
+  auto tied = random_row();  // the max appears twice: first index wins
+  tied[n / 3] = 9.0f;
+  tied[n - 1] = 9.0f;
+  rows.push_back(tied);
+  rows.push_back(std::vector<float>(n, -0.0f));
+  auto zeros = std::vector<float>(n, -1.0f);  // -0 before +0: equal
+  zeros[n / 2] = -0.0f;
+  zeros[n - 1] = 0.0f;
+  rows.push_back(zeros);
+  rows.push_back(std::vector<float>(n, -inf));
+  auto pos_inf = random_row();
+  pos_inf[n - 1] = inf;
+  rows.push_back(pos_inf);
+  auto neg = std::vector<float>(n, -inf);
+  neg[n / 2] = -denorm;
+  rows.push_back(neg);
+  auto denorms = std::vector<float>(n, 0.0f);
+  denorms[(n * 2) / 3] = denorm;
+  rows.push_back(denorms);
+  for (const std::size_t at : {std::size_t{0}, n / 2, n - 1}) {
+    auto with_nan = random_row();
+    with_nan[at] = qnan;
+    rows.push_back(with_nan);
+    with_nan[n / 4] = inf;  // a NaN next to an inf
+    rows.push_back(with_nan);
+  }
+  rows.push_back(std::vector<float>(n, qnan));
+  return rows;
+}
+
+TEST(Argmax, EqualsMaxElementInEveryTier) {
+  for (const KernelOps* tier : all_tiers()) {
+    for (std::size_t n = 1; n <= 70; ++n) {
+      for (const auto& row : argmax_rows(n, 1700 + n)) {
+        // One float of offset: the unaligned view of a row whose width is
+        // not a multiple of 16.
+        for (const std::size_t offset : {0u, 1u}) {
+          std::vector<float> backing(offset, 5.0f);
+          backing.insert(backing.end(), row.begin(), row.end());
+          const float* p = backing.data() + offset;
+          const auto expect =
+              static_cast<std::size_t>(std::max_element(p, p + n) - p);
+          EXPECT_EQ(tier->argmax(p, n), expect)
+              << kernel_isa_name(tier->isa) << " n=" << n
+              << " offset=" << offset;
+        }
+      }
+    }
   }
 }
 

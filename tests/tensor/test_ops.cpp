@@ -97,19 +97,6 @@ TEST(Ops, GemvRowMatchesGemm) {
   }
 }
 
-TEST(Ops, GemvRowAccumAddsOnTop) {
-  const auto x = random_matrix(1, 4, 11);
-  const auto w = random_matrix(4, 3, 12);
-  std::vector<float> base = {1.0f, 2.0f, 3.0f};
-  std::vector<float> y = base;
-  gemv_row_accum(x.row(0), w, y);
-  std::vector<float> fresh(3);
-  gemv_row(x.row(0), w, fresh);
-  for (std::size_t j = 0; j < 3; ++j) {
-    EXPECT_NEAR(y[j], base[j] + fresh[j], 1e-5f);
-  }
-}
-
 TEST(Ops, VectorPrimitives) {
   std::vector<float> a = {1, 2, 3};
   std::vector<float> b = {10, 20, 30};
